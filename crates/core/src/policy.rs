@@ -57,7 +57,7 @@ pub struct PolicyScratch {
 
 /// A schedule-construction policy: demand snapshot in, slot layout out.
 pub trait SchedulePolicy {
-    /// Stable identifier for CLI flags, bench rows, and metrics labels.
+    /// Stable identifier for CLI flags, experiment rows, and metrics labels.
     fn name(&self) -> &'static str;
 
     /// Build the schedule for the next burst interval into `out`.

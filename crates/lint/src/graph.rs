@@ -149,7 +149,7 @@ impl Contract {
     ///
     /// ```text
     /// 0 obs | 1 sim | 2 energy | 3 net | 4 transport | 5 traffic
-    /// 6 core | 7 coord, trace | 8 client | 9 scenario | 10 bench, lint, cli
+    /// 6 core | 7 coord, trace | 8 client | 9 scenario | 10 lint, cli
     /// ```
     pub fn powerburst() -> Contract {
         let layers = BTreeMap::from([
@@ -164,7 +164,6 @@ impl Contract {
             ("trace", 7),
             ("client", 8),
             ("scenario", 9),
-            ("bench", 10),
             ("lint", 10),
             (ROOT_CRATE, 10),
         ]);
@@ -262,7 +261,7 @@ impl Contract {
             },
             DenyRule {
                 from: None,
-                except: vec!["scenario", "bench", ROOT_CRATE, "obs"],
+                except: vec!["scenario", ROOT_CRATE, "obs"],
                 to: "obs",
                 to_module: Some("profile"),
                 why: "wall-clock profiling is quarantined to reporting harnesses",

@@ -7,7 +7,7 @@
 //!
 //! | ID   | Rule |
 //! |------|------|
-//! | D001 | wall-clock types (`Instant`, `SystemTime`) only in `obs::profile` and the bench crate |
+//! | D001 | wall-clock types (`Instant`, `SystemTime`) only in `obs::profile` |
 //! | D002 | no `HashMap`/`HashSet` iteration in sim-path crates (order is nondeterministic) |
 //! | D003 | no `thread_rng`/`rand::random` outside the seeded `sim::rng` module |
 //! | D004 | no `thread::sleep` or environment access (`env::var`, …) in sim-path crates |
@@ -121,7 +121,7 @@ impl Rule {
     /// One-line statement of the rule, shown next to violations.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::D001 => "wall-clock time in sim code (Instant/SystemTime belong in obs::profile or the bench crate)",
+            Rule::D001 => "wall-clock time in sim code (Instant/SystemTime belong in obs::profile)",
             Rule::D002 => "hash-container iteration in sim-path code (order is nondeterministic; use BTreeMap/BTreeSet or sort first)",
             Rule::D003 => "unseeded randomness (derive a seeded RNG from sim::rng instead)",
             Rule::D004 => "host-environment dependence in sim code (thread::sleep / env access)",
@@ -308,9 +308,7 @@ impl<'a> FileScope<'a> {
 
     fn applies(&self, rule: Rule) -> bool {
         match rule {
-            Rule::D001 => {
-                self.rel != "crates/obs/src/profile.rs" && self.crate_name != Some("bench")
-            }
+            Rule::D001 => self.rel != "crates/obs/src/profile.rs",
             Rule::D002 | Rule::D004 => self.is_sim_path(),
             Rule::D003 => self.rel != "crates/sim/src/rng.rs",
             Rule::D005 => true, // gated by the in-file marker instead
@@ -322,11 +320,9 @@ impl<'a> FileScope<'a> {
             // D002 already bans hash iteration wholesale on the sim path;
             // D010 extends the float-accumulation case to the reporting
             // crates whose aggregates feed exports (scenario, client,
-            // coord, obs, the CLI). Bench and the lint itself are
-            // harnesses, not result paths.
-            Rule::D010 => {
-                !self.is_sim_path() && !matches!(self.crate_name, Some("bench") | Some("lint"))
-            }
+            // coord, obs, the CLI). The lint itself is a harness, not a
+            // result path.
+            Rule::D010 => !self.is_sim_path() && self.crate_name != Some("lint"),
             Rule::D011 => true, // scoping is inside the rule: sim may, with SAFETY
         }
     }

@@ -271,8 +271,8 @@ pub struct World {
     /// Topology frozen (state redistributed into shards)? Set lazily at
     /// the first run; all `add_*`/`attach_*` calls must precede it.
     finalized: bool,
-    /// Worker threads for multi-shard runs; 0 = auto (`PB_THREADS` or the
-    /// machine's parallelism). Thread count never changes results.
+    /// Worker threads for multi-shard runs; 0 = auto (the machine's
+    /// parallelism). Thread count never changes results.
     threads: usize,
     topo: Topo,
     /// Staging: exactly one shard holding everything until `finalize`.
@@ -318,7 +318,7 @@ impl World {
     }
 
     /// Set the worker-thread count for multi-shard runs. `0` (the
-    /// default) resolves `PB_THREADS` / machine parallelism at run time.
+    /// default) resolves the machine's parallelism at run time.
     /// Purely a scheduling knob: results are identical for any value.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
@@ -716,37 +716,29 @@ impl World {
                 self.with_node(NodeId(i as u32), |n, ctx| n.on_start(ctx));
             }
         }
-        // `run_window` processes events strictly before its end; `t + 1 µs`
-        // makes the whole call inclusive of events at `t`, matching the
-        // pre-shard loop's `ev_t <= t` exactly (time is integral µs).
-        let cap = t.saturating_add(SimDuration::from_us(1));
-        if self.shards.len() == 1 {
-            // Sequential fast path: the exact legacy event loop. No mail
-            // can exist — every destination is shard 0.
-            let tx = self.mail.sender(0);
-            Exec { rank: 0, topo: &self.topo, obs: &self.obs, s: &mut self.shards[0], tx }
-                .run_window(cap);
-        } else {
-            let threads = match self.threads {
-                0 => powerburst_sim::default_threads(),
-                n => n,
-            };
-            let plan = EpochPlan { threads, target: t, lookahead: self.topo.lookahead };
-            let topo = &self.topo;
-            let obs = &self.obs;
-            run_epochs(
-                &mut self.shards,
-                &mut self.mail,
-                plan,
-                |s: &ShardState| s.queue.peek_time(),
-                |r, s, wend, tx| {
-                    Exec { rank: r as u32, topo, obs, s, tx }.run_window(wend);
-                },
-                |_r, s, mut rx: MailDrain<'_, Mail>| {
-                    rx.drain(|_from, m| s.apply(topo, m));
-                },
-            );
-        }
+        // Every window ends at `t + 1 µs` at the latest, so the call is
+        // inclusive of events at `t` (time is integral µs). A one-shard
+        // world has lookahead `SimDuration::MAX`: it runs as one window on
+        // the caller's thread, the pre-shard event loop exactly.
+        let threads = match self.threads {
+            0 => powerburst_sim::default_threads(),
+            n => n,
+        };
+        let plan = EpochPlan { threads, target: t, lookahead: self.topo.lookahead };
+        let topo = &self.topo;
+        let obs = &self.obs;
+        run_epochs(
+            &mut self.shards,
+            &mut self.mail,
+            plan,
+            |s: &ShardState| s.queue.peek_time(),
+            |r, s, wend, tx| {
+                Exec { rank: r as u32, topo, obs, s, tx }.run_window(wend);
+            },
+            |_r, s, mut rx: MailDrain<'_, Mail>| {
+                rx.drain(|_from, m| s.apply(topo, m));
+            },
+        );
         for s in &mut self.shards {
             s.now = t;
         }

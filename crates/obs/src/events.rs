@@ -69,13 +69,13 @@ pub enum EventKind {
         /// Queued packets.
         pkts: u64,
     },
-    /// A reporting harness (bench target, experiment runner) started: the
+    /// A reporting harness (benchmark, experiment runner) started: the
     /// options in force, stamped at t=0. Emitted only by harness code —
     /// never by sim-path crates — so result-bearing event streams are
     /// unaffected; it exists so harness banners flow through the
     /// structured channel instead of ad-hoc printing (lint rule D007).
     HarnessBanner {
-        /// Harness name (the bench target or experiment id).
+        /// Harness name (the benchmark workload or experiment id).
         name: &'static str,
         /// Master seed in force.
         seed: u64,

@@ -221,11 +221,11 @@ pub struct ScenarioConfig {
     /// `None` grants every cell its full interval (non-overlapping
     /// channels). Ignored in 1-cell worlds, which have no coordinator.
     pub coord_pool_permille: Option<u32>,
-    /// Worker threads for the sharded event core (`0`, the default, reads
-    /// `PB_THREADS` / available parallelism). Thread count never changes
-    /// any simulated result — the conservative-lookahead engine is
+    /// Worker threads for the sharded event core (`0`, the default, uses
+    /// the available parallelism). Thread count never changes any
+    /// simulated result — the conservative-lookahead engine is
     /// byte-identical at every thread count (see the determinism matrix
-    /// test) — and 1-cell worlds always run the sequential fast path.
+    /// test) — and 1-cell worlds always run on the caller's thread.
     pub threads: usize,
 }
 
@@ -266,7 +266,7 @@ impl ScenarioConfig {
         }
     }
 
-    /// Shorten the run (tests and smoke benches).
+    /// Shorten the run (tests and smoke runs).
     pub fn with_duration(mut self, d: SimDuration) -> ScenarioConfig {
         self.duration = d;
         self

@@ -11,7 +11,8 @@
 //!   ([`run_scenario`]);
 //! * [`results`] — per-client and per-run result structures;
 //! * [`calibrate`] — the §3.2.2 bandwidth microbenchmark (M1);
-//! * [`experiments`] — one function per paper table/figure (E1–E10, A1–A3);
+//! * [`experiments`] — the experiment registry, one entry per paper
+//!   table/figure (E1–E10, ablations A1–A7, microbenchmark M1);
 //! * [`report`] — text-table rendering for harness output.
 
 #![forbid(unsafe_code)]
@@ -29,5 +30,5 @@ pub use calibrate::{calibrate, Calibration, DEFAULT_SIZES};
 pub use config::{
     ClientKind, ClientSpec, NetworkConfig, ObsConfig, RadioMode, ScenarioConfig, VideoPattern,
 };
-pub use report::{banner, fmt_pct, fmt_summary, Table};
+pub use report::{banner, fmt_summary, Table};
 pub use results::{AppMetrics, ClientResult, FtpSummary, LiveSummary, ScenarioResult, WebSummary};

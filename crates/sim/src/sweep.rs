@@ -12,20 +12,8 @@
 //! workers never contend on a shared lock to publish results.
 
 use std::cell::UnsafeCell;
-use std::time::Instant;
 
 use crate::shard::Cursor;
-
-/// Wall-clock profile of one [`parallel_sweep_timed`] call.
-#[derive(Debug, Clone, Default)]
-pub struct SweepTiming {
-    /// Wall time of the whole sweep, seconds.
-    pub wall_s: f64,
-    /// Per-job wall time, seconds, in input order.
-    pub job_wall_s: Vec<f64>,
-    /// Worker threads actually used.
-    pub threads: usize,
-}
 
 /// One result slot, written by exactly one worker.
 ///
@@ -50,42 +38,14 @@ where
     R: Send,
     F: Fn(&C) -> R + Sync,
 {
-    parallel_sweep_timed(configs, threads, f).0
-}
-
-/// [`parallel_sweep`] plus a wall-clock profile: total sweep time and
-/// per-job time in input order. Results are identical to the untimed
-/// variant; only the profile varies run to run.
-pub fn parallel_sweep_timed<C, R, F>(configs: Vec<C>, threads: usize, f: F) -> (Vec<R>, SweepTiming)
-where
-    C: Sync,
-    R: Send,
-    F: Fn(&C) -> R + Sync,
-{
-    let sweep_start = Instant::now();
     let n = configs.len();
-    if n == 0 {
-        return (Vec::new(), SweepTiming::default());
-    }
     let threads = threads.min(n);
     if threads <= 1 {
-        let mut job_wall_s = Vec::with_capacity(n);
-        let results = configs
-            .iter()
-            .map(|c| {
-                let t0 = Instant::now();
-                let r = f(c);
-                job_wall_s.push(t0.elapsed().as_secs_f64());
-                r
-            })
-            .collect();
-        let timing =
-            SweepTiming { wall_s: sweep_start.elapsed().as_secs_f64(), job_wall_s, threads: 1 };
-        return (results, timing);
+        return configs.iter().map(f).collect();
     }
 
     let cursor = Cursor::new();
-    let slots: Vec<Slot<(R, f64)>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
+    let slots: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
@@ -98,39 +58,24 @@ where
                 if idx >= n {
                     break;
                 }
-                let t0 = Instant::now();
                 let r = f(&configs[idx]);
-                let dt = t0.elapsed().as_secs_f64();
                 // SAFETY: `idx` came from the cursor's fetch_add, so this
                 // worker is the only writer of `slots[idx]`; the main
                 // thread reads only after the scope joins all workers.
-                unsafe { *slots[idx].0.get() = Some((r, dt)) };
+                unsafe { *slots[idx].0.get() = Some(r) };
             });
         }
     });
 
-    let mut results = Vec::with_capacity(n);
-    let mut job_wall_s = Vec::with_capacity(n);
-    for s in slots {
-        let (r, dt) = s.0.into_inner().expect("every job produced a result");
-        results.push(r);
-        job_wall_s.push(dt);
-    }
-    (results, SweepTiming { wall_s: sweep_start.elapsed().as_secs_f64(), job_wall_s, threads })
+    slots.into_iter().map(|s| s.0.into_inner().expect("every job produced a result")).collect()
 }
 
-/// Pick a default worker count: `PB_THREADS` when set (clamped to ≥ 1, so
-/// CI and laptops can pin sweep width), otherwise the available
-/// parallelism capped so sweeps don't oversubscribe small CI machines.
+/// Pick a default worker count: the available parallelism, capped so
+/// sweeps don't oversubscribe small CI machines.
 ///
 /// Thread count only changes how sweep jobs are scheduled onto workers,
 /// never any simulated result (see the thread-count determinism tests).
 pub fn default_threads() -> usize {
-    if let Ok(s) = std::env::var("PB_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            return n.max(1);
-        }
-    }
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16)
 }
 
@@ -177,34 +122,6 @@ mod tests {
     fn more_threads_than_jobs_is_fine() {
         let out = parallel_sweep(vec![1, 2], 32, |c| c + 1);
         assert_eq!(out, vec![2, 3]);
-    }
-
-    #[test]
-    fn timed_variant_profiles_every_job() {
-        for threads in [1, 4] {
-            let configs: Vec<u64> = (0..10).collect();
-            let (out, timing) = parallel_sweep_timed(configs, threads, |c| c + 1);
-            assert_eq!(out, (1..=10).collect::<Vec<u64>>());
-            assert_eq!(timing.job_wall_s.len(), 10);
-            assert!(timing.job_wall_s.iter().all(|&t| t >= 0.0));
-            assert!(timing.wall_s >= 0.0);
-            assert_eq!(timing.threads, threads);
-        }
-    }
-
-    #[test]
-    fn pb_threads_overrides_and_clamps() {
-        // One test owns this env var end to end: no other test in the
-        // crate reads it, so serial set/check/remove is race-free.
-        std::env::set_var("PB_THREADS", "3");
-        assert_eq!(default_threads(), 3);
-        std::env::set_var("PB_THREADS", "0");
-        assert_eq!(default_threads(), 1, "zero clamps to one worker");
-        std::env::set_var("PB_THREADS", "not-a-number");
-        let fallback = default_threads();
-        assert!(fallback >= 1, "garbage falls back to detection");
-        std::env::remove_var("PB_THREADS");
-        assert!(default_threads() >= 1);
     }
 
     #[test]

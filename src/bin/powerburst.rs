@@ -6,9 +6,6 @@
 //!                [--live] [--psm] [--static] [--admission]
 //!                [--trace-out FILE] [--metrics-out FILE]
 //!                [--trace-events FILE] [--fail-on-invariants]
-//! powerburst bench [--secs S] [--seed K] [--threads N] [--repeat R]
-//!                  [--out FILE] [--metrics-out FILE] [--baseline FILE]
-//!                  [--fail-on-regression PCT]
 //! powerburst calibrate [--seed K]
 //! powerburst experiment <name>|all [--secs S] [--seed K]
 //! powerburst list
@@ -34,13 +31,12 @@ fn main() -> ExitCode {
     let rest = &args[1..];
     match cmd.as_str() {
         "run" => cmd_run(rest),
-        "bench" => cmd_bench(rest),
         "calibrate" => cmd_calibrate(rest),
         "experiment" => cmd_experiment(rest),
         "list" => {
             println!("experiments:");
-            for (name, desc) in EXPERIMENTS {
-                println!("  {name:<24} {desc}");
+            for e in exp::EXPERIMENTS {
+                println!("  {:<24} {}", e.name, e.about);
             }
             ExitCode::SUCCESS
         }
@@ -71,9 +67,6 @@ USAGE:
                  [--fault-reorder-ms M] [--fault-sched-drop P]
                  [--fault-jitter-ms M] [--fault-jitter-prob P]
                  [--fault-skew-ppm X]
-  powerburst bench [--secs S] [--seed K] [--threads N] [--repeat R]
-                   [--out FILE] [--metrics-out FILE] [--baseline FILE]
-                   [--fail-on-invariants] [--fail-on-regression PCT]
   powerburst calibrate [--seed K]
   powerburst experiment <name>|all [--secs S] [--seed K]
   powerburst list";
@@ -185,7 +178,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
     if cells > 1 {
         cfg = cfg.with_cells(cells);
     }
-    // Worker threads for the sharded event core (0 = PB_THREADS/auto).
+    // Worker threads for the sharded event core (0 = auto).
     // Outputs are byte-identical at every value; single-cell worlds
     // always run sequentially regardless.
     cfg = cfg.with_threads(f.parse("--threads", 0));
@@ -327,92 +320,6 @@ fn write_obs_exports(
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let f = Flags { args };
-    let opt = exp::ExpOptions {
-        duration: SimDuration::from_secs(f.parse("--secs", 25)),
-        seed: f.parse("--seed", 7),
-        threads: f.parse("--threads", powerburst::sim::default_threads()),
-    };
-    let repeat: usize = f.parse("--repeat", 1).max(1);
-    eprintln!(
-        "profiling fig4 sweep + {} scenarios + instrumented run ({} s, seed {}, {} threads, {} repeat(s))...",
-        exp::BENCH_SCENARIOS.len(),
-        opt.duration.as_secs_f64(),
-        opt.seed,
-        opt.threads,
-        repeat,
-    );
-    // Repeats fold stage-wise: each stage keeps its fastest run, the
-    // minimum being the least-noise wall-clock estimator on a shared
-    // machine. Simulation outputs are deterministic, so only wall time
-    // differs between repeats.
-    let (mut report, r) = exp::bench_suite(&opt);
-    for _ in 1..repeat {
-        let (again, _) = exp::bench_suite(&opt);
-        report.keep_best(again);
-    }
-    let out = f.get("--out").unwrap_or("BENCH_pr10.json");
-    if let Err(e) = std::fs::write(out, report.to_json()) {
-        eprintln!("cannot write {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    for st in &report.stages {
-        println!(
-            "{:<18} {:>8.2}s  {:>12} events  {:>12.0} events/s  ({} jobs, {} threads)",
-            st.name,
-            st.wall_s,
-            st.sim_events,
-            st.events_per_sec(),
-            st.jobs.len(),
-            st.threads,
-        );
-    }
-    println!("bench report -> {out}");
-    if let Some(base_path) = f.get("--baseline") {
-        // Comparison against a committed baseline report. Report-only by
-        // default (runners are noisy); `--fail-on-regression <pct>` turns
-        // any stage slower than the threshold into a hard failure — pair
-        // it with `--repeat` and a forgiving percentage to keep the gate
-        // meaningful on shared machines.
-        match std::fs::read_to_string(base_path) {
-            Ok(base_json) => {
-                let current = powerburst::obs::parse_stage_rates(&report.to_json());
-                let baseline = powerburst::obs::parse_stage_rates(&base_json);
-                println!("events/sec vs baseline {base_path}:");
-                for line in powerburst::obs::delta_lines(&current, &baseline) {
-                    println!("  {line}");
-                }
-                if f.has("--fail-on-regression") {
-                    let threshold: f64 = f.parse("--fail-on-regression", 20.0);
-                    let offenders = powerburst::obs::regressions(&current, &baseline, threshold);
-                    if !offenders.is_empty() {
-                        println!("regressions past -{threshold:.1}%:");
-                        for line in &offenders {
-                            println!("  {line}");
-                        }
-                        return ExitCode::FAILURE;
-                    }
-                    println!("no stage regressed past -{threshold:.1}%");
-                }
-            }
-            Err(e) => eprintln!("baseline {base_path} unreadable ({e}); skipping comparison"),
-        }
-    }
-    if let Err(code) = write_obs_exports(&r, f.get("--metrics-out"), f.get("--trace-events")) {
-        return code;
-    }
-    if !r.invariants.is_clean() {
-        println!("invariants: {} violation(s) in instrumented run", r.invariants.total());
-        if f.has("--fail-on-invariants") {
-            return ExitCode::FAILURE;
-        }
-    } else {
-        println!("invariants: clean");
-    }
-    ExitCode::SUCCESS
-}
-
 fn cmd_calibrate(args: &[String]) -> ExitCode {
     let f = Flags { args };
     let seed: u64 = f.parse("--seed", 7);
@@ -424,27 +331,6 @@ fn cmd_calibrate(args: &[String]) -> ExitCode {
     println!("effective bandwidth at 728 B frames: {:.2} Mb/s", cal.model.effective_bps(728) / 1e6);
     ExitCode::SUCCESS
 }
-
-const EXPERIMENTS: &[(&str, &str)] = &[
-    ("fig4", "Figure 4: ten video clients, five patterns x three intervals"),
-    ("tcp-only", "§4.2: ten web clients"),
-    ("fig5", "Figure 5: seven video + three web clients"),
-    ("optimal", "§4.3: comparison to the theoretical optimal"),
-    ("fig6", "Figure 6: early-transition sweep"),
-    ("loss", "§4.3: packet loss survey"),
-    ("static", "§4.3: static vs dynamic schedules"),
-    ("fig7", "Figure 7: slotted TCP/UDP static schedules"),
-    ("drops", "§4.3: Netfilter/DummyNet drop impact"),
-    ("penalty", "§4.3: 100 ms vs 500 ms transition penalty"),
-    ("split", "A1: split connections vs pass-through"),
-    ("unchanged", "A2: §5 schedule-unchanged optimization"),
-    ("intervals", "A3: burst-interval sweep"),
-    ("comp", "A4: adaptive vs fixed-anchor delay compensation"),
-    ("psm", "A5: proxy schedule vs 802.11-PSM baseline"),
-    ("admission", "A6: §3.2.1 admission control under overload"),
-    ("policies", "A7: scheduling-policy A/B (fixed/variable/channel/buffer)"),
-    ("bandwidth", "M1: bandwidth microbenchmark + linear fit"),
-];
 
 fn cmd_experiment(args: &[String]) -> ExitCode {
     let Some(name) = args.first() else {
@@ -459,29 +345,14 @@ fn cmd_experiment(args: &[String]) -> ExitCode {
     };
 
     let out = match name.as_str() {
-        "fig4" => exp::render_fig4(&exp::fig4_udp_video(&opt)),
-        "tcp-only" => exp::render_tcp_only(&exp::tab_tcp_only(&opt)),
-        "fig5" => exp::render_fig5(&exp::fig5_mixed(&opt)),
-        "optimal" => exp::render_optimal(&exp::tab_optimal(&opt)),
-        "fig6" => exp::render_fig6(&exp::fig6_early_transition(&opt)),
-        "loss" => exp::render_packet_loss(&exp::tab_packet_loss(&opt)),
-        "static" => exp::render_static_vs_dynamic(&exp::tab_static_vs_dynamic(&opt)),
-        "fig7" => exp::render_fig7(&exp::fig7_slotted_static(&opt)),
-        "drops" => exp::render_drop_impact(&exp::tab_drop_impact(&opt)),
-        "penalty" => exp::render_transition_penalty(&exp::tab_transition_penalty(&opt)),
-        "split" => exp::render_split(&exp::abl_split_connection(&opt)),
-        "unchanged" => exp::render_unchanged(&exp::abl_schedule_unchanged(&opt)),
-        "intervals" => exp::render_interval_sweep(&exp::abl_burst_interval(&opt)),
-        "comp" => exp::render_delay_compensation(&exp::abl_delay_compensation(&opt)),
-        "psm" => exp::render_psm(&exp::abl_psm_baseline(&opt)),
-        "admission" => exp::render_admission(&exp::abl_admission_control(&opt)),
-        "policies" => exp::render_policy_ab(&exp::ab_policy_comparison(&opt)),
-        "bandwidth" => exp::render_bandwidth_model(&exp::tab_bandwidth_model(&opt)),
         "all" => exp::run_all(&opt),
-        other => {
-            eprintln!("unknown experiment `{other}`; see `powerburst list`");
-            return ExitCode::FAILURE;
-        }
+        name => match exp::EXPERIMENTS.iter().find(|e| e.name == name) {
+            Some(e) => (e.run)(&opt),
+            None => {
+                eprintln!("unknown experiment `{name}`; see `powerburst list`");
+                return ExitCode::FAILURE;
+            }
+        },
     };
     println!("{out}");
     ExitCode::SUCCESS

@@ -1,9 +1,9 @@
 //! Whole-sim steady-state allocation budget.
 //!
-//! The bench suite shows allocation regressions as throughput loss, but
+//! The benchmark shows allocation regressions as throughput loss, but
 //! only when someone reads the numbers. This test makes the allocation
-//! discipline a tier-1 gate: run the mixed video+web scenario (the bench
-//! `mix` stage) past warm-up, then count every global-allocator call over a
+//! discipline a tier-1 gate: run the mixed video+web scenario (Figure 5's
+//! blend) past warm-up, then count every global-allocator call over a
 //! steady-state window and assert allocations-per-event stays under budget.
 //!
 //! Warm-up matters: the first simulated seconds fill the payload-pattern
@@ -62,7 +62,7 @@ const BUDGET_ALLOCS_PER_EVENT: f64 = 0.10;
 
 #[test]
 fn steady_state_mix_scenario_stays_under_allocation_budget() {
-    // The bench suite's `mix` stage: seven video clients at 56kbps plus
+    // Figure 5's blend: seven video clients at 56kbps plus
     // three web clients, dynamic scheduling at a 100ms interval.
     let policy = PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) };
     let mut clients: Vec<ClientSpec> = VideoPattern::All56
