@@ -29,7 +29,7 @@ use powerburst_obs::{Counter, EventKind, Hist, Recorder};
 use powerburst_sim::{LocalTime, SimDuration, SimTime};
 
 use powerburst_core::Schedule;
-use powerburst_net::{ports, Ctx, HostAddr, IfaceId, Node, Packet, Proto, TimerToken};
+use powerburst_net::{ports, Ctx, HostAddr, IfaceId, Node, Packet, Proto, TimerId, TimerToken};
 use powerburst_traffic::{App, APP_TOKEN};
 
 /// Delay-compensation algorithm selector.
@@ -141,6 +141,11 @@ pub struct PowerClient {
     slots: Vec<MySlot>,
     /// Pending wake instants (for sleep decisions).
     planned_wakes: Vec<SimTime>,
+    /// Timers of the plan in force: its slot wakes, the slot ends armed so
+    /// far, and its SRP wake. A new plan cancels them all.
+    plan_timers: Vec<TimerId>,
+    /// The schedule-miss deadline armed at the last SRP wake.
+    miss_timer: Option<TimerId>,
     /// Deferred schedule under ordering rule (1), with its arrival time.
     pending_schedule: Option<(Schedule, SimTime)>,
     /// Recycled schedule buffer: broadcasts are decoded into it
@@ -173,6 +178,8 @@ impl PowerClient {
             app,
             slots: Vec::new(),
             planned_wakes: Vec::new(),
+            plan_timers: Vec::new(),
+            miss_timer: None,
             pending_schedule: None,
             decode_buf: Schedule::default(),
             in_burst: false,
@@ -256,7 +263,9 @@ impl PowerClient {
             self.stats.deferred_schedules += 1;
             // The schedule did arrive: the SRP wait (and its miss deadline)
             // is satisfied even though application is deferred.
-            ctx.cancel_timer(T_MISS);
+            if let Some(id) = self.miss_timer.take() {
+                ctx.cancel_timer(id);
+            }
             if self.woke_for.map(|(w, _)| w) == Some(WokeFor::Srp) {
                 self.account_arrival(ctx.now());
             }
@@ -274,7 +283,9 @@ impl PowerClient {
     /// deferred schedule is applied late.
     fn apply_schedule(&mut self, ctx: &mut Ctx<'_>, sched: Schedule, arrival: SimTime) {
         let now = ctx.now();
-        ctx.cancel_timer(T_MISS);
+        if let Some(id) = self.miss_timer.take() {
+            ctx.cancel_timer(id);
+        }
         self.account_arrival(now);
         if let Some(since) = self.miss_since.take() {
             self.stats.missed_sched_wait += now.since(since);
@@ -283,13 +294,9 @@ impl PowerClient {
         // its rendezvous points are in the past. Invalidate local plans and
         // stay awake until a fresh schedule arrives.
         if now > arrival + sched.next_srp {
-            // Only indices the previous interval actually armed can be
-            // pending (wake timers per slot, end timers per woken slot).
-            for k in 0..self.slots.len() as TimerToken {
-                ctx.cancel_timer(T_WAKE_SLOT + k);
-                ctx.cancel_timer(T_SLOT_END + k);
+            for id in self.plan_timers.drain(..) {
+                ctx.cancel_timer(id);
             }
-            ctx.cancel_timer(T_WAKE_SRP);
             self.slots.clear();
             self.planned_wakes.clear();
             self.miss_since = Some(now);
@@ -321,13 +328,10 @@ impl PowerClient {
             SimDuration::from_us(us.max(0) as u64)
         };
 
-        // Cancel any stale wake-ups from the previous interval; only the
-        // slot indices it armed can hold pending timers.
-        for k in 0..self.slots.len() as TimerToken {
-            ctx.cancel_timer(T_WAKE_SLOT + k);
-            ctx.cancel_timer(T_SLOT_END + k);
+        // Cancel any stale wake-ups from the previous interval.
+        for id in self.plan_timers.drain(..) {
+            ctx.cancel_timer(id);
         }
-        ctx.cancel_timer(T_WAKE_SRP);
         self.planned_wakes.clear();
         self.slots.clear();
 
@@ -349,7 +353,7 @@ impl PowerClient {
                 sleep_at_end: e.client.is_broadcast() || sched.fixed_slots,
             });
             let wake_off = shift(e.rp_offset.saturating_sub(lead));
-            ctx.set_timer_local(wake_off, T_WAKE_SLOT + k as TimerToken);
+            self.plan_timers.push(ctx.set_timer_local(wake_off, T_WAKE_SLOT + k as TimerToken));
             self.planned_wakes.push(now + wake_off);
         }
 
@@ -365,15 +369,16 @@ impl PowerClient {
                     sleep_at_end: e.client.is_broadcast() || sched.fixed_slots,
                 });
                 let wake_off = shift(sched.next_srp + e.rp_offset.saturating_sub(lead));
-                ctx.set_timer_local(wake_off, T_WAKE_SLOT + idx as TimerToken);
+                self.plan_timers
+                    .push(ctx.set_timer_local(wake_off, T_WAKE_SLOT + idx as TimerToken));
                 self.planned_wakes.push(now + wake_off);
             }
             let srp_off = shift((sched.next_srp * 2).saturating_sub(lead));
-            ctx.set_timer_local(srp_off, T_WAKE_SRP);
+            self.plan_timers.push(ctx.set_timer_local(srp_off, T_WAKE_SRP));
             self.planned_wakes.push(now + srp_off);
         } else {
             let srp_off = shift(sched.next_srp.saturating_sub(lead));
-            ctx.set_timer_local(srp_off, T_WAKE_SRP);
+            self.plan_timers.push(ctx.set_timer_local(srp_off, T_WAKE_SRP));
             self.planned_wakes.push(now + srp_off);
         }
 
@@ -429,7 +434,7 @@ impl Node for PowerClient {
             T_WAKE_SRP => {
                 ctx.radio_wake();
                 self.woke_for = Some((WokeFor::Srp, now + self.cfg.wake_transition));
-                ctx.set_timer(self.lead() + self.cfg.miss_slack, T_MISS);
+                self.miss_timer = Some(ctx.set_timer(self.lead() + self.cfg.miss_slack, T_MISS));
             }
             T_MISS if self.woke_for.map(|(w, _)| w) == Some(WokeFor::Srp) => {
                 // No schedule: stay awake until one arrives (§4.3).
@@ -446,10 +451,8 @@ impl Node for PowerClient {
                 if slot.sleep_at_end {
                     // Fixed slots end on their own clock: linger briefly
                     // for late frames, then sleep without needing a mark.
-                    ctx.set_timer(
-                        self.lead() + slot.duration + SimDuration::from_ms(2),
-                        T_SLOT_END + k as TimerToken,
-                    );
+                    let end = self.lead() + slot.duration + SimDuration::from_ms(2);
+                    self.plan_timers.push(ctx.set_timer(end, T_SLOT_END + k as TimerToken));
                 } else {
                     self.in_burst = true;
                 }

@@ -137,9 +137,9 @@ fn build_world(proxy: ScriptedProxy, client_cfg: ClientConfig) -> (World, powerb
         Endpoint { node: ap, iface: AP_WIRED },
         LinkSpec::FAST_ETHERNET,
     );
-    world.set_medium(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(150), ap);
-    world.attach_wireless(ap, AP_RADIO);
-    world.attach_wireless(c, IfaceId(0));
+    world.add_cell(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(150), ap);
+    world.attach_wireless_cell(ap, AP_RADIO, 0);
+    world.attach_wireless_cell(c, IfaceId(0), 0);
     (world, c)
 }
 

@@ -161,7 +161,7 @@ mod tests {
 
     impl Node for StubShard {
         fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer_untracked(SimDuration::from_ms(1), 1 as TimerToken);
+            ctx.set_timer(SimDuration::from_ms(1), 1 as TimerToken);
         }
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
             let report = DemandReport {

@@ -102,7 +102,7 @@ impl InvariantLog {
         InvariantLog::default()
     }
 
-    /// Record one violation (details kept for the first [`DETAIL_CAP`]).
+    /// Record one violation (details kept for the first `DETAIL_CAP`).
     pub fn record(&mut self, v: Violation) {
         self.total += 1;
         if self.violations.len() < DETAIL_CAP {

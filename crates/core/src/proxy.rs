@@ -39,7 +39,7 @@ use powerburst_sim::{SimDuration, SimTime};
 
 use powerburst_net::{
     ports, ChannelModel, Ctx, HostAddr, IfaceId, Node, Packet, Proto, ReceiverReport, SockAddr,
-    TcpFlags, TimerToken,
+    TcpFlags, TimerId, TimerToken,
 };
 use powerburst_transport::{TcpConfig, TcpEndpoint, TcpEvent};
 
@@ -57,9 +57,39 @@ pub const PROXY_LAN: IfaceId = IfaceId(0);
 /// Proxy interface toward the access point.
 pub const PROXY_AP: IfaceId = IfaceId(1);
 
-const TOKEN_SRP: TimerToken = 1;
-const TOKEN_BURST_BASE: TimerToken = 0x100;
-const TOKEN_SPLICE_BASE: TimerToken = 0x1_0000;
+/// What a proxy timer fires for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ProxyTimer {
+    /// The next schedule broadcast.
+    Srp,
+    /// The burst slot of schedule entry `i`.
+    Burst(usize),
+    /// A splice half's TCP timer: `(splice id, side)`, side 0 being the
+    /// client half and 1 the server half.
+    Splice(usize, usize),
+}
+
+impl ProxyTimer {
+    /// The kind goes in the high 32 bits and the index in the low 32, so
+    /// no kind's index range can reach another kind's tokens.
+    fn token(self) -> TimerToken {
+        let (kind, index): (TimerToken, usize) = match self {
+            ProxyTimer::Srp => (0, 0),
+            ProxyTimer::Burst(i) => (1, i),
+            ProxyTimer::Splice(sid, side) => (2, 2 * sid + side),
+        };
+        kind << 32 | index as TimerToken
+    }
+
+    fn from_token(token: TimerToken) -> ProxyTimer {
+        let index = (token & 0xFFFF_FFFF) as usize;
+        match token >> 32 {
+            0 => ProxyTimer::Srp,
+            1 => ProxyTimer::Burst(index),
+            _ => ProxyTimer::Splice(index / 2, index % 2),
+        }
+    }
+}
 
 /// Connection-handling mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,6 +232,8 @@ struct Splice {
     /// never transmitted at a sleeping radio. A deque: bursts release from
     /// the front while new frames park at the back.
     held: VecDeque<Packet>,
+    /// Pending TCP timers of the client and server halves.
+    timers: [Option<TimerId>; 2],
 }
 
 /// The proxy node.
@@ -523,9 +555,9 @@ impl Proxy {
 
         // Arm burst timers and the next SRP.
         for (i, e) in sched.entries.iter().enumerate() {
-            ctx.set_timer_untracked(e.rp_offset, TOKEN_BURST_BASE + i as TimerToken);
+            ctx.set_timer(e.rp_offset, ProxyTimer::Burst(i).token());
         }
-        ctx.set_timer_untracked(sched.next_srp, TOKEN_SRP);
+        ctx.set_timer(sched.next_srp, ProxyTimer::Srp.token());
         // `prev_schedule` doubles as the schedule in force: burst timers
         // index into its entries, so no per-interval clone is needed. The
         // retired schedule becomes the spare whose buffers the next build
@@ -845,6 +877,7 @@ impl Proxy {
             client_fin: false,
             closed: false,
             held: VecDeque::new(),
+            timers: [None; 2],
         });
         self.splice_index.insert((client_sock, server_sock), idx);
         self.clients[ci].splices.push(idx);
@@ -936,17 +969,15 @@ impl Proxy {
         for pkt in s.server_side.packets_mut().drain(..) {
             ctx.send_assigning(PROXY_LAN, pkt);
         }
-        let base = TOKEN_SPLICE_BASE + (sid as TimerToken) * 2;
-        match s.client_side.next_deadline() {
-            Some(dl) => ctx.rearm_timer_at(dl, base),
-            None => {
-                ctx.cancel_timer(base);
-            }
-        }
-        match s.server_side.next_deadline() {
-            Some(dl) => ctx.rearm_timer_at(dl, base + 1),
-            None => {
-                ctx.cancel_timer(base + 1);
+        let deadlines = [s.client_side.next_deadline(), s.server_side.next_deadline()];
+        for (side, (deadline, timer)) in deadlines.into_iter().zip(&mut s.timers).enumerate() {
+            match deadline {
+                Some(dl) => ctx.rearm_timer_at(timer, dl, ProxyTimer::Splice(sid, side).token()),
+                None => {
+                    if let Some(id) = timer.take() {
+                        ctx.cancel_timer(id);
+                    }
+                }
             }
         }
     }
@@ -1094,7 +1125,7 @@ impl Proxy {
 impl Node for Proxy {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         // First SRP fires immediately so clients can sync from time zero.
-        ctx.set_timer_untracked(SimDuration::from_ms(1), TOKEN_SRP);
+        ctx.set_timer(SimDuration::from_ms(1), ProxyTimer::Srp.token());
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Packet) {
@@ -1105,26 +1136,42 @@ impl Node for Proxy {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
-        if token == TOKEN_SRP {
-            self.on_srp(ctx);
-        } else if (TOKEN_BURST_BASE..TOKEN_SPLICE_BASE).contains(&token) {
-            self.run_burst(ctx, (token - TOKEN_BURST_BASE) as usize);
-        } else if token >= TOKEN_SPLICE_BASE {
-            let rel = token - TOKEN_SPLICE_BASE;
-            let sid = (rel / 2) as usize;
-            if sid < self.splices.len() {
+        match ProxyTimer::from_token(token) {
+            ProxyTimer::Srp => self.on_srp(ctx),
+            ProxyTimer::Burst(i) => self.run_burst(ctx, i),
+            ProxyTimer::Splice(sid, side) if sid < self.splices.len() => {
                 let now = ctx.now();
-                if rel.is_multiple_of(2) {
+                if side == 0 {
                     self.splices[sid].client_side.on_tick(now);
                 } else {
                     self.splices[sid].server_side.on_tick(now);
                 }
                 self.service_splice(ctx, sid);
             }
+            _ => {}
         }
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The proxy arms a burst for every schedule entry, so a cell with more
+    /// than 65 280 scheduled clients arms bursts at and past index 0xFF00.
+    /// Those must still dispatch as bursts, never as splice ticks.
+    #[test]
+    fn timer_kinds_never_share_a_token() {
+        for i in [0, 0xFF00, 0x1_0000, u32::MAX as usize] {
+            let burst = ProxyTimer::Burst(i);
+            assert_eq!(ProxyTimer::from_token(burst.token()), burst);
+        }
+        for t in [ProxyTimer::Srp, ProxyTimer::Splice(0, 0), ProxyTimer::Splice(0x7F80, 1)] {
+            assert_eq!(ProxyTimer::from_token(t.token()), t);
+        }
     }
 }

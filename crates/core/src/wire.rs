@@ -74,7 +74,8 @@ impl Schedule {
     /// Parse a broadcast payload into an existing schedule, reusing its
     /// entries buffer — the steady-state path for clients that decode one
     /// broadcast per burst interval. Returns `false` on a malformed
-    /// payload, in which case the contents of `into` are unspecified.
+    /// payload — including one not exactly `19 + 12·n` bytes long — in
+    /// which case the contents of `into` are unspecified.
     pub fn decode_into(p: &[u8], into: &mut Schedule) -> bool {
         fn parse(p: &[u8], into: &mut Schedule) -> Option<()> {
             if p.len() < 19 {
@@ -86,7 +87,7 @@ impl Schedule {
             into.saturated = p[8] & 4 != 0;
             let n = u16::from_be_bytes(p[9..11].try_into().ok()?) as usize;
             into.next_srp = SimDuration::from_us(u64::from_be_bytes(p[11..19].try_into().ok()?));
-            if p.len() < 19 + 12 * n {
+            if p.len() != 19 + 12 * n {
                 return None;
             }
             into.entries.reserve(n);

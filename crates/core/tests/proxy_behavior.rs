@@ -107,13 +107,13 @@ fn build(policy: PolicyKind, mode: ProxyMode, source: UdpSource) -> TestWorld {
         Endpoint { node: ap, iface: AP_WIRED },
         LinkSpec::FAST_ETHERNET,
     );
-    world.set_medium(
+    world.add_cell(
         AirtimeModel { jitter_us: 0, ..AirtimeModel::DSSS_11MBPS },
         SimDuration::from_ms(150),
         ap,
     );
-    world.attach_wireless(ap, AP_RADIO);
-    world.attach_wireless(client, IfaceId(0));
+    world.attach_wireless_cell(ap, AP_RADIO, 0);
+    world.attach_wireless_cell(client, IfaceId(0), 0);
     TestWorld { world, proxy, client }
 }
 

@@ -15,9 +15,10 @@
 //! amounts valuable and drives the Figure 6 trade-off.
 
 use std::any::Any;
+use std::collections::VecDeque;
 
 use powerburst_obs::{Counter, Recorder};
-use powerburst_sim::{FastHashMap, SimDuration, SimTime};
+use powerburst_sim::{SimDuration, SimTime};
 use rand::Rng;
 
 use crate::addr::IfaceId;
@@ -124,8 +125,11 @@ pub struct AccessPoint {
     delay: ApDelayProcess,
     /// Fixed uplink (radio→wired) forwarding latency.
     uplink_delay: SimDuration,
-    pending: FastHashMap<TimerToken, (IfaceId, Packet)>,
-    next_token: TimerToken,
+    /// Frames awaiting release, per direction (index 1 = toward the
+    /// radio). The direction is the release timer's token, and the FIFO
+    /// guard makes each direction's releases strictly increasing, so a
+    /// firing timer always releases the front frame.
+    pending: [VecDeque<Packet>; 2],
     /// FIFO guard per direction: a frame never leaves before one that
     /// entered earlier (a real AP's forwarding queue preserves order even
     /// when its latency varies).
@@ -154,8 +158,7 @@ impl AccessPoint {
         AccessPoint {
             delay: ApDelayProcess::new(params),
             uplink_delay: SimDuration::from_us(150),
-            pending: FastHashMap::default(),
-            next_token: 0,
+            pending: [VecDeque::new(), VecDeque::new()],
             last_out: [SimTime::ZERO; 2],
             last_sent: [SimTime::ZERO; 2],
             fifo_violations: 0,
@@ -190,10 +193,8 @@ impl AccessPoint {
             release = self.last_out[dir] + SimDuration::from_us(1);
         }
         self.last_out[dir] = release;
-        let token = self.next_token;
-        self.next_token += 1;
-        self.pending.insert(token, (out, pkt));
-        ctx.set_timer_untracked(release.since(now), token);
+        self.pending[dir].push_back(pkt);
+        ctx.set_timer(release.since(now), dir as TimerToken);
     }
 }
 
@@ -216,8 +217,9 @@ impl Node for AccessPoint {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
-        if let Some((out, pkt)) = self.pending.remove(&token) {
-            let dir = (out == AP_RADIO) as usize;
+        let dir = token as usize;
+        if let Some(pkt) = self.pending[dir].pop_front() {
+            let out = if dir == 1 { AP_RADIO } else { AP_WIRED };
             let now = ctx.now();
             if now < self.last_sent[dir] {
                 self.fifo_violations += 1;

@@ -13,7 +13,7 @@
 //!   This is the only format emitted unless buffer reporting is enabled,
 //!   which keeps default runs (and the golden traces) byte-identical.
 //! * **extended, 32 bytes** — legacy plus `u64 buffer_bytes`. Opt-in per
-//!   client; decoders accept both.
+//!   client; decoders accept both, and no other length.
 //!
 //! All fields are big-endian integers — no floats on the wire (D005).
 
@@ -53,15 +53,16 @@ impl ReceiverReport {
         b.freeze()
     }
 
-    /// Decode either layout; `None` if the payload is too short.
+    /// Decode either layout; `None` unless the payload is exactly
+    /// [`REPORT_LEN`] or [`REPORT_LEN_BUFFERED`] bytes.
     pub fn decode(p: &[u8]) -> Option<ReceiverReport> {
-        if p.len() < REPORT_LEN {
+        if p.len() != REPORT_LEN && p.len() != REPORT_LEN_BUFFERED {
             return None;
         }
         let word = |i: usize| {
             u64::from_be_bytes(p[i..i + 8].try_into().expect("invariant: length checked above"))
         };
-        let buffer_bytes = if p.len() >= REPORT_LEN_BUFFERED { Some(word(24)) } else { None };
+        let buffer_bytes = (p.len() == REPORT_LEN_BUFFERED).then(|| word(24));
         Some(ReceiverReport {
             flow: word(0),
             highest_seq: word(8),

@@ -45,7 +45,7 @@ pub use feedback::ReceiverReport;
 pub use forward::{StaticRouter, Switch};
 pub use link::{Endpoint, HalfLink, Link, LinkSpec, WireOutcome};
 pub use medium::{AirtimeModel, Medium, TxOutcome};
-pub use node::{Ctx, Ev, Node, TimerToken};
+pub use node::{Ctx, Ev, Node, TimerId, TimerToken};
 pub use packet::{Packet, Proto, TcpFlags, TcpHeader, IP_HEADER, TCP_HEADER, UDP_HEADER};
 pub use pattern::{pattern_bytes, PatternCache};
 pub use shaper::{Pipe, PipeSpec};

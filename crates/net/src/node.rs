@@ -13,7 +13,7 @@
 
 use std::any::Any;
 
-use powerburst_sim::{ClockModel, EventQueue, FastHashMap, LocalTime, SimDuration, SimTime};
+use powerburst_sim::{ClockModel, EventId, EventQueue, LocalTime, SimDuration, SimTime};
 use rand::rngs::StdRng;
 
 use powerburst_energy::Wnic;
@@ -23,6 +23,11 @@ use crate::packet::Packet;
 
 /// Application-defined timer discriminator, delivered back in `on_timer`.
 pub type TimerToken = u64;
+
+/// Handle to an armed timer: the event queue's own [`EventId`]. The node
+/// that armed a timer keeps its handle to cancel it; a handle outlives its
+/// timer harmlessly, because cancelling a fired timer is a no-op.
+pub type TimerId = EventId;
 
 /// Engine-internal events. Public only because `Ctx` pushes them; user code
 /// never constructs these.
@@ -87,7 +92,6 @@ pub struct Ctx<'a> {
     pub(crate) rng: &'a mut StdRng,
     pub(crate) wnic: Option<&'a mut Wnic>,
     pub(crate) queue: &'a mut EventQueue<Ev>,
-    pub(crate) timer_index: &'a mut FastHashMap<(NodeId, TimerToken), Vec<powerburst_sim::EventId>>,
     pub(crate) sends: &'a mut Vec<(IfaceId, Packet)>,
     pub(crate) packet_seq: &'a mut u64,
 }
@@ -137,68 +141,45 @@ impl Ctx<'_> {
         self.sends.push((iface, pkt));
     }
 
-    /// Arm a timer `delay` of **true** time from now.
-    pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) {
-        let id = self.queue.push(self.now + delay, Ev::Timer { node: self.node, token });
-        self.timer_index.entry((self.node, token)).or_default().push(id);
-    }
-
-    /// Arm a fire-and-forget timer: the event goes straight onto the queue
-    /// without a `timer_index` entry. Use for timers that are **never
-    /// cancelled** (per-frame release timers, periodic self-rearms) — it
-    /// skips one hash-map probe per arm and one per fire. `cancel_timer`
-    /// cannot see timers armed this way, and a token must not mix tracked
-    /// and untracked arms (the fire path would pop the wrong index entry).
-    pub fn set_timer_untracked(&mut self, delay: SimDuration, token: TimerToken) {
-        self.queue.push(self.now + delay, Ev::Timer { node: self.node, token });
+    /// Arm a timer `delay` of **true** time from now. The returned handle
+    /// is the only way to cancel it; a timer that is never cancelled can
+    /// drop it.
+    pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) -> TimerId {
+        self.queue.push(self.now + delay, Ev::Timer { node: self.node, token })
     }
 
     /// Arm a timer measured on this node's **local** clock; the engine
     /// converts through the clock's drift model, so a fast clock fires
     /// early in true time.
-    pub fn set_timer_local(&mut self, local_delay: SimDuration, token: TimerToken) {
+    pub fn set_timer_local(&mut self, local_delay: SimDuration, token: TimerToken) -> TimerId {
         let true_delay = self.clock.local_to_true_duration(local_delay);
-        self.set_timer(true_delay, token);
+        self.set_timer(true_delay, token)
     }
 
-    /// Keep exactly one timer pending for `token`, firing at `deadline`
-    /// (true time). Equivalent to `cancel_timer` + `set_timer`, but when
-    /// the single pending timer already fires at `deadline` — the common
-    /// case for retransmission timers re-armed after every interaction —
-    /// it is left in place, skipping both heap operations.
-    pub fn rearm_timer_at(&mut self, deadline: SimTime, token: TimerToken) {
-        if let Some(ids) = self.timer_index.get_mut(&(self.node, token)) {
-            if let [id] = ids[..] {
-                if self.queue.time_of(id) == Some(deadline) {
-                    return;
-                }
+    /// Keep `timer` the one pending timer for `token`, firing at `deadline`
+    /// (true time). Equivalent to cancelling `timer` and arming a fresh
+    /// one, but when it is still pending at `deadline` — the common case
+    /// for retransmission timers re-armed after every interaction — it is
+    /// left in place, skipping both heap operations.
+    pub fn rearm_timer_at(
+        &mut self,
+        timer: &mut Option<TimerId>,
+        deadline: SimTime,
+        token: TimerToken,
+    ) {
+        if let Some(id) = *timer {
+            if self.queue.time_of(id) == Some(deadline) {
+                return;
             }
-            for id in ids.drain(..) {
-                self.queue.cancel(id);
-            }
-            let id = self.queue.push(deadline, Ev::Timer { node: self.node, token });
-            ids.push(id);
-            return;
+            self.queue.cancel(id);
         }
-        let id = self.queue.push(deadline, Ev::Timer { node: self.node, token });
-        self.timer_index.entry((self.node, token)).or_default().push(id);
+        *timer = Some(self.queue.push(deadline, Ev::Timer { node: self.node, token }));
     }
 
-    /// Cancel **all** pending timers armed with `token` on this node.
-    /// Returns how many were cancelled.
-    pub fn cancel_timer(&mut self, token: TimerToken) -> usize {
-        // Drain in place rather than removing the entry, so the Vec's
-        // capacity is reused by the next set_timer on this key.
-        let Some(ids) = self.timer_index.get_mut(&(self.node, token)) else {
-            return 0;
-        };
-        let mut n = 0;
-        for id in ids.drain(..) {
-            if self.queue.cancel(id) {
-                n += 1;
-            }
-        }
-        n
+    /// Cancel a pending timer. Returns `false` when it already fired or
+    /// was cancelled: the handle's generation makes that a no-op.
+    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
+        self.queue.cancel(id)
     }
 
     /// Transition this node's WNIC to high-power mode (no-op without a radio).

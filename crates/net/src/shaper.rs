@@ -7,8 +7,9 @@
 //! delay, and an i.i.d. Bernoulli dropper.
 
 use std::any::Any;
+use std::collections::VecDeque;
 
-use powerburst_sim::{FastHashMap, SimDuration, SimTime};
+use powerburst_sim::{SimDuration, SimTime};
 use rand::Rng;
 
 use crate::addr::IfaceId;
@@ -52,8 +53,11 @@ impl PipeSpec {
 pub struct Pipe {
     spec: PipeSpec,
     busy_until: [SimTime; 2],
-    pending: FastHashMap<TimerToken, (IfaceId, Packet)>,
-    next_token: TimerToken,
+    /// Packets in flight, per input direction. The direction is the
+    /// delivery timer's token; each direction's deliveries are
+    /// non-decreasing and equal times fire in arming order, so a firing
+    /// timer always delivers the front packet.
+    pending: [VecDeque<Packet>; 2],
     /// Packets randomly dropped.
     pub random_drops: u64,
     /// Packets dropped by backlog overflow.
@@ -69,8 +73,7 @@ impl Pipe {
         Pipe {
             spec,
             busy_until: [SimTime::ZERO; 2],
-            pending: FastHashMap::default(),
-            next_token: 0,
+            pending: [VecDeque::new(), VecDeque::new()],
             random_drops: 0,
             overflow_drops: 0,
             forwarded: 0,
@@ -99,17 +102,15 @@ impl Node for Pipe {
         let ready = start + tx;
         self.busy_until[dir] = ready;
         let deliver_in = ready.since(now) + self.spec.delay;
-        let out = IfaceId(1 - dir as u8);
-        let token = self.next_token;
-        self.next_token += 1;
-        self.pending.insert(token, (out, pkt));
+        self.pending[dir].push_back(pkt);
         self.forwarded += 1;
-        ctx.set_timer_untracked(deliver_in, token);
+        ctx.set_timer(deliver_in, dir as TimerToken);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
-        if let Some((out, pkt)) = self.pending.remove(&token) {
-            ctx.send(out, pkt);
+        let dir = token as usize;
+        if let Some(pkt) = self.pending[dir].pop_front() {
+            ctx.send(IfaceId(1 - dir as u8), pkt);
         }
     }
 

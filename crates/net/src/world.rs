@@ -12,10 +12,10 @@
 //! A multi-cell world is partitioned into **shards** when it first runs:
 //! one shard per radio cell (cell `c` → shard `c + 1`) plus shard 0 for
 //! the wired backbone (servers, switch, coordinator). Each shard owns its
-//! nodes, cells, outbound link halves, event queue, timer index, packet-id
-//! space, and sniffer; cross-shard frames travel as mailbox messages
-//! applied at conservative-lookahead epoch barriers
-//! ([`powerburst_sim::shard`]). Single-cell worlds — every golden
+//! nodes, cells, outbound link halves, event queue (whose handles are its
+//! nodes' timer handles), packet-id space, and sniffer; cross-shard frames
+//! travel as mailbox messages applied at conservative-lookahead epoch
+//! barriers ([`powerburst_sim::shard`]). Single-cell worlds — every golden
 //! scenario — stay one shard and run the exact sequential loop they always
 //! did, so their traces are byte-identical by construction; multi-shard
 //! worlds are deterministic for any thread count because shard execution
@@ -24,7 +24,7 @@
 use powerburst_obs::{Counter, Recorder};
 use powerburst_sim::rng::streams;
 use powerburst_sim::shard::{run_epochs, EpochPlan, MailDrain, MailGrid, MailSender};
-use powerburst_sim::{derive_rng, ClockModel, EventQueue, FastHashMap, SimDuration, SimTime};
+use powerburst_sim::{derive_rng, ClockModel, EventQueue, SimDuration, SimTime};
 use rand::rngs::StdRng;
 
 use powerburst_energy::{CardSpec, EnergyReport, Wnic};
@@ -33,7 +33,7 @@ use crate::addr::{ports, HostAddr, IfaceId, NodeId};
 use crate::faults::{fault_stream, fault_streams, FaultInjector, FaultPlan, FaultStats};
 use crate::link::{Endpoint, HalfLink, Link, LinkSpec, WireOutcome};
 use crate::medium::{AirtimeModel, Medium, TxOutcome};
-use crate::node::{Ctx, Ev, Node, TimerToken};
+use crate::node::{Ctx, Ev, Node};
 use crate::packet::Packet;
 use crate::sniffer::{Delivery, Sniffer, SnifferRecord};
 
@@ -101,7 +101,7 @@ struct NodeSlot {
     wnic: Option<Wnic>,
     wireless_iface: Option<IfaceId>,
     /// The radio cell this node's wireless interface belongs to, set at
-    /// `attach_wireless*` time. `None` for wired-only nodes.
+    /// `attach_wireless_cell` time. `None` for wired-only nodes.
     cell: Option<u32>,
     /// Dense per-interface attachment table, indexed by `IfaceId`. Built
     /// at wiring time; interface ids are tiny (0..=2 in practice), so the
@@ -186,7 +186,6 @@ struct ShardState {
     cells: Vec<Cell>,
     /// Outbound link halves owned by this shard's senders.
     wires: Vec<WireHalf>,
-    timer_index: FastHashMap<(NodeId, TimerToken), Vec<powerburst_sim::EventId>>,
     packet_seq: u64,
     send_buf: Vec<(IfaceId, Packet)>,
     /// Reused buffer for same-timestamp event batches.
@@ -206,7 +205,6 @@ impl ShardState {
             nodes: Vec::new(),
             cells: Vec::new(),
             wires: Vec::new(),
-            timer_index: FastHashMap::default(),
             packet_seq: (rank as u64) << PACKET_SHARD_SHIFT,
             send_buf: Vec::new(),
             batch_buf: Vec::new(),
@@ -433,15 +431,6 @@ impl World {
         self.pins.push((node, cell as u32));
     }
 
-    /// Install the shared wireless medium of a single-AP world, naming the
-    /// access-point node that bridges radio traffic toward wired hosts.
-    /// Equivalent to creating cell 0 with [`World::add_cell`]; kept as the
-    /// ergonomic (and historical) entry point for 1-cell topologies.
-    pub fn set_medium(&mut self, airtime: AirtimeModel, max_backlog: SimDuration, ap: NodeId) {
-        assert!(self.topo.cell_loc.is_empty(), "medium already installed");
-        self.add_cell(airtime, max_backlog, ap);
-    }
-
     /// Create a radio cell: its own shared medium and the access point that
     /// bridges it to the wired side. Returns the cell index. Cell 0's
     /// medium RNG reproduces the legacy single-medium stream exactly; each
@@ -521,12 +510,6 @@ impl World {
         total
     }
 
-    /// Mark `iface` on `node` as the node's radio interface, in cell 0
-    /// (the single-AP world's only cell).
-    pub fn attach_wireless(&mut self, node: NodeId, iface: IfaceId) {
-        self.attach_wireless_cell(node, iface, 0);
-    }
-
     /// Mark `iface` on `node` as the node's radio interface, joined to the
     /// given cell. Attach the cell's AP first, then its clients in id
     /// order: broadcast delivery walks the member list in attach order.
@@ -574,13 +557,6 @@ impl World {
     pub fn wnic_report(&mut self, id: NodeId) -> Option<EnergyReport> {
         let now = self.now;
         self.slot_mut(id).wnic.as_mut().map(|w| w.report_at(now))
-    }
-
-    /// The captured wireless trace so far. In a sharded world this is
-    /// shard 0's capture only (empty — radio traffic lives on cell
-    /// shards); use [`World::take_trace`] for the merged trace.
-    pub fn sniffer(&self) -> &Sniffer {
-        &self.shards[0].sniffer
     }
 
     /// Take ownership of the captured trace, merged across shards in
@@ -831,15 +807,6 @@ impl Exec<'_> {
         self.obs.incr(Counter::WorldEvents);
         match ev {
             Ev::Timer { node, token } => {
-                // Pop this firing's handle but keep the (emptied) entry:
-                // the key space is bounded by distinct (node, token) pairs,
-                // and keeping the Vec lets the next set_timer on the same
-                // key reuse its capacity instead of reallocating.
-                if let Some(ids) = self.s.timer_index.get_mut(&(node, token)) {
-                    if !ids.is_empty() {
-                        ids.remove(0);
-                    }
-                }
                 self.with_node(node, |n, ctx| n.on_timer(ctx, token));
             }
             Ev::WireArrive { node, iface, pkt } => {
@@ -866,7 +833,6 @@ impl Exec<'_> {
                 rng: &mut slot.rng,
                 wnic: slot.wnic.as_mut(),
                 queue: &mut self.s.queue,
-                timer_index: &mut self.s.timer_index,
                 sends: &mut sends,
                 packet_seq: &mut self.s.packet_seq,
             };
@@ -1215,9 +1181,9 @@ mod tests {
             Endpoint { node: ap, iface: IfaceId(0) },
             LinkSpec::FAST_ETHERNET,
         );
-        w.set_medium(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(500), ap);
-        w.attach_wireless(ap, IfaceId(1));
-        w.attach_wireless(client, IfaceId(0));
+        w.add_cell(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(500), ap);
+        w.attach_wireless_cell(ap, IfaceId(1), 0);
+        w.attach_wireless_cell(client, IfaceId(0), 0);
         (w, server, ap, client)
     }
 
@@ -1231,7 +1197,7 @@ mod tests {
         let rep = w.wnic_report(client).unwrap();
         assert!(rep.rx > SimDuration::ZERO);
         // Sniffer saw the downlink frame.
-        assert!(w.sniffer().records().iter().any(|r| r.delivery == Delivery::Delivered));
+        assert!(w.take_trace().iter().any(|r| r.delivery == Delivery::Delivered));
     }
 
     /// Client that sleeps immediately and never wakes.
@@ -1271,13 +1237,13 @@ mod tests {
             Endpoint { node: ap, iface: IfaceId(0) },
             LinkSpec::FAST_ETHERNET,
         );
-        w.set_medium(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(500), ap);
-        w.attach_wireless(ap, IfaceId(1));
-        w.attach_wireless(client, IfaceId(0));
+        w.add_cell(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(500), ap);
+        w.attach_wireless_cell(ap, IfaceId(1), 0);
+        w.attach_wireless_cell(client, IfaceId(0), 0);
         w.run_until(SimTime::from_ms(50));
         assert_eq!(w.stats(client).missed_frames, 1);
         assert_eq!(w.stats(client).rx_frames, 0);
-        assert!(w.sniffer().records().iter().any(|r| r.delivery == Delivery::MissedAsleep));
+        assert!(w.take_trace().iter().any(|r| r.delivery == Delivery::MissedAsleep));
         // Sleeping client burns roughly sleep power.
         let rep = w.wnic_report(client).unwrap();
         assert!(rep.sleep >= SimDuration::from_ms(49));
@@ -1307,9 +1273,9 @@ mod tests {
             Endpoint { node: ap, iface: IfaceId(0) },
             LinkSpec::FAST_ETHERNET,
         );
-        w.set_medium(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(500), ap);
-        w.attach_wireless(ap, IfaceId(1));
-        w.attach_wireless(client, IfaceId(0));
+        w.add_cell(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(500), ap);
+        w.attach_wireless_cell(ap, IfaceId(1), 0);
+        w.attach_wireless_cell(client, IfaceId(0), 0);
         w.run_until(SimTime::from_ms(50));
         assert_eq!(w.node_mut::<Chatter>(server).received.len(), 1);
         // Client paid transmit energy.

@@ -1,12 +1,14 @@
 //! Property tests for the network substrate: the shared medium never
-//! overlaps transmissions, links preserve order, and the AP delay process
-//! stays within its configured envelope.
+//! overlaps transmissions, links preserve order, the AP delay process
+//! stays within its configured envelope, and the receiver-report decoder
+//! survives arbitrary bytes.
 
 use proptest::prelude::*;
 
+use powerburst_net::feedback::{REPORT_LEN, REPORT_LEN_BUFFERED};
 use powerburst_net::{
     AirtimeModel, ApDelayParams, ApDelayProcess, Endpoint, IfaceId, Link, LinkSpec, Medium, NodeId,
-    TxOutcome, WireOutcome,
+    ReceiverReport, TxOutcome, WireOutcome,
 };
 use powerburst_sim::{derive_rng, SimDuration, SimTime};
 
@@ -104,6 +106,43 @@ proptest! {
                 med.backlog(SimTime::ZERO),
                 cap
             );
+        }
+    }
+
+    /// Arbitrary bytes never panic the receiver-report decoder: it accepts
+    /// exactly the 24- and 32-byte layouts, and an accepted report
+    /// re-encodes to the same bytes.
+    #[test]
+    fn receiver_report_decodes_only_its_two_layouts(
+        bytes in prop::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let decoded = ReceiverReport::decode(&bytes);
+        let exact = bytes.len() == REPORT_LEN || bytes.len() == REPORT_LEN_BUFFERED;
+        prop_assert_eq!(decoded.is_some(), exact);
+        if let Some(r) = decoded {
+            prop_assert_eq!(r.buffer_bytes.is_some(), bytes.len() == REPORT_LEN_BUFFERED);
+            prop_assert_eq!(&r.encode()[..], &bytes[..]);
+        }
+    }
+
+    /// Both layouts round-trip, and truncating or padding either encoding
+    /// to any other length is rejected.
+    #[test]
+    fn receiver_report_round_trips(
+        flow in any::<u64>(),
+        highest_seq in any::<u64>(),
+        received in any::<u64>(),
+        buffer in any::<u64>(),
+        extended in any::<bool>(),
+        len in 0usize..48,
+    ) {
+        let r = ReceiverReport { flow, highest_seq, received, buffer_bytes: extended.then_some(buffer) };
+        let wire = r.encode();
+        prop_assert_eq!(ReceiverReport::decode(&wire), Some(r));
+        if len != REPORT_LEN && len != REPORT_LEN_BUFFERED {
+            let mut resized = wire.to_vec();
+            resized.resize(len, 0);
+            prop_assert_eq!(ReceiverReport::decode(&resized), None);
         }
     }
 }

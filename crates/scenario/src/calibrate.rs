@@ -103,17 +103,16 @@ pub fn calibrate(net: &NetworkConfig, seed: u64, sizes: &[usize], per_size: usiz
         Endpoint { node: ap, iface: AP_WIRED },
         net.wired,
     );
-    world.set_medium(net.airtime, SimDuration::from_secs(1), ap);
-    world.attach_wireless(ap, AP_RADIO);
-    world.attach_wireless(sink, IfaceId(0));
+    world.add_cell(net.airtime, SimDuration::from_secs(1), ap);
+    world.attach_wireless_cell(ap, AP_RADIO, 0);
+    world.attach_wireless_cell(sink, IfaceId(0), 0);
 
     let horizon = SimTime::ZERO + gap * (total_probes as u64 + 4);
     world.run_until(horizon);
 
     // Fit (wire size → airtime) from the capture.
     let samples: Vec<(usize, SimDuration)> = world
-        .sniffer()
-        .records()
+        .take_trace()
         .iter()
         .filter(|r| r.dst.host == client)
         .map(|r| (r.wire_size, r.airtime))

@@ -10,7 +10,7 @@
 //! * [`build`] — topology assembly ([`assemble`]) and execution
 //!   ([`run_scenario`]);
 //! * [`results`] — per-client and per-run result structures;
-//! * [`calibrate`] — the §3.2.2 bandwidth microbenchmark (M1);
+//! * [`calibrate`](mod@calibrate) — the §3.2.2 bandwidth microbenchmark (M1);
 //! * [`experiments`] — the experiment registry, one entry per paper
 //!   table/figure (E1–E10, ablations A1–A7, microbenchmark M1);
 //! * [`report`] — text-table rendering for harness output.

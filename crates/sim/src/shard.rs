@@ -1,6 +1,6 @@
 //! Conservative-lookahead shard executor.
 //!
-//! A sharded world splits its state into disjoint [`ShardState`-like]
+//! A sharded world splits its state into disjoint `ShardState`-like
 //! pieces, each with its own event queue, and runs them in *epochs*: every
 //! epoch processes the half-open window `[M, min(M + L, target + 1))`
 //! where `M` is the global minimum pending-event time across shards and

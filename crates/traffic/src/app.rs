@@ -10,7 +10,7 @@
 
 use std::any::Any;
 
-use powerburst_net::{Ctx, IfaceId, Packet, TimerToken};
+use powerburst_net::{Ctx, IfaceId, Packet, TimerId, TimerToken};
 use powerburst_transport::TcpEndpoint;
 
 /// Timer tokens with this bit set belong to the application layer; the
@@ -39,16 +39,25 @@ pub trait App: Any + Send {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// Drain a TCP endpoint's wire output and (re)arm its retransmission timer
-/// under `token`. Call after every interaction with the endpoint.
-pub fn drive_endpoint(ctx: &mut Ctx<'_>, iface: IfaceId, ep: &mut TcpEndpoint, token: TimerToken) {
+/// Drain a TCP endpoint's wire output and keep `timer`, armed under
+/// `token`, as its one pending retransmission timer (cancelled when the
+/// endpoint needs none). Call after every interaction with the endpoint.
+pub fn drive_endpoint(
+    ctx: &mut Ctx<'_>,
+    iface: IfaceId,
+    ep: &mut TcpEndpoint,
+    timer: &mut Option<TimerId>,
+    token: TimerToken,
+) {
     for pkt in ep.packets_mut().drain(..) {
         ctx.send_assigning(iface, pkt);
     }
     match ep.next_deadline() {
-        Some(deadline) => ctx.rearm_timer_at(deadline, token),
+        Some(deadline) => ctx.rearm_timer_at(timer, deadline, token),
         None => {
-            ctx.cancel_timer(token);
+            if let Some(id) = timer.take() {
+                ctx.cancel_timer(id);
+            }
         }
     }
 }

@@ -10,7 +10,7 @@ use std::any::Any;
 
 use powerburst_sim::SimTime;
 
-use powerburst_net::{Ctx, Packet, Proto, SockAddr, TimerToken};
+use powerburst_net::{Ctx, Packet, Proto, SockAddr, TimerId, TimerToken};
 use powerburst_transport::{TcpConfig, TcpEndpoint, TcpEvent};
 
 use crate::app::{drive_endpoint, App, APP_TOKEN, CLIENT_RADIO};
@@ -26,6 +26,7 @@ pub struct FtpClientApp {
     /// Bytes to request.
     pub size: u64,
     ep: Option<TcpEndpoint>,
+    timer: Option<TimerId>,
     requested: bool,
     /// When the transfer was requested.
     pub started_at: Option<SimTime>,
@@ -44,6 +45,7 @@ impl FtpClientApp {
             tcp,
             size,
             ep: None,
+            timer: None,
             requested: false,
             started_at: None,
             finished_at: None,
@@ -81,7 +83,7 @@ impl FtpClientApp {
             self.finished_at = Some(now);
             ep.close(now);
         }
-        drive_endpoint(ctx, CLIENT_RADIO, ep, FTP_TIMER);
+        drive_endpoint(ctx, CLIENT_RADIO, ep, &mut self.timer, FTP_TIMER);
     }
 }
 

@@ -287,7 +287,7 @@ impl VideoServer {
             }
         }
         // Schedule the next frame.
-        ctx.set_timer_untracked(Self::frame_interval(fid), idx as TimerToken);
+        ctx.set_timer(Self::frame_interval(fid), idx as TimerToken);
     }
 
     fn on_report(&mut self, flow: u64, highest: u64, received: u64) {
@@ -326,7 +326,7 @@ impl VideoServer {
 impl Node for VideoServer {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
         for (i, st) in self.streams.iter().enumerate() {
-            ctx.set_timer_untracked(st.spec.start.since(SimTime::ZERO), i as TimerToken);
+            ctx.set_timer(st.spec.start.since(SimTime::ZERO), i as TimerToken);
         }
     }
 
@@ -445,7 +445,7 @@ impl App for VideoClientApp {
         // transmit receiver reports in the same instant and jam the medium
         // right when the proxy broadcasts its schedule.
         let phase_us = ctx.rng().random_range(200_000..1_200_000);
-        ctx.set_timer_untracked(powerburst_sim::SimDuration::from_us(phase_us), REPORT_TIMER);
+        ctx.set_timer(powerburst_sim::SimDuration::from_us(phase_us), REPORT_TIMER);
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
@@ -481,7 +481,7 @@ impl App for VideoClientApp {
         let pkt = Packet::udp(0, self.me, dst, report);
         ctx.send_assigning(CLIENT_RADIO, pkt);
         let jitter_us = ctx.rng().random_range(0..100_000);
-        ctx.set_timer_untracked(
+        ctx.set_timer(
             self.report_every + powerburst_sim::SimDuration::from_us(jitter_us),
             REPORT_TIMER,
         );

@@ -22,7 +22,7 @@ use powerburst_sim::{FastHashMap, SimDuration, SimTime};
 use rand::Rng;
 
 use powerburst_net::{
-    Ctx, IfaceId, Node, Packet, PatternCache, Proto, SockAddr, TcpFlags, TimerToken,
+    Ctx, IfaceId, Node, Packet, PatternCache, Proto, SockAddr, TcpFlags, TimerId, TimerToken,
 };
 use powerburst_transport::{TcpConfig, TcpEndpoint, TcpEvent};
 
@@ -40,6 +40,7 @@ const SERVER_IFACE: IfaceId = IfaceId(0);
 
 struct ServerConn {
     ep: TcpEndpoint,
+    timer: Option<TimerId>,
     reqbuf: Vec<u8>,
     closing: bool,
 }
@@ -83,6 +84,7 @@ impl ByteServer {
         let idx = self.conns.len();
         self.conns.push(ServerConn {
             ep: TcpEndpoint::passive(self.addr, remote, self.tcp),
+            timer: None,
             reqbuf: Vec::new(),
             closing: false,
         });
@@ -114,7 +116,7 @@ impl ByteServer {
             conn.closing = true;
             conn.ep.close(now);
         }
-        drive_endpoint(ctx, SERVER_IFACE, &mut conn.ep, idx as TimerToken);
+        drive_endpoint(ctx, SERVER_IFACE, &mut conn.ep, &mut conn.timer, idx as TimerToken);
     }
 }
 
@@ -250,6 +252,10 @@ pub struct WebClientApp {
     page_open: bool,
     next_port: u16,
     conns: Vec<BrowserConn>,
+    /// Retransmission timer per connection slot. Not cleared with `conns`:
+    /// a new page's connection `i` cancels whatever timer the previous
+    /// page's connection `i` left pending.
+    conn_timers: Vec<Option<TimerId>>,
     /// Statistics.
     pub stats: BrowserStats,
 }
@@ -271,6 +277,7 @@ impl WebClientApp {
             page_open: false,
             next_port: 10_000,
             conns: Vec::new(),
+            conn_timers: Vec::new(),
             stats: BrowserStats::default(),
         }
     }
@@ -371,8 +378,11 @@ impl WebClientApp {
     }
 
     fn drive_conn(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        if self.conn_timers.len() <= i {
+            self.conn_timers.resize(i + 1, None);
+        }
         let token = CONN_TOKEN_BASE + i as TimerToken;
-        drive_endpoint(ctx, CLIENT_RADIO, &mut self.conns[i].ep, token);
+        drive_endpoint(ctx, CLIENT_RADIO, &mut self.conns[i].ep, &mut self.conn_timers[i], token);
     }
 }
 

@@ -84,6 +84,35 @@ fn faulted_run_matches_golden_snapshot() {
     }
 }
 
+/// TCP-timer regression gate: ten web clients under 20 % frame loss, the
+/// run `powerburst run --clients 0 --web 10 --secs 60 --seed 9
+/// --fault-loss 0.2 --metrics-out m.json` makes. Every proxy splice,
+/// browser connection and server connection re-arms and cancels its
+/// retransmission timers here, and the metrics export's `world_events`
+/// counts every dispatched event, so a single stale or lost timer shows
+/// up even when the per-client summary does not move.
+#[test]
+fn web_loss_run_matches_golden_snapshot() {
+    let clients = (0..10)
+        .map(|_| ClientSpec::new(ClientKind::Web { script: WebScriptConfig::default() }))
+        .collect();
+    let mut cfg = ScenarioConfig::new(
+        9,
+        PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) },
+        clients,
+    )
+    .with_duration(SimDuration::from_secs(60))
+    .with_obs(ObsConfig::metrics());
+    cfg.faults = FaultPlan { loss_prob: 0.2, ..FaultPlan::default() };
+    let r = run_scenario(&cfg);
+    let mut rendered = render_run(&r);
+    let _ = writeln!(rendered, "[metrics]");
+    let _ = writeln!(rendered, "{}", r.obs.expect("metrics enabled").metrics_json());
+    if let Err(e) = check_golden(&golden_path("web_loss_10c_seed9.txt"), &rendered) {
+        panic!("{e}");
+    }
+}
+
 /// Event-queue-rewrite regression gate: the **raw sniffer trace** of one
 /// fixed scenario, byte-compared frame by frame.
 ///
