@@ -14,16 +14,18 @@
 //! the wired backbone (servers, switch, coordinator). Each shard owns its
 //! nodes, cells, outbound link halves, event queue (whose handles are its
 //! nodes' timer handles), packet-id space, and sniffer; cross-shard frames
-//! travel as mailbox messages applied at conservative-lookahead epoch
-//! barriers ([`powerburst_sim::shard`]). Single-cell worlds — every golden
+//! go into the sending shard's outbox and are applied to their receivers
+//! at the conservative-lookahead epoch barrier ([`powerburst_sim::shard`]),
+//! in (sender rank, send order). Single-cell worlds — every golden
 //! scenario — stay one shard and run the exact sequential loop they always
 //! did, so their traces are byte-identical by construction; multi-shard
 //! worlds are deterministic for any thread count because shard execution
-//! and mailbox drain order never depend on which OS thread runs a shard.
+//! and the order mail is applied in never depend on which OS thread runs
+//! a shard.
 
 use powerburst_obs::{Counter, Recorder};
 use powerburst_sim::rng::streams;
-use powerburst_sim::shard::{run_epochs, EpochPlan, MailDrain, MailGrid, MailSender};
+use powerburst_sim::shard::{run_epochs, EpochPlan, MailSender, Outboxes};
 use powerburst_sim::{derive_rng, ClockModel, EventQueue, SimDuration, SimTime};
 use rand::rngs::StdRng;
 
@@ -161,11 +163,12 @@ struct WireHalf {
     peer_shard: u32,
 }
 
-/// A cross-shard message, produced during an epoch's compute phase and
-/// applied at the barrier's drain phase (or synchronously, on sequential
-/// paths). Everything here is commutative-or-ordered: `Arrive` lands in
-/// the destination queue ordered by `(time, seq)` with drains in fixed
-/// sender-rank order, and `QueueDrop` is a counter increment.
+/// A cross-shard message, produced while a shard steps through an epoch
+/// and applied to its receiver when the epoch ends (or synchronously, on
+/// sequential paths). Everything here is commutative-or-ordered: `Arrive`
+/// lands in the destination queue ordered by `(time, seq)`, with mail
+/// applied in fixed (sender rank, send order), and `QueueDrop` is a
+/// counter increment.
 enum Mail {
     /// Schedule an event (a wire arrival) in the destination shard.
     Arrive(SimTime, Ev),
@@ -275,8 +278,8 @@ pub struct World {
     topo: Topo,
     /// Staging: exactly one shard holding everything until `finalize`.
     shards: Vec<ShardState>,
-    /// Cross-shard mailboxes, sized at finalize.
-    mail: MailGrid<Mail>,
+    /// Cross-shard outboxes, one per sending shard, sized at finalize.
+    mail: Outboxes<Mail>,
     /// Staged bidirectional links; split into per-shard halves at finalize.
     links: Vec<Link>,
     /// Wired nodes explicitly pinned to a cell's shard (a cell's proxy
@@ -303,7 +306,7 @@ impl World {
                 lookahead: SimDuration::MAX,
             },
             shards: vec![ShardState::new(0)],
-            mail: MailGrid::new(1),
+            mail: Outboxes::new(1),
             links: Vec::new(),
             pins: Vec::new(),
             obs: Recorder::disabled(),
@@ -677,7 +680,7 @@ impl World {
             );
         }
         self.topo.lookahead = lookahead;
-        self.mail = MailGrid::new(shard_total);
+        self.mail = Outboxes::new(shard_total);
         self.shards = shards;
     }
 
@@ -711,9 +714,7 @@ impl World {
             |r, s, wend, tx| {
                 Exec { rank: r as u32, topo, obs, s, tx }.run_window(wend);
             },
-            |_r, s, mut rx: MailDrain<'_, Mail>| {
-                rx.drain(|_from, m| s.apply(topo, m));
-            },
+            |s, m| s.apply(topo, m),
         );
         for s in &mut self.shards {
             s.now = t;
@@ -747,7 +748,7 @@ impl World {
 }
 
 /// One shard's execution view: the shard's own mutable state plus the
-/// world-wide read-only tables and the outbound mailbox row. All event
+/// world-wide read-only tables and the shard's outbox. All event
 /// dispatch — timers, wire arrivals, radio delivery — happens through
 /// this; the only cross-shard effects are `tx` sends.
 struct Exec<'a> {
@@ -866,8 +867,8 @@ impl Exec<'_> {
                             self.s.queue.push(arrive, ev);
                         } else {
                             // Arrives ≥ one lookahead away — at or past the
-                            // epoch window's end — so delivery via the next
-                            // barrier's drain phase is causally safe.
+                            // epoch window's end — so applying it when the
+                            // epoch ends is causally safe.
                             self.tx.send(peer_shard as usize, Mail::Arrive(arrive, ev));
                         }
                     }

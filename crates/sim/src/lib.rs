@@ -42,7 +42,7 @@ pub use clock::{ClockModel, LocalTime};
 pub use events::{EventId, EventQueue};
 pub use hash::{FastHashBuilder, FastHashMap};
 pub use rng::derive_rng;
-pub use shard::{run_epochs, EpochPlan, MailDrain, MailGrid, MailSender};
+pub use shard::{run_epochs, EpochPlan, MailSender, Outboxes};
 pub use stats::{LinearFit, Summary};
 pub use sweep::{default_threads, parallel_sweep};
 pub use time::{SimDuration, SimTime};

@@ -1,31 +1,37 @@
 //! Conservative-lookahead shard executor.
 //!
-//! A sharded world splits its state into disjoint `ShardState`-like
-//! pieces, each with its own event queue, and runs them in *epochs*: every
-//! epoch processes the half-open window `[M, min(M + L, target + 1))`
-//! where `M` is the global minimum pending-event time across shards and
-//! `L` is the **lookahead** — the minimum latency of any cross-shard
-//! link. Any message a shard emits at time `s ≥ M` arrives at
-//! `s + L ≥ M + L`, i.e. at or after the window end, so shards can
-//! process their windows independently and exchange the produced
-//! messages at the barrier without ever violating causality.
+//! A sharded world splits its state into disjoint per-shard pieces, each
+//! with its own event queue, and runs them in *epochs*: every epoch
+//! processes the half-open window `[M, min(M + L, target + 1))` where `M`
+//! is the global minimum pending-event time across shards and `L` is the
+//! **lookahead** — the minimum latency of any cross-shard link. Any
+//! message a shard emits at time `s ≥ M` arrives at `s + L ≥ M + L`, i.e.
+//! at or after the window end, so shards can process their windows
+//! independently and exchange the produced messages at the barrier
+//! without ever violating causality.
 //!
-//! Messages travel through a [`MailGrid`]: an `n × n` matrix of
-//! mailboxes where box `(i, j)` is written only by shard `i` during the
-//! *compute* phase and drained only by shard `j` during the *drain*
-//! phase. The two phases are separated by a barrier, so every box has a
-//! single writer and a single reader at any instant — the same
-//! single-writer-slot discipline `sweep` uses for result collection.
+//! Messages travel through [`Outboxes`]: one `Vec<(to, M)>` per sending
+//! shard, appended to only by the thread stepping that shard. After the
+//! step barrier the coordinating thread drains the outboxes in sender
+//! rank order and applies each message to its receiver, so an epoch costs
+//! O(shards + messages) and needs two barriers: one that starts the steps
+//! and one that ends them.
 //!
 //! Determinism: a shard's window execution depends only on its own state
-//! plus mail applied at previous barriers, and mail is drained in sender
-//! rank order. Neither depends on which OS thread claimed the shard, so
-//! `threads = 1` and `threads = N` produce identical results — the
-//! single-thread path literally runs the same phases inline with no
-//! atomics at all.
+//! plus mail applied at previous barriers, and every receiver sees its
+//! mail in (sender rank, send order). Neither depends on which OS thread
+//! stepped a shard, so `threads = 1` and `threads = N` produce identical
+//! results — the single-thread path runs the same steps and the same
+//! drain inline, with no atomics at all.
+//!
+//! A panic in a step is caught on its thread, which still meets the
+//! barrier; the loop then stops and the lowest-rank panicking shard's
+//! payload is re-raised on the caller — the panic a `threads = 1` run
+//! raises.
 
-use std::cell::UnsafeCell;
+use std::any::Any;
 use std::marker::PhantomData;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Barrier;
 
@@ -57,170 +63,120 @@ impl Cursor {
     }
 }
 
-/// An `n × n` matrix of single-writer / single-reader mailboxes for
-/// cross-shard messages. Box `(from, to)` lives at `from * n + to`.
-///
-/// Phase discipline (enforced by the executor's barriers, encoded here by
-/// the narrow [`MailSender`] / [`MailDrain`] windows handed out):
-/// * compute phase — shard `i`'s owner writes row `i` only;
-/// * drain phase — shard `j`'s owner drains column `j` only.
+/// Cross-shard mail: one outbox per sending shard, each a `(to, message)`
+/// list in send order. The backing `Vec`s keep their capacity across
+/// epochs, so steady-state mail traffic does not allocate.
 #[derive(Debug)]
-pub struct MailGrid<M> {
-    n: usize,
-    boxes: Vec<UnsafeCell<Vec<M>>>,
+pub struct Outboxes<M> {
+    boxes: Vec<Vec<(usize, M)>>,
 }
 
-// Shared references to the grid only ever reach code holding a
-// `MailSender` (exclusive over one row) or `MailDrain` (exclusive over one
-// column, in a barrier-separated phase where no senders exist). Those
-// wrappers are only constructed by the executor below or through `&mut
-// self` methods, so no box is ever aliased mutably.
-// SAFETY: per-box exclusivity per phase, as argued above; `M: Send`
-// because messages cross threads.
-unsafe impl<M: Send> Sync for MailGrid<M> {}
-
-impl<M> MailGrid<M> {
-    /// An empty grid for `n` shards.
-    pub fn new(n: usize) -> MailGrid<M> {
-        MailGrid { n, boxes: (0..n * n).map(|_| UnsafeCell::new(Vec::new())).collect() }
+impl<M> Outboxes<M> {
+    /// Empty outboxes for `n` shards.
+    pub fn new(n: usize) -> Outboxes<M> {
+        Outboxes { boxes: (0..n).map(|_| Vec::new()).collect() }
     }
 
-    /// Number of shards this grid serves.
-    pub fn shard_count(&self) -> usize {
-        self.n
-    }
-
-    /// Exclusive sender for row `from` — safe: `&mut self` guarantees no
-    /// other row handle exists. Used by sequential paths.
+    /// Sender for shard `from`'s outbox. Used by sequential paths.
     pub fn sender(&mut self, from: usize) -> MailSender<'_, M> {
-        assert!(from < self.n);
-        MailSender { grid: self, from }
+        MailSender(&mut self.boxes[from])
     }
 
-    /// Sender for row `from` through a shared grid reference.
-    ///
-    /// # Safety
-    /// The caller must guarantee that for the sender's lifetime no other
-    /// `MailSender` for the same `from` row and no `MailDrain` exists —
-    /// the executor guarantees it by handing row `i` only to the thread
-    /// that claimed shard `i`, with drains in a barrier-separated phase.
-    // SAFETY: contract above; the `unsafe fn` pushes the proof obligation
-    // to the executor's phase discipline.
-    unsafe fn sender_shared(&self, from: usize) -> MailSender<'_, M> {
-        debug_assert!(from < self.n);
-        MailSender { grid: self, from }
-    }
-
-    /// Drain handle for column `to` through a shared grid reference.
-    ///
-    /// # Safety
-    /// Same contract as [`Self::sender_shared`], for column `to`: no other
-    /// handle may touch the column while this drain lives, and all senders
-    /// must have finished (barrier) so their writes are visible.
-    // SAFETY: contract above, discharged by the executor's barriers.
-    unsafe fn drain_shared(&self, to: usize) -> MailDrain<'_, M> {
-        debug_assert!(to < self.n);
-        MailDrain { grid: self, to }
-    }
-
-    /// Drain every mailbox in `(to, from)` order — safe: `&mut self`.
-    pub fn drain_all(&mut self, mut f: impl FnMut(usize, M)) {
-        for to in 0..self.n {
-            for from in 0..self.n {
-                // SAFETY: `&mut self` — no other handle can exist.
-                let v = unsafe { &mut *self.boxes[from * self.n + to].get() };
-                for m in v.drain(..) {
-                    f(to, m);
-                }
-            }
-        }
-    }
-
-    /// Drain only the mailboxes written by shard `from`, in destination
-    /// order — safe: `&mut self`. Used after out-of-band `with_node`
+    /// Drain shard `from`'s outbox in send order. Used after out-of-band
     /// injections, where only one shard can have produced mail.
     pub fn drain_row(&mut self, from: usize, mut f: impl FnMut(usize, M)) {
-        for to in 0..self.n {
-            // SAFETY: `&mut self` — no other handle can exist.
-            let v = unsafe { &mut *self.boxes[from * self.n + to].get() };
-            for m in v.drain(..) {
-                f(to, m);
-            }
+        for (to, m) in self.boxes[from].drain(..) {
+            f(to, m);
         }
     }
 }
 
-/// Write window over one row of a [`MailGrid`] (one sending shard).
+/// Write window over one sending shard's outbox.
 #[derive(Debug)]
-pub struct MailSender<'a, M> {
-    grid: &'a MailGrid<M>,
-    from: usize,
-}
+pub struct MailSender<'a, M>(&'a mut Vec<(usize, M)>);
 
 impl<M> MailSender<'_, M> {
-    /// Queue `m` for shard `to`; it is applied at the next drain phase.
-    /// The backing `Vec` keeps its capacity across epochs, so steady-state
-    /// mail traffic does not allocate.
+    /// Queue `m` for shard `to`; it is applied when the epoch ends.
     pub fn send(&mut self, to: usize, m: M) {
-        debug_assert!(to < self.grid.n);
-        // SAFETY: this sender is the unique handle for row `from` (see
-        // constructor contracts), so the box has exactly one writer.
-        unsafe { (*self.grid.boxes[self.from * self.grid.n + to].get()).push(m) };
+        self.0.push((to, m));
     }
 }
 
-/// Drain window over one column of a [`MailGrid`] (one receiving shard).
-#[derive(Debug)]
-pub struct MailDrain<'a, M> {
-    grid: &'a MailGrid<M>,
-    to: usize,
-}
-
-impl<M> MailDrain<'_, M> {
-    /// Drain all mail addressed to this shard, in sender rank order —
-    /// the fixed order is part of the determinism argument.
-    pub fn drain(&mut self, mut f: impl FnMut(usize, M)) {
-        for from in 0..self.grid.n {
-            // SAFETY: this drain is the unique handle for column `to` and
-            // the compute phase ended at a barrier, so each box has no
-            // writer and exactly one reader.
-            let v = unsafe { &mut *self.grid.boxes[from * self.grid.n + self.to].get() };
-            for m in v.drain(..) {
-                f(from, m);
-            }
+/// Apply every queued message to its receiver: senders in rank order,
+/// each sender's mail in send order, so each receiver sees its mail in
+/// (sender rank, send order). Both executor paths end an epoch here, and
+/// the order is part of the determinism argument.
+fn deliver<S, M>(shards: &mut [S], outboxes: &mut [Vec<(usize, M)>], drain: &impl Fn(&mut S, M)) {
+    for out in outboxes {
+        for (to, m) in out.drain(..) {
+            drain(&mut shards[to], m);
         }
     }
 }
 
-/// Shared view of the shard slice for the scoped workers. Each shard index
-/// is claimed by exactly one thread per phase via a [`Cursor`], so every
-/// `&mut` handed out is unique.
-struct SharedShards<'a, S> {
-    ptr: *mut S,
+/// Shared view of a slice for the scoped workers. Index `i` is claimed by
+/// exactly one thread per epoch via a [`Cursor`], and the coordinating
+/// thread takes the whole slice only while every worker is parked at a
+/// barrier, so every `&mut` handed out is unique.
+struct SharedSlice<'a, T> {
+    ptr: *mut T,
     len: usize,
-    _life: PhantomData<&'a mut [S]>,
+    _life: PhantomData<&'a mut [T]>,
 }
 
-// Access is partitioned by the claim cursor: index `i` is handed to
-// exactly one thread per phase, and the main thread only touches shards
-// between barriers while workers are parked.
-// SAFETY: per-index exclusivity as argued above; `S: Send` because shards
-// are mutated from whichever thread claims them.
-unsafe impl<S: Send> Sync for SharedShards<'_, S> {}
+// SAFETY: access is partitioned by the claim cursor and the barriers, as
+// argued above; `T: Send` because items are mutated from whichever thread
+// claims them.
+unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
 
-impl<'a, S> SharedShards<'a, S> {
-    fn new(shards: &'a mut [S]) -> SharedShards<'a, S> {
-        SharedShards { ptr: shards.as_mut_ptr(), len: shards.len(), _life: PhantomData }
+impl<'a, T> SharedSlice<'a, T> {
+    fn new(items: &'a mut [T]) -> SharedSlice<'a, T> {
+        SharedSlice { ptr: items.as_mut_ptr(), len: items.len(), _life: PhantomData }
     }
 
     /// # Safety
-    /// Caller must hold an exclusive claim on index `i` (cursor claim, or
-    /// main thread between barriers).
+    /// Caller must hold the exclusive cursor claim on index `i`.
     #[allow(clippy::mut_from_ref)]
     // SAFETY: exclusivity is the caller's obligation, stated above.
-    unsafe fn claim(&self, i: usize) -> &mut S {
+    unsafe fn claim(&self, i: usize) -> &mut T {
         debug_assert!(i < self.len);
         &mut *self.ptr.add(i)
+    }
+
+    /// # Safety
+    /// Caller must be the coordinating thread, with every worker parked at
+    /// a barrier and no claimed reference alive.
+    #[allow(clippy::mut_from_ref)]
+    // SAFETY: exclusivity is the caller's obligation, stated above.
+    unsafe fn all(&self) -> &mut [T] {
+        std::slice::from_raw_parts_mut(self.ptr, self.len)
+    }
+}
+
+/// A caught step panic and the rank of the shard that raised it.
+type Caught = (usize, Box<dyn Any + Send>);
+
+/// Keep the lowest-rank shard's panic, so the payload re-raised on the
+/// caller does not depend on which thread stepped which shard.
+fn keep_lowest(slot: &mut Option<Caught>, c: Caught) {
+    if slot.as_ref().is_none_or(|(rank, _)| c.0 < *rank) {
+        *slot = Some(c);
+    }
+}
+
+/// Dismisses the parked workers when the coordinating thread leaves the
+/// epoch loop — at the end of the run, after a step panic, or while
+/// unwinding from a panic in `next_time` or `drain` — so the scope never
+/// joins a worker that is still waiting at a barrier.
+struct Dismiss<'a> {
+    done: &'a AtomicBool,
+    start_gate: &'a Barrier,
+}
+
+impl Drop for Dismiss<'_> {
+    fn drop(&mut self) {
+        self.done.store(true, Ordering::Relaxed);
+        self.start_gate.wait();
     }
 }
 
@@ -236,9 +192,16 @@ pub struct EpochPlan {
     pub lookahead: SimDuration,
 }
 
-fn window_end(m: SimTime, plan: &EpochPlan) -> SimTime {
+/// The next epoch's window end, or `None` once no shard has an event at
+/// or before the target.
+fn next_window<S>(
+    shards: &[S],
+    next_time: &impl Fn(&S) -> Option<SimTime>,
+    plan: &EpochPlan,
+) -> Option<SimTime> {
+    let m = shards.iter().filter_map(next_time).min().filter(|&m| m <= plan.target)?;
     let cap = plan.target.saturating_add(SimDuration::from_us(1));
-    m.saturating_add(plan.lookahead).min(cap)
+    Some(m.saturating_add(plan.lookahead).min(cap))
 }
 
 /// Run shards to `plan.target` in conservative-lookahead epochs.
@@ -248,14 +211,17 @@ fn window_end(m: SimTime, plan: &EpochPlan) -> SimTime {
 /// * `step(rank, &mut shard, window_end, sender)` — process every event
 ///   strictly before `window_end`, emitting cross-shard messages through
 ///   `sender`;
-/// * `drain(rank, &mut shard, drain)` — apply inbound messages.
+/// * `drain(&mut receiver, message)` — apply one inbound message; called
+///   on the caller's thread, in (sender rank, send order).
 ///
 /// The loop ends when no shard has an event at or before `plan.target`;
-/// since every epoch fully drains the grid, no mail is pending at exit.
-/// The number of executed epochs is returned (observability + tests).
+/// since every epoch delivers all mail, none is pending at exit. The
+/// number of executed epochs is returned (observability + tests). A
+/// panicking step stops the loop and is re-raised here (see the module
+/// docs).
 pub fn run_epochs<S, M, FNext, FStep, FDrain>(
     shards: &mut [S],
-    grid: &mut MailGrid<M>,
+    mail: &mut Outboxes<M>,
     plan: EpochPlan,
     next_time: FNext,
     step: FStep,
@@ -264,11 +230,11 @@ pub fn run_epochs<S, M, FNext, FStep, FDrain>(
 where
     S: Send,
     M: Send,
-    FNext: Fn(&S) -> Option<SimTime> + Sync,
+    FNext: Fn(&S) -> Option<SimTime>,
     FStep: Fn(usize, &mut S, SimTime, MailSender<'_, M>) + Sync,
-    FDrain: Fn(usize, &mut S, MailDrain<'_, M>) + Sync,
+    FDrain: Fn(&mut S, M),
 {
-    assert_eq!(grid.shard_count(), shards.len(), "mail grid sized for a different shard count");
+    assert_eq!(mail.boxes.len(), shards.len(), "outboxes sized for a different shard count");
     let n = shards.len();
     let threads = plan.threads.clamp(1, n.max(1));
     if n > 1 {
@@ -277,101 +243,105 @@ where
     let mut epochs = 0u64;
 
     if threads == 1 {
-        // Inline path: same phases, no atomics, no barriers. Results are
-        // identical to the threaded path because phase order — all steps,
-        // then all drains in rank order — is preserved exactly.
-        while let Some(m) = shards.iter().filter_map(&next_time).min() {
-            if m > plan.target {
-                break;
+        // Inline path: the same steps in rank order and the same drain,
+        // with no atomics and no barriers.
+        while let Some(wend) = next_window(shards, &next_time, &plan) {
+            for (r, (s, out)) in shards.iter_mut().zip(&mut mail.boxes).enumerate() {
+                step(r, s, wend, MailSender(out));
             }
-            let wend = window_end(m, &plan);
-            for (r, s) in shards.iter_mut().enumerate() {
-                step(r, s, wend, grid.sender(r));
-            }
-            for (r, s) in shards.iter_mut().enumerate() {
-                // SAFETY: sequential — no senders or other drains exist.
-                drain(r, s, unsafe { grid.drain_shared(r) });
-            }
+            deliver(shards, &mut mail.boxes, &drain);
             epochs += 1;
         }
         return epochs;
     }
 
-    let slots = SharedShards::new(shards);
-    let grid = &*grid;
-    let step_cursor = Cursor::new();
-    let drain_cursor = Cursor::new();
+    let slots = SharedSlice::new(shards);
+    let outs = SharedSlice::new(&mut mail.boxes);
+    let cursor = Cursor::new();
     // The window end travels to workers as raw microseconds; `done` tells
-    // them to exit. Both are published before a barrier release, which is
-    // the happens-before edge (orderings can stay relaxed).
+    // them to exit and `failed` tells the coordinator a step panicked.
+    // All are published before a barrier release, which is the
+    // happens-before edge (orderings can stay relaxed).
     let window_us = AtomicU64::new(0);
     let done = AtomicBool::new(false);
+    let failed = AtomicBool::new(false);
     let start_gate = Barrier::new(threads);
-    let mid_gate = Barrier::new(threads);
     let end_gate = Barrier::new(threads);
 
-    let run_phases = |wend: SimTime| {
-        loop {
-            let i = step_cursor.next();
-            if i >= n {
+    let step_claimed = |wend: SimTime, caught: &mut Option<Caught>| {
+        let mut rank = n;
+        let stepped = catch_unwind(AssertUnwindSafe(|| loop {
+            rank = cursor.next();
+            if rank >= n {
                 break;
             }
-            // SAFETY: the cursor hands `i` to exactly one thread; the
-            // matching sender row is owned by the same claim.
-            unsafe { step(i, slots.claim(i), wend, grid.sender_shared(i)) };
-        }
-        mid_gate.wait();
-        loop {
-            let i = drain_cursor.next();
-            if i >= n {
-                break;
-            }
-            // SAFETY: same unique-claim argument, drain phase — all
-            // senders finished at `mid_gate`.
-            unsafe { drain(i, slots.claim(i), grid.drain_shared(i)) };
+            // SAFETY: the cursor hands `rank` to exactly one thread per
+            // epoch, and shard `rank`'s outbox goes with its claim.
+            unsafe { step(rank, slots.claim(rank), wend, MailSender(outs.claim(rank))) };
+        }));
+        if let Err(payload) = stepped {
+            failed.store(true, Ordering::Relaxed);
+            keep_lowest(caught, (rank, payload));
         }
         end_gate.wait();
     };
 
+    let mut caught = None;
     std::thread::scope(|scope| {
-        for _ in 1..threads {
-            scope.spawn(|| loop {
+        let workers: Vec<_> = (1..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut caught = None;
+                    loop {
+                        start_gate.wait();
+                        if done.load(Ordering::Relaxed) {
+                            return caught;
+                        }
+                        step_claimed(
+                            SimTime::from_us(window_us.load(Ordering::Relaxed)),
+                            &mut caught,
+                        );
+                    }
+                })
+            })
+            .collect();
+        {
+            let _dismiss = Dismiss { done: &done, start_gate: &start_gate };
+            // Outside `step_claimed` every worker is parked at
+            // `start_gate`, so the coordinating thread has every shard and
+            // outbox to itself.
+            // SAFETY: exclusive access while the workers are parked.
+            while let Some(wend) = next_window(unsafe { slots.all() }, &next_time, &plan) {
+                window_us.store(wend.as_us(), Ordering::Relaxed);
+                cursor.reset();
                 start_gate.wait();
-                if done.load(Ordering::Relaxed) {
+                step_claimed(wend, &mut caught);
+                if failed.load(Ordering::Relaxed) {
                     break;
                 }
-                run_phases(SimTime::from_us(window_us.load(Ordering::Relaxed)));
-            });
+                // SAFETY: every worker has passed `end_gate` and claims
+                // nothing until the next `start_gate`.
+                unsafe { deliver(slots.all(), outs.all(), &drain) };
+                epochs += 1;
+            }
         }
-        loop {
-            // Workers are parked at `start_gate` (or not yet past it), so
-            // the main thread has exclusive access to every shard here.
-            // SAFETY: exclusive between barriers, shared reads only.
-            let m = (0..n).filter_map(|i| next_time(unsafe { &*slots.claim(i) })).min();
-            match m {
-                Some(m) if m <= plan.target => {
-                    let wend = window_end(m, &plan);
-                    window_us.store(wend.as_us(), Ordering::Relaxed);
-                    step_cursor.reset();
-                    drain_cursor.reset();
-                    start_gate.wait();
-                    run_phases(wend);
-                    epochs += 1;
-                }
-                _ => {
-                    done.store(true, Ordering::Relaxed);
-                    start_gate.wait();
-                    break;
-                }
+        for w in workers {
+            if let Some(c) = w.join().unwrap_or_else(|p| resume_unwind(p)) {
+                keep_lowest(&mut caught, c);
             }
         }
     });
+    if let Some((_, payload)) = caught {
+        resume_unwind(payload);
+    }
     epochs
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     /// Toy shard: a sorted pending list of `(time, hops)` tokens. Each
     /// token is logged when processed; a token with hops left is forwarded
@@ -387,41 +357,48 @@ mod tests {
             self.pending.push((t, hops));
             self.pending.sort_unstable();
         }
+
+        fn next_time(&self) -> Option<SimTime> {
+            self.pending.first().map(|&(t, _)| SimTime::from_us(t))
+        }
+
+        /// Pop and log every token strictly before `wend`.
+        fn pop_before(&mut self, wend: SimTime, mut on: impl FnMut(u64, u32)) {
+            while let Some(&(t, hops)) = self.pending.first() {
+                if t >= wend.as_us() {
+                    break;
+                }
+                self.pending.remove(0);
+                self.log.push((t, hops));
+                on(t, hops);
+            }
+        }
     }
 
     const L: u64 = 7;
+
+    fn plan(threads: usize) -> EpochPlan {
+        EpochPlan { threads, target: SimTime::from_us(10_000), lookahead: SimDuration::from_us(L) }
+    }
 
     fn run_toy(n: usize, threads: usize) -> (Vec<Vec<(u64, u32)>>, u64) {
         let mut shards: Vec<Toy> = (0..n).map(|_| Toy::default()).collect();
         for (i, s) in shards.iter_mut().enumerate() {
             s.push(i as u64 * 3, 20 + i as u32);
         }
-        let mut grid: MailGrid<(u64, u32)> = MailGrid::new(n);
-        let plan = EpochPlan {
-            threads,
-            target: SimTime::from_us(10_000),
-            lookahead: SimDuration::from_us(L),
-        };
         let epochs = run_epochs(
             &mut shards,
-            &mut grid,
-            plan,
-            |s: &Toy| s.pending.first().map(|&(t, _)| SimTime::from_us(t)),
+            &mut Outboxes::new(n),
+            plan(threads),
+            Toy::next_time,
             |r, s, wend, mut tx| {
-                while let Some(&(t, hops)) = s.pending.first() {
-                    if t >= wend.as_us() {
-                        break;
-                    }
-                    s.pending.remove(0);
-                    s.log.push((t, hops));
+                s.pop_before(wend, |t, hops| {
                     if hops > 0 {
                         tx.send((r + 1) % n, (t + L, hops - 1));
                     }
-                }
+                });
             },
-            |_r, s, mut rx| {
-                rx.drain(|_from, (t, hops)| s.push(t, hops));
-            },
+            |s, (t, hops)| s.push(t, hops),
         );
         (shards.into_iter().map(|s| s.log).collect(), epochs)
     }
@@ -445,6 +422,92 @@ mod tests {
     }
 
     #[test]
+    fn receivers_apply_mail_in_sender_rank_then_send_order() {
+        // Every shard but 0 sends three same-time messages to shard 0 in
+        // one epoch; shard 0 logs them as they are applied. The log must
+        // not depend on which thread stepped which sender, or when.
+        const N: usize = 8;
+        let expected: Vec<(u64, u32)> =
+            (1..N as u64).flat_map(|r| (0..3).map(move |k| (r, k))).collect();
+        for threads in [1, 2, 4, 8] {
+            let mut shards: Vec<Toy> = (0..N).map(|_| Toy::default()).collect();
+            for s in &mut shards[1..] {
+                s.push(0, 0);
+            }
+            run_epochs(
+                &mut shards,
+                &mut Outboxes::new(N),
+                plan(threads),
+                Toy::next_time,
+                |r, s, wend, mut tx| {
+                    s.pop_before(wend, |_, _| {
+                        for k in 0..3 {
+                            tx.send(0, (r as u64, k));
+                        }
+                    });
+                },
+                |s, m| s.log.push(m),
+            );
+            assert_eq!(shards[0].log, expected, "threads={threads}");
+        }
+    }
+
+    /// Run `f` on a helper thread and fail, instead of hanging the suite,
+    /// if it does not return within 30 s.
+    fn within_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(30)).expect("run_epochs hung")
+    }
+
+    /// The message of the panic `run_epochs` propagates when the shards in
+    /// `panicking` panic in their second epoch's step or, with `in_drain`,
+    /// when the first message is applied.
+    fn panic_message(threads: usize, panicking: &'static [usize], in_drain: bool) -> String {
+        within_watchdog(move || {
+            let mut shards: Vec<Toy> = (0..4).map(|_| Toy::default()).collect();
+            for s in &mut shards {
+                s.push(0, 0);
+                s.push(L, 0);
+            }
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                run_epochs(
+                    &mut shards,
+                    &mut Outboxes::new(4),
+                    plan(threads),
+                    Toy::next_time,
+                    |r, s, wend, mut tx| {
+                        s.pop_before(wend, |t, _| {
+                            if t == L && panicking.contains(&r) {
+                                panic!("shard {r} failed");
+                            }
+                            tx.send(0, r);
+                        });
+                    },
+                    |_s, from| {
+                        if in_drain {
+                            panic!("mail from shard {from} failed");
+                        }
+                    },
+                )
+            }));
+            let payload = result.expect_err("the panic must propagate");
+            payload.downcast_ref::<String>().cloned().expect("panic!(fmt) payload is a String")
+        })
+    }
+
+    #[test]
+    fn panics_propagate_at_every_thread_count() {
+        for t in [1, 2, 4] {
+            assert_eq!(panic_message(t, &[3], false), "shard 3 failed", "threads={t}");
+            assert_eq!(panic_message(t, &[3, 1], false), "shard 1 failed", "threads={t}");
+            assert_eq!(panic_message(t, &[], true), "mail from shard 0 failed", "threads={t}");
+        }
+    }
+
+    #[test]
     fn cursor_hands_out_each_index_once_and_resets() {
         let c = Cursor::new();
         assert_eq!((c.next(), c.next(), c.next()), (0, 1, 2));
@@ -453,16 +516,17 @@ mod tests {
     }
 
     #[test]
-    fn drain_all_and_drain_row_cover_sequential_paths() {
-        let mut g: MailGrid<u32> = MailGrid::new(3);
-        g.sender(1).send(0, 10);
-        g.sender(1).send(2, 12);
-        g.sender(0).send(2, 2);
+    fn drain_row_yields_one_senders_mail_in_send_order() {
+        let mut mail: Outboxes<u32> = Outboxes::new(3);
+        mail.sender(1).send(2, 12);
+        mail.sender(1).send(0, 10);
+        mail.sender(0).send(2, 2);
         let mut seen = Vec::new();
-        g.drain_row(1, |to, m| seen.push((to, m)));
-        assert_eq!(seen, vec![(0, 10), (2, 12)]);
+        mail.drain_row(1, |to, m| seen.push((to, m)));
+        assert_eq!(seen, vec![(2, 12), (0, 10)]);
         let mut rest = Vec::new();
-        g.drain_all(|to, m| rest.push((to, m)));
+        mail.drain_row(1, |to, m| rest.push((to, m)));
+        mail.drain_row(0, |to, m| rest.push((to, m)));
         assert_eq!(rest, vec![(2, 2)]);
     }
 }

@@ -197,6 +197,10 @@ pub struct VideoServer {
     addr: SockAddr,
     adapt: AdaptConfig,
     streams: Vec<StreamState>,
+    /// `(flow, stream index)` sorted by flow, one entry per flow (its
+    /// first stream), so a receiver report finds its stream by binary
+    /// search.
+    by_flow: Vec<(u64, usize)>,
     /// Per-stream last-report bookkeeping: (highest_seq, received) at the
     /// previous report, to compute per-interval loss.
     last_report: Vec<(u64, u64)>,
@@ -211,6 +215,12 @@ impl VideoServer {
         rng: &mut R,
     ) -> VideoServer {
         let n = streams.len();
+        let mut by_flow: Vec<(u64, usize)> =
+            streams.iter().enumerate().map(|(i, s)| (s.flow, i)).collect();
+        // Sorting by (flow, index) puts each flow's first stream first;
+        // dedup keeps exactly that one.
+        by_flow.sort_unstable();
+        by_flow.dedup_by_key(|&mut (flow, _)| flow);
         VideoServer {
             addr,
             adapt,
@@ -228,6 +238,7 @@ impl VideoServer {
                     spec,
                 })
                 .collect(),
+            by_flow,
             last_report: vec![(0, 0); n],
         }
     }
@@ -291,9 +302,10 @@ impl VideoServer {
     }
 
     fn on_report(&mut self, flow: u64, highest: u64, received: u64) {
-        let Some(idx) = self.streams.iter().position(|s| s.spec.flow == flow) else {
+        let Ok(at) = self.by_flow.binary_search_by_key(&flow, |&(f, _)| f) else {
             return;
         };
+        let idx = self.by_flow[at].1;
         let (prev_high, prev_recv) = self.last_report[idx];
         self.last_report[idx] = (highest, received);
         let expected = highest.saturating_sub(prev_high);
@@ -536,6 +548,47 @@ mod tests {
         let b = encode_report(3, 100, 97);
         assert_eq!(decode_report(&b), Some((3, 100, 97)));
         assert_eq!(decode_report(&b[..10]), None);
+    }
+
+    #[test]
+    fn reports_find_their_stream_by_flow() {
+        // Flows unsorted, sparse and with a duplicate: flow 3 is streams 1
+        // and 3, and resolves to the first of them.
+        let specs = [7u64, 3, 9, 3]
+            .iter()
+            .map(|&flow| StreamSpec {
+                client: SockAddr::new(powerburst_net::HostAddr(100 + flow as u32), 5000),
+                fidelity: Fidelity::K256,
+                start: SimTime::ZERO,
+                duration: SimDuration::from_secs(10),
+                flow,
+            })
+            .collect();
+        let mut server = VideoServer::new(
+            SockAddr::new(powerburst_net::HostAddr(2), 554),
+            specs,
+            AdaptConfig::default(),
+            &mut derive_rng(8, 8),
+        );
+        let state = |s: &VideoServer| {
+            (0..4).map(|i| (s.current_fidelity(i), s.downshifts(i))).collect::<Vec<_>>()
+        };
+        let before = state(&server);
+        // Three reports at 50 % interval loss for an unknown flow.
+        for k in 1..=3 {
+            server.on_report(5, 100 * k, 50 * k);
+        }
+        assert_eq!(state(&server), before);
+        assert_eq!(server.last_report, vec![(0, 0); 4]);
+        for k in 1..=3 {
+            server.on_report(3, 100 * k, 50 * k);
+        }
+        let unchanged = (Fidelity::K256, 0);
+        assert_eq!(
+            state(&server),
+            vec![unchanged, (Fidelity::K128, 1), unchanged, unchanged],
+            "only flow 3's first stream downshifts"
+        );
     }
 
     #[test]

@@ -161,6 +161,46 @@ fn sharded_city_trace_is_byte_identical_at_every_thread_count() {
     }
 }
 
+/// The sharded city's run counters, every client's live-radio summary
+/// (exact floats) and the metrics JSON.
+fn render_city_live(cfg: &ScenarioConfig) -> String {
+    let r = run_scenario(cfg);
+    let mut s = String::new();
+    let _ = writeln!(s, "[run]");
+    let _ = writeln!(s, "sim_events = {}", r.sim_events);
+    let _ = writeln!(s, "trace_frames = {}", r.trace_frames);
+    let _ = writeln!(s, "medium_drops = {}", r.medium_drops);
+    let _ = writeln!(s, "schedules_sent = {}", r.proxy.schedules_sent);
+    let _ = writeln!(s, "bursts = {}", r.proxy.bursts);
+    let _ = writeln!(s, "udp_bytes_sent = {}", r.proxy.udp_bytes_sent);
+    let _ = writeln!(s, "tcp_bytes_fed = {}", r.proxy.tcp_bytes_fed);
+    let _ = writeln!(s, "invariant_violations = {}", r.invariants.total());
+    for c in &r.clients {
+        let live = c.live.expect("live radios measure every client");
+        let _ = writeln!(s, "client-{} {} {live:?}", c.host.0, c.label);
+    }
+    let _ = writeln!(s, "[metrics]");
+    let _ = writeln!(s, "{}", r.obs.expect("obs enabled").metrics_json());
+    s
+}
+
+#[test]
+fn sharded_city_matches_golden_at_every_thread_count() {
+    // The tests above compare thread counts within one build: mail that
+    // is dropped or delayed the same way at every thread count passes
+    // them. This committed snapshot pins a 5-shard world across changes.
+    // Live radios, because the Monitor-mode postmortem replays every
+    // cell's schedule broadcasts for every client (ROADMAP).
+    let mut cfg = city_cfg(42).with_obs(ObsConfig::full());
+    cfg.radio = RadioMode::Live;
+    for t in THREADS {
+        let rendered = render_city_live(&cfg.clone().with_threads(t));
+        if let Err(e) = check_golden(&golden_path("city_live_4cell_seed42.txt"), &rendered) {
+            panic!("threads={t}: {e}");
+        }
+    }
+}
+
 #[test]
 fn faulted_sharded_city_is_byte_identical_at_every_thread_count() {
     // Per-cell fault injectors + per-cell medium RNG under parallel
