@@ -1,14 +1,14 @@
 //! # powerburst-client
 //!
 //! The mobile-client power daemon for the ICPP 2004 transparent-proxy
-//! reproduction: the "simple daemon" of §3.2.1 that reads schedule
-//! broadcasts, wakes the WNIC at its rendezvous points (with adaptive
-//! delay compensation, §3.3), sleeps on the marked packet, recovers from
-//! missed schedules, and hosts the unmodified client application.
+//! reproduction: the "simple daemon" of §3.2.1 that hosts the unmodified
+//! client application and drives the client power policy
+//! ([`powerburst_core::client_policy`]) with what its radio hears, waking
+//! and sleeping the WNIC as the policy says.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod daemon;
 
-pub use daemon::{ClientConfig, ClientPowerStats, CompMode, PowerClient};
+pub use daemon::PowerClient;

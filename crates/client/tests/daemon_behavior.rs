@@ -4,8 +4,8 @@
 
 use std::any::Any;
 
-use powerburst_client::{ClientConfig, PowerClient};
-use powerburst_core::{Schedule, ScheduleEntry};
+use powerburst_client::PowerClient;
+use powerburst_core::{PolicyParams, Schedule, ScheduleEntry};
 use powerburst_energy::CardSpec;
 use powerburst_net::{
     ports, AccessPoint, AirtimeModel, ApDelayParams, Ctx, Endpoint, HostAddr, IfaceId, LinkSpec,
@@ -117,7 +117,7 @@ impl Node for ScriptedProxy {
 
 /// Sink that panics if the daemon delivers while the radio is deaf —
 /// regular CountingSink plus schedule filtering is handled by the daemon.
-fn build_world(proxy: ScriptedProxy, client_cfg: ClientConfig) -> (World, powerburst_net::NodeId) {
+fn build_world(proxy: ScriptedProxy, params: PolicyParams) -> (World, powerburst_net::NodeId) {
     let mut world = World::new(5);
     let p = world.add_node(Box::new(proxy), NodeConfig::wired(PROXY));
     let ap = world.add_node(
@@ -125,7 +125,7 @@ fn build_world(proxy: ScriptedProxy, client_cfg: ClientConfig) -> (World, powerb
         NodeConfig::infrastructure(),
     );
     let c = world.add_node(
-        Box::new(PowerClient::new(client_cfg, Box::new(CountingSink::new()) as Box<dyn App>)),
+        Box::new(PowerClient::new(CLIENT, params, Box::new(CountingSink::new()) as Box<dyn App>)),
         NodeConfig {
             host: Some(CLIENT),
             clock: ClockModel::perfect(),
@@ -143,7 +143,7 @@ fn build_world(proxy: ScriptedProxy, client_cfg: ClientConfig) -> (World, powerb
     (world, c)
 }
 
-fn run(proxy: ScriptedProxy, cfg: ClientConfig, secs: u64) -> (World, powerburst_net::NodeId) {
+fn run(proxy: ScriptedProxy, cfg: PolicyParams, secs: u64) -> (World, powerburst_net::NodeId) {
     let (mut world, c) = build_world(proxy, cfg);
     world.run_until(SimTime::from_secs(secs));
     (world, c)
@@ -151,7 +151,7 @@ fn run(proxy: ScriptedProxy, cfg: ClientConfig, secs: u64) -> (World, powerburst
 
 #[test]
 fn synced_client_sleeps_between_bursts_and_loses_nothing() {
-    let (mut world, c) = run(ScriptedProxy::new(), ClientConfig::new(CLIENT), 10);
+    let (mut world, c) = run(ScriptedProxy::new(), PolicyParams::default(), 10);
     let stats = *world.stats(c);
     assert_eq!(stats.missed_frames, 0, "no data lost");
     let rep = world.wnic_report(c).unwrap();
@@ -172,7 +172,7 @@ fn skipped_broadcast_triggers_miss_recovery() {
     proxy.skip_broadcasts = vec![20, 21];
     // Without a schedule the proxy still bursts; the client (awake in miss
     // recovery) receives the data anyway.
-    let (mut world, c) = run(proxy, ClientConfig::new(CLIENT), 5);
+    let (mut world, c) = run(proxy, PolicyParams::default(), 5);
     let stats = *world.stats(c);
     let pc = world.node_mut::<PowerClient>(c);
     assert!(pc.stats.schedules_missed >= 1, "missed {}", pc.stats.schedules_missed);
@@ -190,7 +190,7 @@ fn skipped_broadcast_triggers_miss_recovery() {
 fn lost_mark_is_recovered_via_the_next_schedule() {
     let mut proxy = ScriptedProxy::new();
     proxy.unmark_bursts = vec![10];
-    let (mut world, c) = run(proxy, ClientConfig::new(CLIENT), 5);
+    let (mut world, c) = run(proxy, PolicyParams::default(), 5);
     let stats = *world.stats(c);
     let pc = world.node_mut::<PowerClient>(c);
     // Ordering rule (1): the next schedule found the client still awaiting
@@ -204,8 +204,7 @@ fn lost_mark_is_recovered_via_the_next_schedule() {
 fn unchanged_flag_skips_srp_wakes_without_losses() {
     let mut proxy = ScriptedProxy::new();
     proxy.flag_unchanged = true;
-    let mut cfg = ClientConfig::new(CLIENT);
-    cfg.skip_unchanged = true;
+    let cfg = PolicyParams { skip_unchanged: true, ..PolicyParams::default() };
     let (mut world, c) = run(proxy, cfg, 10);
     let stats = *world.stats(c);
     let rep = world.wnic_report(c).unwrap();
@@ -217,7 +216,7 @@ fn unchanged_flag_skips_srp_wakes_without_losses() {
     // And it must actually save energy versus not skipping.
     let mut proxy2 = ScriptedProxy::new();
     proxy2.flag_unchanged = true;
-    let (mut world2, c2) = run(proxy2, ClientConfig::new(CLIENT), 10);
+    let (mut world2, c2) = run(proxy2, PolicyParams::default(), 10);
     let rep2 = world2.wnic_report(c2).unwrap();
     assert!(
         sleep_with > rep2.sleep.as_secs_f64(),
@@ -231,7 +230,7 @@ fn unchanged_flag_skips_srp_wakes_without_losses() {
 fn proxy_going_silent_leaves_client_awake_but_lossless() {
     let mut proxy = ScriptedProxy::new();
     proxy.max_intervals = 20; // proxy dies at t=2s
-    let (mut world, c) = run(proxy, ClientConfig::new(CLIENT), 6);
+    let (mut world, c) = run(proxy, PolicyParams::default(), 6);
     let stats = *world.stats(c);
     assert_eq!(stats.missed_frames, 0);
     let rep = world.wnic_report(c).unwrap();
@@ -245,8 +244,10 @@ fn proxy_going_silent_leaves_client_awake_but_lossless() {
 #[test]
 fn larger_early_transition_wakes_earlier_and_wastes_more() {
     let mk = |early_ms: u64| {
-        let mut cfg = ClientConfig::new(CLIENT);
-        cfg.early_transition = SimDuration::from_ms(early_ms);
+        let cfg = PolicyParams {
+            early_transition: SimDuration::from_ms(early_ms),
+            ..PolicyParams::default()
+        };
         let (mut world, c) = run(ScriptedProxy::new(), cfg, 10);
         let rep = world.wnic_report(c).unwrap();
         let pc = world.node_mut::<PowerClient>(c);

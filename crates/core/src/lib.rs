@@ -8,6 +8,9 @@
 //!   connections, per-client buffering, burst execution, schedule
 //!   broadcast; includes the pass-through ablation mode;
 //! * [`schedule`] — schedule data types and the policy selector;
+//! * [`client_policy`] — the client side of the protocol: the §3.2–3.3
+//!   wake/sleep policy as one sans-IO state machine, driven by the live
+//!   daemon and by the postmortem replay alike;
 //! * [`policy`] — the [`SchedulePolicy`] trait and its seven
 //!   implementations (dynamic fixed/variable, channel-aware,
 //!   buffer-aware, static equal, slotted TCP/UDP static, PSM beacon);
@@ -27,6 +30,7 @@
 
 pub mod admission;
 pub mod bandwidth;
+pub mod client_policy;
 pub mod invariants;
 pub mod marking;
 pub mod policy;
@@ -37,6 +41,9 @@ pub mod wire;
 
 pub use admission::{AdmissionConfig, AdmissionControl, AdmissionStats};
 pub use bandwidth::BandwidthModel;
+pub use client_policy::{
+    Action, ClientPolicy, CompMode, PolicyParams, PolicyStats, PolicyTimer, WokeFor,
+};
 pub use invariants::{
     check_energy_conservation, InvariantKind, InvariantLog, ScheduleAuditor, Violation,
 };

@@ -6,7 +6,7 @@
 //! medium; runs the workload; and collects per-client results through the
 //! postmortem analyzer.
 
-use powerburst_client::{ClientConfig, PowerClient};
+use powerburst_client::PowerClient;
 use powerburst_coord::{Coordinator, CoordinatorConfig, COORD_IFACE};
 use powerburst_core::invariants::{check_energy_conservation, InvariantKind, Violation};
 use powerburst_core::{AdmissionStats, Proxy, ProxyConfig, ProxyStats, PROXY_AP, PROXY_LAN};
@@ -19,7 +19,7 @@ use powerburst_net::{
 use powerburst_obs::{Counter, Recorder, RecorderConfig};
 use powerburst_sim::rng::streams;
 use powerburst_sim::{derive_rng, ClockModel, SimDuration, SimTime};
-use powerburst_trace::{analyze_client, utilization, PolicyParams};
+use powerburst_trace::{analyze_client, utilization};
 use powerburst_traffic::{
     generate_script, App, ByteServer, FtpClientApp, StreamSpec, VideoClientApp, VideoServer,
     WebClientApp,
@@ -365,16 +365,12 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
                 *size,
             )),
         };
-        let mut ccfg = ClientConfig::new(host);
-        ccfg.early_transition = spec.early_transition;
-        ccfg.skip_unchanged = spec.skip_unchanged;
-        ccfg.comp = spec.comp;
         let mut clock =
             ClockModel::sample(&mut clock_rng, cfg.net.clock_offset_us, cfg.net.clock_drift_ppm);
         // Fault plan: pile an extra frequency error on top, so the
         // client↔proxy skew ramps linearly over the run.
         clock.drift_ppm += clock_skew_ramp(&cfg.faults, &mut skew_rng);
-        let mut daemon = PowerClient::new(ccfg, app);
+        let mut daemon = PowerClient::new(host, spec.policy_params(), app);
         daemon.set_recorder(lane_of(rank_of_cell[cfg.cell_of(i)]));
         let node = world.add_node(
             Box::new(daemon),
@@ -444,12 +440,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     for (i, spec) in cfg.clients.iter().enumerate() {
         let host = hosts::client(i);
         let node = a.clients[i];
-        let policy = PolicyParams {
-            early_transition: spec.early_transition,
-            skip_unchanged: spec.skip_unchanged,
-            ..PolicyParams::default()
-        };
-        let post = analyze_client(&trace, host, end, &policy);
+        let post = analyze_client(&trace, host, end, &spec.policy_params());
 
         let live = match cfg.radio {
             RadioMode::Monitor => None,

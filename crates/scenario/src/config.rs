@@ -1,7 +1,9 @@
 //! Experiment configuration: network parameters, client specifications,
 //! and scenario assembly inputs.
 
-use powerburst_core::{AdmissionConfig, BandwidthModel, PolicyKind, ProxyMode};
+use powerburst_core::{
+    AdmissionConfig, BandwidthModel, CompMode, PolicyKind, PolicyParams, ProxyMode,
+};
 use powerburst_net::{
     AirtimeModel, ApDelayParams, FaultPlan, LinkSpec, MarkovChannelConfig, PipeSpec,
 };
@@ -93,7 +95,7 @@ pub struct ClientSpec {
     pub skip_unchanged: bool,
     /// Delay-compensation algorithm (the §3.3 adaptive default, or the
     /// fixed-anchor ablation baseline).
-    pub comp: powerburst_client::CompMode,
+    pub comp: CompMode,
 }
 
 impl ClientSpec {
@@ -103,7 +105,16 @@ impl ClientSpec {
             kind,
             early_transition: SimDuration::from_ms(6),
             skip_unchanged: false,
-            comp: powerburst_client::CompMode::Adaptive,
+            comp: CompMode::Adaptive,
+        }
+    }
+
+    /// The client power policy's parameters, for the daemon and the replay.
+    pub fn policy_params(&self) -> PolicyParams {
+        PolicyParams {
+            early_transition: self.early_transition,
+            skip_unchanged: self.skip_unchanged,
+            comp: self.comp,
         }
     }
 }

@@ -7,8 +7,7 @@
 //! [`run_all`] iterate the registry; `tests/experiments_golden.rs`
 //! snapshots all of it at a shortened duration.
 
-use powerburst_client::CompMode;
-use powerburst_core::{AdmissionConfig, PolicyKind, ProxyMode, DEFAULT_TARGET_BUFFER};
+use powerburst_core::{AdmissionConfig, CompMode, PolicyKind, ProxyMode, DEFAULT_TARGET_BUFFER};
 use powerburst_energy::{optimal_savings_for_rate, CardSpec};
 use powerburst_net::PipeSpec;
 use powerburst_sim::{default_threads, parallel_sweep, SimDuration};
@@ -684,8 +683,7 @@ fn abl_schedule_unchanged(opt: &ExpOptions) -> String {
         let mut cfg = opt.scenario(policy, clients);
         cfg.flag_unchanged = true;
         let r = run_scenario(&cfg);
-        let skipped_wakes: u64 =
-            r.clients.iter().map(|c| c.post.skipped_srp_wakes + c.daemon.skipped_srp_wakes).sum();
+        let skipped_wakes: u64 = r.clients.iter().map(|c| c.post.skipped_srp_wakes).sum();
         vec![
             label.to_string(),
             fmt_summary(&r.saved_all()),

@@ -1,7 +1,6 @@
 //! Result structures collected after a scenario run.
 
-use powerburst_client::ClientPowerStats;
-use powerburst_core::{InvariantLog, ProxyStats};
+use powerburst_core::{InvariantLog, PolicyStats, ProxyStats};
 use powerburst_net::{FaultStats, HostAddr};
 use powerburst_obs::ObsReport;
 use powerburst_sim::{SimDuration, Summary};
@@ -73,8 +72,8 @@ pub struct ClientResult {
     pub post: PostmortemReport,
     /// Live-radio measurement, when radios actually slept.
     pub live: Option<LiveSummary>,
-    /// The daemon's own counters.
-    pub daemon: ClientPowerStats,
+    /// The live daemon's policy counters.
+    pub daemon: PolicyStats,
     /// Application-level outcome.
     pub app: AppMetrics,
 }

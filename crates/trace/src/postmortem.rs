@@ -7,47 +7,18 @@
 //! naive client, which keeps its WNIC in high-power mode for the duration
 //! of the trace."
 //!
-//! [`analyze_client`] replays the captured trace against the client power
-//! policy (schedule handling, rendezvous wake-ups with an early-transition
-//! amount, sleep-on-mark, miss recovery) and integrates WNIC energy over
-//! the resulting mode timeline. Frames that arrive while the replayed
-//! client is asleep are the "packets lost" the paper reports (§4.3).
+//! [`analyze_client`] replays the captured trace through the client power
+//! policy ([`powerburst_core::client_policy`], the state machine the live
+//! daemon drives too) and integrates WNIC energy over the resulting mode
+//! timeline. Frames that arrive while the replayed client is asleep are
+//! the "packets lost" the paper reports (§4.3).
 
-use powerburst_core::Schedule;
+use powerburst_core::{Action, ClientPolicy, PolicyStats, PolicyTimer, Schedule};
 use powerburst_energy::{naive_energy_mj, CardSpec, Wnic};
 use powerburst_net::{ports, Delivery, HostAddr, SnifferRecord};
-use powerburst_sim::{EventQueue, SimDuration, SimTime};
+use powerburst_sim::{EventId, EventQueue, SimDuration, SimTime};
 
-/// Client power-policy parameters used in the replay.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyParams {
-    /// Early-transition amount (Figure 6 sweeps 0–10 ms).
-    pub early_transition: SimDuration,
-    /// WNIC sleep→idle transition time.
-    pub wake_transition: SimDuration,
-    /// Patience past the predicted schedule arrival before declaring a miss.
-    pub miss_slack: SimDuration,
-    /// Gaps shorter than this are not worth sleeping.
-    pub min_sleep: SimDuration,
-    /// Honor the §5 `unchanged` flag: reuse the schedule for the following
-    /// interval and skip its SRP wake-up entirely.
-    pub skip_unchanged: bool,
-    /// Card power model.
-    pub card: CardSpec,
-}
-
-impl Default for PolicyParams {
-    fn default() -> Self {
-        PolicyParams {
-            early_transition: SimDuration::from_ms(6),
-            wake_transition: SimDuration::from_ms(2),
-            miss_slack: SimDuration::from_ms(15),
-            min_sleep: SimDuration::from_ms(5),
-            skip_unchanged: false,
-            card: CardSpec::WAVELAN_DSSS,
-        }
-    }
-}
+pub use powerburst_core::PolicyParams;
 
 /// Result of replaying one client against the trace.
 #[derive(Debug, Clone, Copy)]
@@ -105,338 +76,50 @@ impl PostmortemReport {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WokeFor {
-    Srp,
-    Burst,
-}
-
-#[derive(Debug, Clone, Copy)]
-enum PEv {
-    WakeSlot { gen: u64, idx: usize },
-    WakeSrp { gen: u64 },
-    MissDeadline { gen: u64 },
-    SlotEnd { gen: u64, extended: bool },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct MySlot {
-    duration: SimDuration,
-    sleep_at_end: bool,
-}
-
+/// The replay: the client policy driven by sniffer records and its own
+/// timer queue, with the WNIC and the accounting the policy does not keep.
 struct Replay {
-    p: PolicyParams,
+    policy: ClientPolicy,
+    stats: PolicyStats,
     client: HostAddr,
     wnic: Wnic,
-    heap: EventQueue<PEv>,
-    gen: u64,
-    slots: Vec<MySlot>,
-    planned_wakes: Vec<SimTime>,
-    pending: Option<(Schedule, SimTime)>,
-    /// Predicted arrival of the next schedule we expect to hear, plus the
-    /// interval used to extrapolate it. Tracks the lower envelope of
-    /// schedule arrivals so one AP-delay spike on a schedule packet does
-    /// not shift a whole interval of wake-up predictions late.
-    srp_pred: Option<(SimTime, SimDuration)>,
-    in_burst: bool,
-    /// A burst's unmarked frames have been seen but its mark has not:
-    /// lets a fixed slot's end linger for the tail instead of sleeping
-    /// mid-burst. Cleared by the mark, a new schedule, or giving up after
-    /// one bounded extension.
-    burst_open: bool,
-    /// Consecutive schedules heard with the `unchanged` flag set; drives
-    /// the §5 skip escalation.
-    unchanged_streak: u32,
-    woke_for: Option<(WokeFor, SimTime)>,
-    miss_since: Option<SimTime>,
-    synced: bool,
-    // accounting
+    timers: EventQueue<PolicyTimer>,
+    /// Handles of the timers armed for the plan in force.
+    plan: Vec<EventId>,
+    /// Recycled schedule buffer for broadcast decodes.
+    sched: Schedule,
     delivered: u64,
     missed: u64,
     ap_drops: u64,
-    schedules_seen: u64,
-    schedules_missed: u64,
-    skipped_srp_wakes: u64,
-    early_wait: SimDuration,
-    missed_sched_wait: SimDuration,
     bytes_delivered: u64,
     naive_rx_airtime: SimDuration,
     tx_airtime: SimDuration,
 }
 
 impl Replay {
-    fn new(client: HostAddr, p: PolicyParams) -> Replay {
-        Replay {
-            p,
-            client,
-            wnic: Wnic::new(p.card),
-            heap: EventQueue::new(),
-            gen: 0,
-            slots: Vec::new(),
-            planned_wakes: Vec::new(),
-            pending: None,
-            srp_pred: None,
-            in_burst: false,
-            burst_open: false,
-            unchanged_streak: 0,
-            woke_for: None,
-            miss_since: None,
-            synced: false,
-            delivered: 0,
-            missed: 0,
-            ap_drops: 0,
-            schedules_seen: 0,
-            schedules_missed: 0,
-            skipped_srp_wakes: 0,
-            early_wait: SimDuration::ZERO,
-            missed_sched_wait: SimDuration::ZERO,
-            bytes_delivered: 0,
-            naive_rx_airtime: SimDuration::ZERO,
-            tx_airtime: SimDuration::ZERO,
-        }
-    }
-
-    fn lead(&self) -> SimDuration {
-        self.p.early_transition + self.p.wake_transition
-    }
-
-    fn sleep_if_idle(&mut self, t: SimTime) {
-        if self.in_burst || self.miss_since.is_some() || !self.synced {
-            return;
-        }
-        // Expecting a schedule any moment (the SRP wake already fired):
-        // sleeping now would turn a late mark into a missed interval.
-        if self.woke_for.map(|(w, _)| w) == Some(WokeFor::Srp) {
-            return;
-        }
-        // Keep wakes at exactly `t` (imminent slot = stay awake).
-        self.planned_wakes.retain(|&w| w >= t);
-        match self.planned_wakes.iter().min() {
-            Some(&w) if w.since(t) < self.p.min_sleep => {}
-            _ => self.wnic.sleep(t),
-        }
-    }
-
-    fn account_arrival(&mut self, t: SimTime) {
-        if let Some((_, listen_start)) = self.woke_for.take() {
-            self.early_wait += t.since(listen_start);
-        }
-    }
-
-    fn apply_schedule(&mut self, sched: Schedule, arrival: SimTime, t: SimTime) {
-        self.account_arrival(t);
-        if let Some(since) = self.miss_since.take() {
-            self.missed_sched_wait += t.since(since);
-        }
-        // AP forwarding delay is a slow random walk plus occasional large
-        // exponential spikes. The walk is worth tracking — the burst's
-        // frames ride the same walk — but a spike on the one schedule
-        // packet every wake-up is extrapolated from shifts a whole
-        // interval of slot predictions late (two intervals under §5
-        // skipping), and the burst's first frames then land during the
-        // wake transition. So: trust the raw arrival when it lands near
-        // the arrival predicted from the previous schedule, substitute
-        // the prediction when the arrival is a clear outlier, and
-        // re-phase to the raw arrival on a gross disagreement (the proxy
-        // moved its SRP).
-        const SPIKE_GUARD: SimDuration = SimDuration::from_ms(2);
-        const RESYNC: SimDuration = SimDuration::from_ms(20);
-        let anchor = match self.srp_pred {
-            Some((mut exp, per)) if per > SimDuration::ZERO => {
-                // Stride over schedules we slept through or failed to hear.
-                while arrival >= exp + per {
-                    exp += per;
-                }
-                if arrival > exp
-                    && arrival.since(exp) > RESYNC
-                    && (exp + per).since(arrival) <= RESYNC
-                {
-                    exp += per;
-                }
-                let late = arrival > exp;
-                if late && arrival.since(exp) > SPIKE_GUARD && arrival.since(exp) <= RESYNC {
-                    exp
-                } else {
-                    arrival
-                }
-            }
-            _ => arrival,
-        };
-        // A deferred schedule whose own interval has already elapsed is
-        // useless: its rendezvous points are in the past and the following
-        // schedule is imminent. Stay awake and wait for a fresh one.
-        if t > arrival + sched.next_srp {
-            self.gen += 1; // invalidate stale wake-ups
-            self.slots.clear();
-            self.planned_wakes.clear();
-            self.miss_since = Some(t);
-            self.srp_pred = Some((anchor + sched.next_srp, sched.next_srp));
-            return;
-        }
-        self.synced = true;
-        self.gen += 1;
-        self.burst_open = false;
-        let gen = self.gen;
-        self.slots.clear();
-        self.planned_wakes.clear();
-        let lead = self.lead();
-        let mine: Vec<_> = sched.slots_for(self.client).cloned().collect();
-        for e in &mine {
-            // A schedule applied late (deferred past its own burst) must
-            // not arm wake-ups for slots that already started — the mark
-            // that released it *was* that burst's end, which can land
-            // before the slot's nominal end. Re-arming such a slot raises
-            // a phantom burst expectation that keeps the client awake for
-            // the whole following interval (and, because the next schedule
-            // then also arrives "during a burst" and is deferred, locks
-            // the replay into a never-sleeping cycle).
-            // (Judged against the raw arrival, not the smoothed anchor:
-            // the burst rides the same forwarding-delay walk the schedule
-            // did, so the raw arrival is the better "has it started yet"
-            // reference; the floor would declare slots elapsed early.)
-            if arrival + e.rp_offset < t {
-                // A *fixed* slot, though, ends on its own clock rather
-                // than on a mark, so re-arming it cannot raise a phantom
-                // expectation. If part of it still lies ahead the burst
-                // may simply be running late behind AP delay: stay up for
-                // the remainder instead of sleeping through frames that
-                // are still in flight.
-                let end = arrival + e.rp_offset + e.duration;
-                let fixed = e.client.is_broadcast() || sched.fixed_slots;
-                if fixed && t < end {
-                    let idx = self.slots.len();
-                    self.slots.push(MySlot { duration: end.since(t), sleep_at_end: true });
-                    self.heap.push(t, PEv::WakeSlot { gen, idx });
-                    self.planned_wakes.push(t);
-                }
-                continue;
-            }
-            let idx = self.slots.len();
-            self.slots.push(MySlot {
-                duration: e.duration,
-                sleep_at_end: e.client.is_broadcast() || sched.fixed_slots,
-            });
-            let wake_at = (anchor + e.rp_offset.saturating_sub(lead)).max(t);
-            self.heap.push(wake_at, PEv::WakeSlot { gen, idx });
-            self.planned_wakes.push(wake_at);
-        }
-        // §5 optimization: an unchanged schedule is reused for the
-        // following interval(s) and their SRP wakes are skipped entirely.
-        // Permanent slots allow more than one skip: each consecutive
-        // unchanged schedule doubles the reuse span, capped so a schedule
-        // change is never heard more than `MAX_REUSE` intervals late.
-        // The extrapolation stays exact because the proxy's SRP phase is
-        // fixed — only per-packet AP jitter varies, which the early-
-        // transition amount absorbs.
-        const MAX_REUSE: u32 = 8;
-        if sched.unchanged {
-            self.unchanged_streak = self.unchanged_streak.saturating_add(1);
-        } else {
-            self.unchanged_streak = 0;
-        }
-        let reuse = if sched.unchanged && self.p.skip_unchanged && !mine.is_empty() {
-            (1u32 << self.unchanged_streak.min(3)).min(MAX_REUSE)
-        } else {
-            1
-        };
-        self.skipped_srp_wakes += u64::from(reuse - 1);
-        for j in 1..reuse {
-            for e in &mine {
-                let idx = self.slots.len();
-                self.slots.push(MySlot {
-                    duration: e.duration,
-                    sleep_at_end: e.client.is_broadcast() || sched.fixed_slots,
-                });
-                let wake_at =
-                    (anchor + sched.next_srp * u64::from(j) + e.rp_offset.saturating_sub(lead))
-                        .max(t);
-                self.heap.push(wake_at, PEv::WakeSlot { gen, idx });
-                self.planned_wakes.push(wake_at);
-            }
-        }
-        let srp_nominal = anchor + sched.next_srp * u64::from(reuse);
-        let srp_at = if reuse > 1 {
-            (srp_nominal - lead).max(t)
-        } else {
-            (anchor + sched.next_srp.saturating_sub(lead)).max(t)
-        };
-        self.heap.push(srp_at, PEv::WakeSrp { gen });
-        self.planned_wakes.push(srp_at);
-        self.srp_pred = Some((srp_nominal, sched.next_srp));
-        self.sleep_if_idle(t);
-    }
-
-    fn on_policy_event(&mut self, t: SimTime, ev: PEv) {
-        match ev {
-            PEv::WakeSlot { gen, idx } => {
-                if gen != self.gen {
-                    return;
-                }
-                self.wnic.wake(t);
-                let Some(slot) = self.slots.get(idx).copied() else { return };
-                self.woke_for = Some((WokeFor::Burst, t + self.p.wake_transition));
-                if slot.sleep_at_end {
-                    // Fixed slots end on their own clock: linger briefly
-                    // for late frames, then sleep without needing a mark.
-                    self.heap.push(
-                        t + self.lead() + slot.duration + SimDuration::from_ms(2),
-                        PEv::SlotEnd { gen, extended: false },
-                    );
-                } else {
-                    self.in_burst = true;
-                }
-            }
-            PEv::WakeSrp { gen } => {
-                if gen != self.gen {
-                    return;
-                }
-                self.wnic.wake(t);
-                self.woke_for = Some((WokeFor::Srp, t + self.p.wake_transition));
-                self.heap.push(t + self.lead() + self.p.miss_slack, PEv::MissDeadline { gen });
-            }
-            PEv::MissDeadline { gen } => {
-                if gen != self.gen {
-                    return;
-                }
-                if self.woke_for.map(|(w, _)| w) == Some(WokeFor::Srp) {
-                    self.schedules_missed += 1;
-                    self.woke_for = None;
-                    self.miss_since = Some(t);
-                }
-            }
-            PEv::SlotEnd { gen, extended } => {
-                if gen != self.gen {
-                    return;
-                }
-                // Only the burst expectation ends with the slot; an SRP
-                // expectation (the SRP wake may already have fired) must
-                // survive or the client would sleep through the schedule.
-                if self.burst_open {
-                    // The burst's frames arrived but its mark hasn't: the
-                    // tail is straggling behind AP forwarding delay.
-                    // Linger up to `miss_slack` — the same patience
-                    // granted a late schedule — before giving it up.
-                    // Bounded to one extension so a lost mark costs at
-                    // most `miss_slack` of extra awake time. (An *empty*
-                    // slot gets no such grace: first frames can't outrun
-                    // the normal close, so waiting longer buys nothing.)
-                    if !extended && self.pending.is_none() {
-                        self.heap.push(t + self.p.miss_slack, PEv::SlotEnd { gen, extended: true });
-                        return;
+    /// Carry out the policy's actions at `t`.
+    fn drive(&mut self, t: SimTime) {
+        for a in self.policy.actions() {
+            match a {
+                Action::Wake => self.wnic.wake(t),
+                Action::Sleep => self.wnic.sleep(t),
+                Action::Arm(at, timer) => self.plan.push(self.timers.push(at, timer)),
+                Action::CancelPlan => {
+                    for id in self.plan.drain(..) {
+                        self.timers.cancel(id);
                     }
-                    self.burst_open = false;
                 }
-                if self.woke_for.map(|(w, _)| w) == Some(WokeFor::Burst) {
-                    self.woke_for = None;
-                }
-                if let Some((sched, arrival)) = self.pending.take() {
-                    self.in_burst = false;
-                    self.apply_schedule(sched, arrival, t);
-                } else {
-                    self.sleep_if_idle(t);
-                }
+                Action::Waited(..) => {}
             }
+        }
+    }
+
+    /// Fire the policy timers due at or before `t`.
+    fn fire_timers(&mut self, t: SimTime) {
+        while self.timers.peek_time().is_some_and(|at| at <= t) {
+            let (at, timer) = self.timers.pop().expect("peeked");
+            self.policy.on_timer(at, timer, &mut self.stats);
+            self.drive(at);
         }
     }
 
@@ -458,28 +141,15 @@ impl Replay {
         if rec.delivery == Delivery::Broadcast {
             // Naive client hears broadcasts too.
             self.naive_rx_airtime += rec.airtime;
-            let is_sched = rec.dst.port == ports::SCHEDULE;
             if self.wnic.is_listening(t) {
                 self.wnic.on_receive(t, rec.airtime);
-                if is_sched {
-                    if let Some(payload) = &rec.payload {
-                        if let Some(sched) = Schedule::decode(payload) {
-                            self.schedules_seen += 1;
-                            if self.in_burst && self.pending.is_none() {
-                                // Rule (1): defer until the marked packet —
-                                // but the schedule did arrive, so the SRP
-                                // wait is over and no miss may be declared.
-                                if self.woke_for.map(|(w, _)| w) == Some(WokeFor::Srp) {
-                                    self.account_arrival(t);
-                                }
-                                self.pending = Some((sched, t));
-                            } else {
-                                self.in_burst = false;
-                                self.pending = None;
-                                self.apply_schedule(sched, t, t);
-                            }
-                        }
-                    }
+                if rec.dst.port != ports::SCHEDULE {
+                    return;
+                }
+                let Some(payload) = &rec.payload else { return };
+                if Schedule::decode_into(payload, &mut self.sched) {
+                    self.policy.on_schedule(t, t.as_us() as i64, &self.sched, &mut self.stats);
+                    self.drive(t);
                 }
             }
             return;
@@ -490,23 +160,8 @@ impl Replay {
                 self.delivered += 1;
                 self.bytes_delivered += rec.wire_size as u64;
                 self.wnic.on_receive(t, rec.airtime);
-                if self.woke_for.map(|(w, _)| w) == Some(WokeFor::Burst) {
-                    self.account_arrival(t);
-                }
-                if rec.tos_mark {
-                    self.in_burst = false;
-                    self.burst_open = false;
-                    if let Some((sched, arrival)) = self.pending.take() {
-                        self.apply_schedule(sched, arrival, t);
-                    } else {
-                        self.sleep_if_idle(t);
-                    }
-                } else {
-                    // An unmarked frame means a burst is mid-flight; let a
-                    // fixed slot's end linger for the mark instead of
-                    // cutting a straggling tail frame off.
-                    self.burst_open = true;
-                }
+                self.policy.on_frame(t, rec.tos_mark, &mut self.stats);
+                self.drive(t);
             } else {
                 self.missed += 1;
             }
@@ -522,32 +177,31 @@ pub fn analyze_client(
     run_end: SimTime,
     p: &PolicyParams,
 ) -> PostmortemReport {
-    let mut r = Replay::new(client, *p);
+    let card = CardSpec::WAVELAN_DSSS;
+    let mut r = Replay {
+        policy: ClientPolicy::new(client, *p),
+        stats: PolicyStats::default(),
+        client,
+        wnic: Wnic::new(card),
+        timers: EventQueue::new(),
+        plan: Vec::new(),
+        sched: Schedule::default(),
+        delivered: 0,
+        missed: 0,
+        ap_drops: 0,
+        bytes_delivered: 0,
+        naive_rx_airtime: SimDuration::ZERO,
+        tx_airtime: SimDuration::ZERO,
+    };
     for rec in records {
-        // Fire policy timers due before this frame.
-        while let Some(evt) = r.heap.peek_time() {
-            if evt > rec.t {
-                break;
-            }
-            let (t, ev) = r.heap.pop().expect("peeked");
-            r.on_policy_event(t, ev);
-        }
+        r.fire_timers(rec.t);
         r.on_record(rec);
     }
-    // Drain remaining policy events up to the end of the window.
-    while let Some(evt) = r.heap.peek_time() {
-        if evt > run_end {
-            break;
-        }
-        let (t, ev) = r.heap.pop().expect("peeked");
-        r.on_policy_event(t, ev);
-    }
-    if let Some(since) = r.miss_since.take() {
-        r.missed_sched_wait += run_end.since(since);
-    }
+    r.fire_timers(run_end);
+    r.policy.close(run_end, &mut r.stats);
     let energy = r.wnic.report_at(run_end);
     let naive =
-        naive_energy_mj(&p.card, run_end.since(SimTime::ZERO), r.naive_rx_airtime, r.tx_airtime);
+        naive_energy_mj(&card, run_end.since(SimTime::ZERO), r.naive_rx_airtime, r.tx_airtime);
     PostmortemReport {
         energy_mj: energy.total_mj,
         naive_mj: naive,
@@ -558,11 +212,11 @@ pub fn analyze_client(
         delivered: r.delivered,
         missed: r.missed,
         ap_drops: r.ap_drops,
-        schedules_seen: r.schedules_seen,
-        schedules_missed: r.schedules_missed,
-        skipped_srp_wakes: r.skipped_srp_wakes,
-        early_wait: r.early_wait,
-        missed_sched_wait: r.missed_sched_wait,
+        schedules_seen: r.stats.schedules_received,
+        schedules_missed: r.stats.schedules_missed,
+        skipped_srp_wakes: r.stats.skipped_srp_wakes,
+        early_wait: r.stats.early_wait,
+        missed_sched_wait: r.stats.missed_sched_wait,
         bytes_delivered: r.bytes_delivered,
     }
 }

@@ -12,7 +12,9 @@
 //! ```
 //!
 //! Argument parsing is hand-rolled (the workspace's dependency budget is
-//! deliberately small); every flag has a sane paper-default.
+//! deliberately small); every flag has a sane paper-default. A usage
+//! error — an unknown flag, a missing or malformed value — prints a
+//! message naming the flag and exits with code 2.
 
 use std::process::ExitCode;
 
@@ -26,10 +28,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else {
         eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let rest = &args[1..];
-    match cmd.as_str() {
+    let outcome = match cmd.as_str() {
         "run" => cmd_run(rest),
         "calibrate" => cmd_calibrate(rest),
         "experiment" => cmd_experiment(rest),
@@ -38,17 +40,18 @@ fn main() -> ExitCode {
             for e in exp::EXPERIMENTS {
                 println!("  {:<24} {}", e.name, e.about);
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        other => {
-            eprintln!("unknown command `{other}`\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
+        other => Err(Usage(format!("unknown command `{other}`\n{USAGE}"))),
+    };
+    outcome.unwrap_or_else(|Usage(msg)| {
+        eprintln!("{msg}");
+        ExitCode::from(2)
+    })
 }
 
 const USAGE: &str = "powerburst — ICPP 2004 transparent power-aware proxy reproduction
@@ -71,28 +74,85 @@ USAGE:
   powerburst experiment <name>|all [--secs S] [--seed K]
   powerburst list";
 
-/// Tiny flag parser: `--key value` and boolean `--key` pairs.
+/// A usage error: its message names the offending flag, and the process
+/// exits with code 2.
+struct Usage(String);
+
+/// Tiny flag parser: `--key value` pairs and boolean `--key` switches,
+/// each from the command's declared set.
 struct Flags<'a> {
-    args: &'a [String],
+    given: Vec<(&'a str, Option<&'a str>)>,
 }
 
 impl<'a> Flags<'a> {
+    /// Split `args` into flags, rejecting any flag outside `valued` and
+    /// `switches` and any valued flag without a value.
+    fn new(args: &'a [String], valued: &[&str], switches: &[&str]) -> Result<Flags<'a>, Usage> {
+        let mut given = Vec::new();
+        let mut it = args.iter().map(String::as_str);
+        while let Some(key) = it.next() {
+            if valued.contains(&key) {
+                let value = it.next().ok_or_else(|| Usage(format!("{key} needs a value")))?;
+                given.push((key, Some(value)));
+            } else if switches.contains(&key) {
+                given.push((key, None));
+            } else {
+                return Err(Usage(format!("unknown flag `{key}`")));
+            }
+        }
+        Ok(Flags { given })
+    }
+
     fn get(&self, key: &str) -> Option<&'a str> {
-        self.args
-            .iter()
-            .position(|a| a == key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(|s| s.as_str())
+        self.given.iter().find(|(k, _)| *k == key).and_then(|&(_, v)| v)
     }
 
     fn has(&self, key: &str) -> bool {
-        self.args.iter().any(|a| a == key)
+        self.given.iter().any(|(k, _)| *k == key)
     }
 
-    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        self.get(key).and_then(|v| v.parse().ok()).unwrap_or(default)
+    /// The value of `key`, parsed, if the flag was given.
+    fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, Usage> {
+        self.get(key)
+            .map(|v| v.parse().map_err(|_| Usage(format!("invalid value `{v}` for {key}"))))
+            .transpose()
+    }
+
+    fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Usage> {
+        Ok(self.opt(key)?.unwrap_or(default))
     }
 }
+
+/// The valued flags of `run`.
+const RUN_VALUED: &[&str] = &[
+    "--clients",
+    "--pattern",
+    "--interval",
+    "--secs",
+    "--seed",
+    "--policy",
+    "--cells",
+    "--threads",
+    "--coord-pool",
+    "--stagger-ms",
+    "--web",
+    "--ftp",
+    "--trace-out",
+    "--metrics-out",
+    "--trace-events",
+    "--fault-loss",
+    "--fault-dup",
+    "--fault-reorder",
+    "--fault-reorder-ms",
+    "--fault-sched-drop",
+    "--fault-jitter-ms",
+    "--fault-jitter-prob",
+    "--fault-skew-ppm",
+];
+
+/// The switches of `run`.
+const RUN_SWITCHES: &[&str] =
+    &["--live", "--psm", "--static", "--admission", "--fail-on-invariants"];
 
 fn pattern(name: &str) -> Option<VideoPattern> {
     Some(match name {
@@ -105,20 +165,15 @@ fn pattern(name: &str) -> Option<VideoPattern> {
     })
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let f = Flags { args };
-    let n_video: usize = f.parse("--clients", 10);
-    let n_web: usize = f.parse("--web", 0);
-    let ftp: u64 = f.parse("--ftp", 0);
-    let secs: u64 = f.parse("--secs", 119);
-    let seed: u64 = f.parse("--seed", 7);
-    let pat = match pattern(f.get("--pattern").unwrap_or("56k")) {
-        Some(p) => p,
-        None => {
-            eprintln!("unknown --pattern (use 56k|256k|512k|split|mix)");
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
+    let f = Flags::new(args, RUN_VALUED, RUN_SWITCHES)?;
+    let n_video: usize = f.parse("--clients", 10)?;
+    let n_web: usize = f.parse("--web", 0)?;
+    let ftp: u64 = f.parse("--ftp", 0)?;
+    let secs: u64 = f.parse("--secs", 119)?;
+    let seed: u64 = f.parse("--seed", 7)?;
+    let pat = pattern(f.get("--pattern").unwrap_or("56k"))
+        .ok_or_else(|| Usage("unknown --pattern (use 56k|256k|512k|split|mix)".into()))?;
     let policy = if f.has("--psm") {
         PolicyKind::PsmBeacon { interval: SimDuration::from_ms(100) }
     } else if f.has("--static") {
@@ -134,8 +189,9 @@ fn cmd_run(args: &[String]) -> ExitCode {
             ms => match ms.parse::<u64>() {
                 Ok(ms) => Some(SimDuration::from_ms(ms)),
                 Err(_) => {
-                    eprintln!("unknown --interval (use 100|500|var or milliseconds)");
-                    return ExitCode::FAILURE;
+                    return Err(Usage(
+                        "unknown --interval (use 100|500|var or milliseconds)".into(),
+                    ))
                 }
             },
         };
@@ -151,10 +207,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
                 interval: fixed,
                 target_buffer: powerburst::core::DEFAULT_TARGET_BUFFER,
             },
-            _ => {
-                eprintln!("unknown --policy (use fixed|variable|channel|buffer)");
-                return ExitCode::FAILURE;
-            }
+            _ => return Err(Usage("unknown --policy (use fixed|variable|channel|buffer)".into())),
         }
     };
 
@@ -174,18 +227,18 @@ fn cmd_run(args: &[String]) -> ExitCode {
         ScenarioConfig::new(seed, policy, clients).with_duration(SimDuration::from_secs(secs));
     // Multi-cell: N cells round-robin over the client list, one AP +
     // proxy shard per occupied cell, coordinator tier when N > 1.
-    let cells: usize = f.parse("--cells", 1);
+    let cells: usize = f.parse("--cells", 1)?;
     if cells > 1 {
         cfg = cfg.with_cells(cells);
     }
     // Worker threads for the sharded event core (0 = auto).
     // Outputs are byte-identical at every value; single-cell worlds
     // always run sequentially regardless.
-    cfg = cfg.with_threads(f.parse("--threads", 0));
-    if let Some(pool) = f.get("--coord-pool").and_then(|v| v.parse().ok()) {
+    cfg = cfg.with_threads(f.parse("--threads", 0)?);
+    if let Some(pool) = f.opt("--coord-pool")? {
         cfg = cfg.with_coord_pool(pool);
     }
-    if let Some(ms) = f.get("--stagger-ms").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = f.opt("--stagger-ms")? {
         cfg.stagger = SimDuration::from_ms(ms);
     }
     if f.has("--live") {
@@ -195,17 +248,17 @@ fn cmd_run(args: &[String]) -> ExitCode {
         cfg.admission = Some(powerburst::core::AdmissionConfig::default());
     }
     cfg.faults = FaultPlan {
-        loss_prob: f.parse("--fault-loss", 0.0),
-        dup_prob: f.parse("--fault-dup", 0.0),
-        reorder_prob: f.parse("--fault-reorder", 0.0),
-        reorder_max: SimDuration::from_ms(f.parse("--fault-reorder-ms", 5)),
-        sched_drop_prob: f.parse("--fault-sched-drop", 0.0),
+        loss_prob: f.parse("--fault-loss", 0.0)?,
+        dup_prob: f.parse("--fault-dup", 0.0)?,
+        reorder_prob: f.parse("--fault-reorder", 0.0)?,
+        reorder_max: SimDuration::from_ms(f.parse("--fault-reorder-ms", 5)?),
+        sched_drop_prob: f.parse("--fault-sched-drop", 0.0)?,
         ap_jitter_prob: f.parse(
             "--fault-jitter-prob",
             if f.get("--fault-jitter-ms").is_some() { 0.2 } else { 0.0 },
-        ),
-        ap_jitter_max: SimDuration::from_ms(f.parse("--fault-jitter-ms", 0)),
-        clock_skew_ppm: f.parse("--fault-skew-ppm", 0.0),
+        )?,
+        ap_jitter_max: SimDuration::from_ms(f.parse("--fault-jitter-ms", 0)?),
+        clock_skew_ppm: f.parse("--fault-skew-ppm", 0.0)?,
     };
     let metrics_out = f.get("--metrics-out");
     let events_out = f.get("--trace-events");
@@ -226,7 +279,7 @@ fn cmd_run(args: &[String]) -> ExitCode {
         let trace = a.world.take_trace();
         if let Err(e) = std::fs::write(path, to_jsonl(&trace)) {
             eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         eprintln!("trace: {} frames -> {path}", trace.len());
         // Re-run for the structured report (runs are deterministic).
@@ -279,13 +332,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
         }
     }
     if let Err(code) = write_obs_exports(&r, metrics_out, events_out) {
-        return code;
+        return Ok(code);
     }
     if f.has("--fail-on-invariants") && !r.invariants.is_clean() {
         eprintln!("failing: {} invariant violation(s)", r.invariants.total());
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Write the metrics (JSON, or CSV when the path ends in `.csv`) and the
@@ -320,27 +373,26 @@ fn write_obs_exports(
     Ok(())
 }
 
-fn cmd_calibrate(args: &[String]) -> ExitCode {
-    let f = Flags { args };
-    let seed: u64 = f.parse("--seed", 7);
+fn cmd_calibrate(args: &[String]) -> Result<ExitCode, Usage> {
+    let f = Flags::new(args, &["--seed"], &[])?;
+    let seed: u64 = f.parse("--seed", 7)?;
     let cal = calibrate(&NetworkConfig::default(), seed, &powerburst::scenario::DEFAULT_SIZES, 20);
     println!(
         "fitted send-cost model: time_us = {:.1} + {:.4} * bytes (R² {:.4}, {} samples)",
         cal.model.alpha_us, cal.model.beta_us, cal.r2, cal.samples
     );
     println!("effective bandwidth at 728 B frames: {:.2} Mb/s", cal.model.effective_bps(728) / 1e6);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_experiment(args: &[String]) -> ExitCode {
+fn cmd_experiment(args: &[String]) -> Result<ExitCode, Usage> {
     let Some(name) = args.first() else {
-        eprintln!("experiment name required; see `powerburst list`");
-        return ExitCode::FAILURE;
+        return Err(Usage("experiment name required; see `powerburst list`".into()));
     };
-    let f = Flags { args: &args[1..] };
+    let f = Flags::new(&args[1..], &["--secs", "--seed"], &[])?;
     let opt = exp::ExpOptions {
-        duration: SimDuration::from_secs(f.parse("--secs", 119)),
-        seed: f.parse("--seed", 7),
+        duration: SimDuration::from_secs(f.parse("--secs", 119)?),
+        seed: f.parse("--seed", 7)?,
         ..exp::ExpOptions::default()
     };
 
@@ -349,11 +401,10 @@ fn cmd_experiment(args: &[String]) -> ExitCode {
         name => match exp::EXPERIMENTS.iter().find(|e| e.name == name) {
             Some(e) => (e.run)(&opt),
             None => {
-                eprintln!("unknown experiment `{name}`; see `powerburst list`");
-                return ExitCode::FAILURE;
+                return Err(Usage(format!("unknown experiment `{name}`; see `powerburst list`")))
             }
         },
     };
     println!("{out}");
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

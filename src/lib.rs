@@ -45,10 +45,10 @@ pub use powerburst_transport as transport;
 
 /// Everything a typical experiment needs in one import.
 pub mod prelude {
-    pub use powerburst_client::{ClientConfig, ClientPowerStats, CompMode, PowerClient};
+    pub use powerburst_client::PowerClient;
     pub use powerburst_core::{
-        BandwidthModel, InvariantKind, InvariantLog, PolicyKind, Proxy, ProxyConfig, ProxyMode,
-        Schedule, Violation,
+        BandwidthModel, CompMode, InvariantKind, InvariantLog, PolicyKind, PolicyStats, Proxy,
+        ProxyConfig, ProxyMode, Schedule, Violation,
     };
     pub use powerburst_energy::{
         naive_energy_mj, optimal_savings_for_rate, CardSpec, EnergyReport, Wnic,

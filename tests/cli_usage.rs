@@ -1,0 +1,74 @@
+//! CLI usage errors: every malformed value, unknown flag or missing
+//! argument prints a message naming the flag and exits with code 2,
+//! before any simulation runs.
+
+use std::process::Command;
+
+/// Run the CLI with `args`, assert it failed as a usage error, and return
+/// its stderr.
+fn usage_error(args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_powerburst")).args(args).output().expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(2), "{args:?} exited {:?}: {stderr}", out.status);
+    assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+    stderr
+}
+
+fn assert_usage_error(args: &[&str], message: &str) {
+    let stderr = usage_error(args);
+    assert!(stderr.contains(message), "{args:?}: expected `{message}`, got: {stderr}");
+}
+
+#[test]
+fn malformed_values_are_rejected_naming_the_flag() {
+    for (args, flag, value) in [
+        (&["run", "--secs", "3.5"][..], "--secs", "3.5"),
+        (&["run", "--seed", "x"], "--seed", "x"),
+        (&["run", "--threads", "two"], "--threads", "two"),
+        (&["run", "--coord-pool", "-1"], "--coord-pool", "-1"),
+        (&["run", "--stagger-ms", "1e3"], "--stagger-ms", "1e3"),
+        (&["run", "--fault-loss", "half"], "--fault-loss", "half"),
+        (&["experiment", "all", "--secs", "ten"], "--secs", "ten"),
+        (&["calibrate", "--seed", "x"], "--seed", "x"),
+    ] {
+        assert_usage_error(args, &format!("invalid value `{value}` for {flag}"));
+    }
+}
+
+#[test]
+fn unknown_flags_are_rejected() {
+    assert_usage_error(&["run", "--bogus", "5"], "unknown flag `--bogus`");
+    assert_usage_error(&["experiment", "all", "--live"], "unknown flag `--live`");
+    assert_usage_error(&["calibrate", "--secs", "3"], "unknown flag `--secs`");
+}
+
+#[test]
+fn a_valued_flag_needs_a_value() {
+    assert_usage_error(&["run", "--clients", "4", "--secs"], "--secs needs a value");
+}
+
+#[test]
+fn unknown_pattern_is_rejected() {
+    assert_usage_error(&["run", "--pattern", "1m"], "unknown --pattern");
+}
+
+#[test]
+fn unknown_interval_is_rejected() {
+    assert_usage_error(&["run", "--interval", "soon"], "unknown --interval");
+}
+
+#[test]
+fn unknown_policy_is_rejected() {
+    assert_usage_error(&["run", "--policy", "greedy"], "unknown --policy");
+}
+
+#[test]
+fn experiment_needs_a_known_name() {
+    assert_usage_error(&["experiment"], "experiment name required");
+    assert_usage_error(&["experiment", "fig9"], "unknown experiment `fig9`");
+}
+
+#[test]
+fn unknown_command_is_rejected() {
+    assert_usage_error(&["bench"], "unknown command `bench`");
+}
