@@ -7,13 +7,14 @@
 //! * [`proxy`] — the proxy node: interception with address spoofing, split
 //!   connections, per-client buffering, burst execution, schedule
 //!   broadcast; includes the pass-through ablation mode;
-//! * [`schedule`] — schedule data types and the policy selector;
+//! * [`schedule`] — schedule data types and the demand snapshot;
 //! * [`client_policy`] — the client side of the protocol: the §3.2–3.3
 //!   wake/sleep policy as one sans-IO state machine, driven by the live
 //!   daemon and by the postmortem replay alike;
-//! * [`policy`] — the [`SchedulePolicy`] trait and its seven
-//!   implementations (dynamic fixed/variable, channel-aware,
-//!   buffer-aware, static equal, slotted TCP/UDP static, PSM beacon);
+//! * [`policy`] — [`PolicyKind`], which names the seven scheduling
+//!   policies (dynamic fixed/variable, channel-aware, buffer-aware,
+//!   static equal, slotted TCP/UDP static, PSM beacon) and builds their
+//!   schedules;
 //! * [`wire`] — the schedule broadcast wire codec (integer-only by
 //!   contract, policed by the sim-purity lint's D005 rule);
 //! * [`bandwidth`] — the fitted linear send-cost model (§3.2.2);
@@ -48,12 +49,8 @@ pub use invariants::{
     check_energy_conservation, InvariantKind, InvariantLog, ScheduleAuditor, Violation,
 };
 pub use marking::MarkCoordinator;
-pub use policy::{
-    build_schedule, build_schedule_into, registry, BufferAwarePolicy, ChannelAwarePolicy,
-    FixedPolicy, PolicyScratch, PsmBeaconPolicy, SchedulePolicy, SlottedStaticPolicy,
-    StaticEqualPolicy, VariablePolicy, DEFAULT_TARGET_BUFFER,
-};
+pub use policy::{registry, PolicyKind, PolicyScratch, DEFAULT_TARGET_BUFFER};
 pub use proxy::{Proxy, ProxyConfig, ProxyMode, ProxyStats, PROXY_AP, PROXY_LAN};
 pub use queues::PacketQueue;
-pub use schedule::{BuilderConfig, ClientDemand, PolicyKind, Schedule, ScheduleEntry};
+pub use schedule::{BuilderConfig, ClientDemand, Schedule, ScheduleEntry};
 pub use wire::{BudgetGrant, DemandReport};

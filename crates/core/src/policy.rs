@@ -1,15 +1,17 @@
-//! Pluggable scheduling policies: the demand-snapshot → slot-layout step
-//! behind a trait.
+//! Scheduling policies: the demand-snapshot → slot-layout step.
 //!
 //! The paper hard-codes two layout algorithms (dynamic fixed / dynamic
 //! variable, §3.2.1); related work shows the real wins come from channel-
 //! and buffer-aware scheduling (Wang et al. arXiv:1606.00952, Hoque et
-//! al. arXiv:1403.3710). [`SchedulePolicy`] is the seam: a policy maps a
-//! [`ClientDemand`] snapshot to a [`Schedule`] and nothing else.
+//! al. arXiv:1403.3710). [`PolicyKind`] names every policy, and
+//! [`PolicyKind::build_into`] is the seam: a policy maps a
+//! [`ClientDemand`] snapshot to a [`Schedule`] and nothing else. A new
+//! policy is a variant plus its arms in `name` and `build_into`, and an
+//! entry in [`registry`].
 //!
 //! ## Contract
 //!
-//! Every implementation must satisfy the properties enforced by
+//! Every policy must satisfy the properties enforced by
 //! `crates/core/tests/policy_props.rs`:
 //!
 //! 1. **No overlap** — slots are laid out in rendezvous order with a guard
@@ -35,9 +37,9 @@
 use powerburst_net::HostAddr;
 use powerburst_sim::SimDuration;
 
-use crate::schedule::{BuilderConfig, ClientDemand, PolicyKind, Schedule, ScheduleEntry};
+use crate::schedule::{BuilderConfig, ClientDemand, Schedule, ScheduleEntry};
 
-/// Default playout-buffer target for [`BufferAwarePolicy`], bytes.
+/// Default playout-buffer target for [`PolicyKind::BufferAware`], bytes.
 ///
 /// ≈ 4–5 s of a 56 kbps stream: enough to ride out one variable-interval
 /// stretch plus an AP delay spike.
@@ -56,26 +58,152 @@ pub struct PolicyScratch {
 }
 
 /// A schedule-construction policy: demand snapshot in, slot layout out.
-pub trait SchedulePolicy {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PolicyKind {
+    /// Dynamic schedule with a fixed burst interval; slots proportional to
+    /// queue sizes (§3.2.1 "fixed size" schedules).
+    DynamicFixed {
+        /// The burst interval (100 ms and 500 ms in the paper).
+        interval: SimDuration,
+    },
+    /// Dynamic schedule with a variable burst interval: every client gets
+    /// enough time to drain its queue and the interval stretches (within
+    /// bounds) to fit.
+    DynamicVariable {
+        /// Smallest allowed interval (100 ms in the paper).
+        min: SimDuration,
+        /// Largest allowed interval (≈500 ms in the paper).
+        max: SimDuration,
+    },
+    /// Permanent equal slots for every known client (§4.3 baseline).
+    StaticEqual {
+        /// The burst interval.
+        interval: SimDuration,
+    },
+    /// Figure 7: a TCP slot (all clients awake) of `tcp_weight` of the
+    /// interval, then equal UDP slots.
+    SlottedStatic {
+        /// The burst interval (500 ms in the paper's Figure 7).
+        interval: SimDuration,
+        /// Fraction of the usable interval given to the TCP slot
+        /// (0.10 / 0.33 / 0.56 in the paper).
+        tcp_weight: f64,
+    },
+    /// 802.11 power-save-mode baseline (§2 related work): one shared
+    /// delivery window after each beacon during which *every* client
+    /// listens while the AP drains all buffered traffic — no per-client
+    /// rendezvous points. Demonstrates why PSM "is not a good match for
+    /// multimedia": each client pays for everyone's traffic.
+    PsmBeacon {
+        /// The beacon interval (100 ms in 802.11's default).
+        interval: SimDuration,
+    },
+    /// Channel-aware dynamic schedule: slot shares are proportional to the
+    /// *airtime* a client needs, not its bytes. A client whose Markov
+    /// channel state reports `rate_pct` percent of nominal throughput needs
+    /// `100/rate_pct`× the airtime per byte, so its weight is inflated
+    /// accordingly (rate-adaptive slots, Wang et al. arXiv:1606.00952).
+    /// With every channel Good this is [`PolicyKind::DynamicFixed`] exactly.
+    ChannelAware {
+        /// The burst interval.
+        interval: SimDuration,
+    },
+    /// Buffer-aware dynamic schedule: burst length shaped by reported
+    /// client playout-buffer occupancy (EStreamer-style, Hoque et al.
+    /// arXiv:1403.3710). Clients below the target buffer get their share
+    /// inflated by the deficit so the burst refills them; clients holding
+    /// at least twice the target get trimmed to a trickle, buying sleep
+    /// time. Clients that have not reported (legacy 24-byte reports) fall
+    /// back to plain proportional shares.
+    BufferAware {
+        /// The burst interval.
+        interval: SimDuration,
+        /// Desired playout-buffer occupancy, bytes.
+        target_buffer: u64,
+    },
+}
+
+impl PolicyKind {
     /// Stable identifier for CLI flags, experiment rows, and metrics labels.
-    fn name(&self) -> &'static str;
+    pub fn name(self) -> &'static str {
+        match self {
+            PolicyKind::DynamicFixed { .. } => "fixed",
+            PolicyKind::DynamicVariable { .. } => "variable",
+            PolicyKind::ChannelAware { .. } => "channel",
+            PolicyKind::BufferAware { .. } => "buffer",
+            PolicyKind::StaticEqual { .. } => "static",
+            PolicyKind::SlottedStatic { .. } => "slotted",
+            PolicyKind::PsmBeacon { .. } => "psm",
+        }
+    }
 
     /// Build the schedule for the next burst interval into `out`.
     ///
-    /// `demands` lists **all** known clients in a stable order. `out` is
-    /// fully overwritten (callers need not reset it); `scratch` contents
-    /// are unspecified on entry and exit.
-    fn build_into(
-        &self,
+    /// `demands` lists **all** known clients in a stable order; clients
+    /// with zero demand get no slot under the dynamic policies but always
+    /// get one under the static ones. `out` is fully overwritten (callers
+    /// need not reset it); `scratch` contents are unspecified on entry and
+    /// exit.
+    pub fn build_into(
+        self,
         cfg: &BuilderConfig,
         demands: &[ClientDemand],
         seq: u64,
         scratch: &mut PolicyScratch,
         out: &mut Schedule,
-    );
+    ) {
+        match self {
+            PolicyKind::DynamicFixed { interval } => build_weighted_fixed_into(
+                interval,
+                cfg,
+                demands,
+                seq,
+                ClientDemand::total,
+                scratch,
+                out,
+            ),
+            PolicyKind::DynamicVariable { min, max } => {
+                build_variable_into(min, max, cfg, demands, seq, scratch, out)
+            }
+            PolicyKind::ChannelAware { interval } => build_weighted_fixed_into(
+                interval,
+                cfg,
+                demands,
+                seq,
+                |d| d.total().saturating_mul(100) / d.channel.rate_pct(),
+                scratch,
+                out,
+            ),
+            PolicyKind::BufferAware { interval, target_buffer } => {
+                let target = target_buffer.max(1);
+                build_weighted_fixed_into(
+                    interval,
+                    cfg,
+                    demands,
+                    seq,
+                    move |d| match d.buffer_bytes {
+                        None => d.total(),
+                        Some(buf) if buf >= target.saturating_mul(2) => (d.total() / 2).max(1),
+                        Some(buf) => d.total().saturating_add(target - buf.min(target)),
+                    },
+                    scratch,
+                    out,
+                )
+            }
+            PolicyKind::StaticEqual { interval } => {
+                build_static_into(interval, cfg, demands, seq, scratch, out)
+            }
+            PolicyKind::SlottedStatic { interval, tcp_weight } => {
+                build_slotted_into(interval, tcp_weight, cfg, demands, seq, scratch, out)
+            }
+            PolicyKind::PsmBeacon { interval } => {
+                build_psm_into(interval, cfg, demands, seq, scratch, out)
+            }
+        }
+    }
 
     /// Convenience wrapper allocating fresh buffers.
-    fn build(&self, cfg: &BuilderConfig, demands: &[ClientDemand], seq: u64) -> Schedule {
+    pub fn build(self, cfg: &BuilderConfig, demands: &[ClientDemand], seq: u64) -> Schedule {
         let mut scratch = PolicyScratch::default();
         let mut out = Schedule::default();
         self.build_into(cfg, demands, seq, &mut scratch, &mut out);
@@ -83,380 +211,157 @@ pub trait SchedulePolicy {
     }
 }
 
-/// Dynamic schedule, fixed interval: slots proportional to queue sizes
-/// (§3.2.1 "fixed size" schedules; the paper's 100 ms / 500 ms runs).
-#[derive(Debug, Clone, Copy)]
-pub struct FixedPolicy {
-    /// The burst interval.
-    pub interval: SimDuration,
-}
-
-impl SchedulePolicy for FixedPolicy {
-    fn name(&self) -> &'static str {
-        "fixed"
-    }
-
-    fn build_into(
-        &self,
-        cfg: &BuilderConfig,
-        demands: &[ClientDemand],
-        seq: u64,
-        scratch: &mut PolicyScratch,
-        out: &mut Schedule,
-    ) {
-        build_weighted_fixed_into(
-            self.interval,
-            cfg,
-            demands,
-            seq,
-            ClientDemand::total,
-            scratch,
-            out,
-        )
-    }
-}
-
-/// Dynamic schedule, variable interval: every client gets enough time to
-/// drain its queue and the interval stretches (within bounds) to fit.
-#[derive(Debug, Clone, Copy)]
-pub struct VariablePolicy {
-    /// Smallest allowed interval (100 ms in the paper).
-    pub min: SimDuration,
-    /// Largest allowed interval (≈500 ms in the paper).
-    pub max: SimDuration,
-}
-
-impl SchedulePolicy for VariablePolicy {
-    fn name(&self) -> &'static str {
-        "variable"
-    }
-
-    fn build_into(
-        &self,
-        cfg: &BuilderConfig,
-        demands: &[ClientDemand],
-        seq: u64,
-        scratch: &mut PolicyScratch,
-        out: &mut Schedule,
-    ) {
-        scratch.slots.clear();
-        for d in demands {
-            if d.total() > 0 {
-                let t = drain_time(cfg, d.total(), d.avg_pkt).max(cfg.min_slot);
-                scratch.slots.push((d.client, t));
-            }
-        }
-        if scratch.slots.is_empty() {
-            reset(out, seq, self.min);
-            return;
-        }
-        let overhead = cfg.schedule_airtime + cfg.guard * (scratch.slots.len() as u64 + 1);
-        let needed: SimDuration = scratch.slots.iter().fold(overhead, |acc, (_, d)| acc + *d);
-        let interval = needed.max(self.min).min(self.max);
-        if needed > interval {
-            // Demand exceeds the cap: shrink slots proportionally ("each
-            // client can empty its packet queue" no longer holds —
-            // overload). The same fit guarantee as the fixed policy
-            // applies: min_slot padding must never push a trailing client
-            // past the clamp.
-            let budget = interval.saturating_sub(overhead);
-            scratch.weights.clear();
-            scratch.weights.extend(scratch.slots.iter().map(|(_, d)| d.as_us()));
-            if fit_shares_into(budget, cfg.min_slot, &scratch.weights, &mut scratch.shares) {
-                for ((_, d), share) in scratch.slots.iter_mut().zip(&scratch.shares) {
-                    *d = *share;
-                }
-            } else {
-                saturated_round_robin_into(interval, cfg, demands, seq, false, scratch, out);
-                return;
-            }
-        }
-        lay_out_into(cfg, interval, seq, scratch, out);
-        clamp_to_interval(out, interval, cfg.guard);
-    }
-}
-
-/// Channel-aware dynamic schedule: slot shares are proportional to the
-/// *airtime* a client needs, not its bytes. A client whose Markov channel
-/// state reports `rate_pct` percent of nominal throughput needs
-/// `100/rate_pct`× the airtime per byte, so its weight is inflated
-/// accordingly (rate-adaptive slots per Wang et al. arXiv:1606.00952).
-/// With every channel Good this degenerates to [`FixedPolicy`] exactly.
-#[derive(Debug, Clone, Copy)]
-pub struct ChannelAwarePolicy {
-    /// The burst interval.
-    pub interval: SimDuration,
-}
-
-impl SchedulePolicy for ChannelAwarePolicy {
-    fn name(&self) -> &'static str {
-        "channel"
-    }
-
-    fn build_into(
-        &self,
-        cfg: &BuilderConfig,
-        demands: &[ClientDemand],
-        seq: u64,
-        scratch: &mut PolicyScratch,
-        out: &mut Schedule,
-    ) {
-        build_weighted_fixed_into(
-            self.interval,
-            cfg,
-            demands,
-            seq,
-            |d| d.total().saturating_mul(100) / d.channel.rate_pct(),
-            scratch,
-            out,
-        )
-    }
-}
-
-/// Buffer-aware dynamic schedule: burst length shaped by reported client
-/// playout-buffer occupancy (EStreamer-style, Hoque et al.
-/// arXiv:1403.3710). Clients below the target buffer get their share
-/// inflated by the deficit so the burst refills them; clients holding at
-/// least twice the target get trimmed to a trickle, buying sleep time.
-/// Clients that have not reported (legacy 24-byte reports) fall back to
-/// plain proportional shares.
-#[derive(Debug, Clone, Copy)]
-pub struct BufferAwarePolicy {
-    /// The burst interval.
-    pub interval: SimDuration,
-    /// Desired playout-buffer occupancy, bytes.
-    pub target_buffer: u64,
-}
-
-impl SchedulePolicy for BufferAwarePolicy {
-    fn name(&self) -> &'static str {
-        "buffer"
-    }
-
-    fn build_into(
-        &self,
-        cfg: &BuilderConfig,
-        demands: &[ClientDemand],
-        seq: u64,
-        scratch: &mut PolicyScratch,
-        out: &mut Schedule,
-    ) {
-        let target = self.target_buffer.max(1);
-        build_weighted_fixed_into(
-            self.interval,
-            cfg,
-            demands,
-            seq,
-            move |d| match d.buffer_bytes {
-                None => d.total(),
-                Some(buf) if buf >= target.saturating_mul(2) => (d.total() / 2).max(1),
-                Some(buf) => d.total().saturating_add(target - buf.min(target)),
-            },
-            scratch,
-            out,
-        )
-    }
-}
-
-/// Permanent equal slots for every known client (§4.3 baseline).
-#[derive(Debug, Clone, Copy)]
-pub struct StaticEqualPolicy {
-    /// The burst interval.
-    pub interval: SimDuration,
-}
-
-impl SchedulePolicy for StaticEqualPolicy {
-    fn name(&self) -> &'static str {
-        "static"
-    }
-
-    fn build_into(
-        &self,
-        cfg: &BuilderConfig,
-        demands: &[ClientDemand],
-        seq: u64,
-        scratch: &mut PolicyScratch,
-        out: &mut Schedule,
-    ) {
-        let interval = self.interval;
-        if demands.is_empty() {
-            reset(out, seq, interval);
-            return;
-        }
-        let n = demands.len() as u64;
-        let overhead = cfg.schedule_airtime + cfg.guard * (n + 1);
-        let share = interval.saturating_sub(overhead) / n;
-        if share < cfg.min_slot {
-            // Overhead has eaten the interval: equal division would emit
-            // zero-length (or sub-minimum) slots for everyone.
-            saturated_round_robin_into(interval, cfg, demands, seq, false, scratch, out);
-            return;
-        }
-        scratch.slots.clear();
-        scratch.slots.extend(demands.iter().map(|d| (d.client, share)));
-        lay_out_into(cfg, interval, seq, scratch, out);
-        out.fixed_slots = true;
-    }
-}
-
-/// Figure 7: a TCP slot (all clients awake) of `tcp_weight` of the
-/// interval, then equal UDP slots.
-#[derive(Debug, Clone, Copy)]
-pub struct SlottedStaticPolicy {
-    /// The burst interval (500 ms in the paper's Figure 7).
-    pub interval: SimDuration,
-    /// Fraction of the usable interval given to the TCP slot.
-    pub tcp_weight: f64,
-}
-
-impl SchedulePolicy for SlottedStaticPolicy {
-    fn name(&self) -> &'static str {
-        "slotted"
-    }
-
-    fn build_into(
-        &self,
-        cfg: &BuilderConfig,
-        demands: &[ClientDemand],
-        seq: u64,
-        scratch: &mut PolicyScratch,
-        out: &mut Schedule,
-    ) {
-        let (interval, tcp_weight) = (self.interval, self.tcp_weight);
-        assert!((0.0..1.0).contains(&tcp_weight), "tcp_weight must be in [0,1)");
-        if demands.is_empty() {
-            reset(out, seq, interval);
-            return;
-        }
-        let n = demands.len() as u64;
-        let overhead = cfg.schedule_airtime + cfg.guard * (n + 2);
-        let usable = interval.saturating_sub(overhead);
-        let tcp_slot = SimDuration::from_us((usable.as_us() as f64 * tcp_weight) as u64);
-        let udp_share = usable.saturating_sub(tcp_slot) / n;
-        if udp_share < cfg.min_slot {
-            // Same degradation as the static policy, but keep a broadcast
-            // TCP slot so spliced streams aren't starved entirely.
-            saturated_round_robin_into(interval, cfg, demands, seq, true, scratch, out);
-            return;
-        }
-        scratch.slots.clear();
-        scratch.slots.push((HostAddr::BROADCAST, tcp_slot));
-        for d in demands {
-            scratch.slots.push((d.client, udp_share));
-        }
-        lay_out_into(cfg, interval, seq, scratch, out);
-        out.fixed_slots = true;
-    }
-}
-
-/// 802.11 power-save-mode baseline: one shared delivery window after each
-/// beacon during which *every* client listens.
-#[derive(Debug, Clone, Copy)]
-pub struct PsmBeaconPolicy {
-    /// The beacon interval (100 ms in 802.11's default).
-    pub interval: SimDuration,
-}
-
-impl SchedulePolicy for PsmBeaconPolicy {
-    fn name(&self) -> &'static str {
-        "psm"
-    }
-
-    fn build_into(
-        &self,
-        cfg: &BuilderConfig,
-        demands: &[ClientDemand],
-        seq: u64,
-        scratch: &mut PolicyScratch,
-        out: &mut Schedule,
-    ) {
-        let interval = self.interval;
-        let total: u64 = demands.iter().map(|d| d.total()).sum();
-        if total == 0 {
-            reset(out, seq, interval);
-            out.fixed_slots = true;
-            return;
-        }
-        let avg = weighted_avg_pkt(demands);
-        let overhead = cfg.schedule_airtime + cfg.guard * 2;
-        let window =
-            drain_time(cfg, total, avg).max(cfg.min_slot).min(interval.saturating_sub(overhead));
-        scratch.slots.clear();
-        scratch.slots.push((HostAddr::BROADCAST, window));
-        lay_out_into(cfg, interval, seq, scratch, out);
-        out.fixed_slots = true;
-    }
-}
-
-/// All registered policies at their canonical parameters, for the shared
+/// Every policy at its canonical parameters, fixed first, for the shared
 /// policy-contract property harness (`crates/core/tests/policy_props.rs`).
-pub fn registry() -> Vec<Box<dyn SchedulePolicy>> {
+pub fn registry() -> Vec<PolicyKind> {
     let ms = SimDuration::from_ms;
     vec![
-        Box::new(FixedPolicy { interval: ms(100) }),
-        Box::new(VariablePolicy { min: ms(100), max: ms(500) }),
-        Box::new(ChannelAwarePolicy { interval: ms(100) }),
-        Box::new(BufferAwarePolicy { interval: ms(100), target_buffer: DEFAULT_TARGET_BUFFER }),
-        Box::new(StaticEqualPolicy { interval: ms(100) }),
-        Box::new(SlottedStaticPolicy { interval: ms(500), tcp_weight: 0.33 }),
-        Box::new(PsmBeaconPolicy { interval: ms(100) }),
+        PolicyKind::DynamicFixed { interval: ms(100) },
+        PolicyKind::DynamicVariable { min: ms(100), max: ms(500) },
+        PolicyKind::ChannelAware { interval: ms(100) },
+        PolicyKind::BufferAware { interval: ms(100), target_buffer: DEFAULT_TARGET_BUFFER },
+        PolicyKind::StaticEqual { interval: ms(100) },
+        PolicyKind::SlottedStatic { interval: ms(500), tcp_weight: 0.33 },
+        PolicyKind::PsmBeacon { interval: ms(100) },
     ]
 }
 
-/// Build the schedule for the next burst interval into caller-owned
-/// buffers (the proxy's allocation-free path).
-///
-/// Dispatches the [`PolicyKind`] selector to its [`SchedulePolicy`] impl
-/// statically — no boxing on the per-SRP path.
-pub fn build_schedule_into(
-    policy: PolicyKind,
+/// [`PolicyKind::DynamicVariable`]: each active client's slot is its
+/// drain time, and the interval is their sum clamped to `[min, max]`.
+fn build_variable_into(
+    min: SimDuration,
+    max: SimDuration,
     cfg: &BuilderConfig,
     demands: &[ClientDemand],
     seq: u64,
     scratch: &mut PolicyScratch,
     out: &mut Schedule,
 ) {
-    match policy {
-        PolicyKind::DynamicFixed { interval } => {
-            FixedPolicy { interval }.build_into(cfg, demands, seq, scratch, out)
-        }
-        PolicyKind::DynamicVariable { min, max } => {
-            VariablePolicy { min, max }.build_into(cfg, demands, seq, scratch, out)
-        }
-        PolicyKind::ChannelAware { interval } => {
-            ChannelAwarePolicy { interval }.build_into(cfg, demands, seq, scratch, out)
-        }
-        PolicyKind::BufferAware { interval, target_buffer } => {
-            BufferAwarePolicy { interval, target_buffer }
-                .build_into(cfg, demands, seq, scratch, out)
-        }
-        PolicyKind::StaticEqual { interval } => {
-            StaticEqualPolicy { interval }.build_into(cfg, demands, seq, scratch, out)
-        }
-        PolicyKind::SlottedStatic { interval, tcp_weight } => {
-            SlottedStaticPolicy { interval, tcp_weight }.build_into(cfg, demands, seq, scratch, out)
-        }
-        PolicyKind::PsmBeacon { interval } => {
-            PsmBeaconPolicy { interval }.build_into(cfg, demands, seq, scratch, out)
+    scratch.slots.clear();
+    for d in demands {
+        if d.total() > 0 {
+            let t = drain_time(cfg, d.total(), d.avg_pkt).max(cfg.min_slot);
+            scratch.slots.push((d.client, t));
         }
     }
+    if scratch.slots.is_empty() {
+        reset(out, seq, min);
+        return;
+    }
+    let overhead = cfg.schedule_airtime + cfg.guard * (scratch.slots.len() as u64 + 1);
+    let needed: SimDuration = scratch.slots.iter().fold(overhead, |acc, (_, d)| acc + *d);
+    let interval = needed.max(min).min(max);
+    if needed > interval {
+        // Demand exceeds the cap: shrink slots proportionally ("each
+        // client can empty its packet queue" no longer holds —
+        // overload). The same fit guarantee as the fixed policy
+        // applies: min_slot padding must never push a trailing client
+        // past the clamp.
+        let budget = interval.saturating_sub(overhead);
+        scratch.weights.clear();
+        scratch.weights.extend(scratch.slots.iter().map(|(_, d)| d.as_us()));
+        if fit_shares_into(budget, cfg.min_slot, &scratch.weights, &mut scratch.shares) {
+            for ((_, d), share) in scratch.slots.iter_mut().zip(&scratch.shares) {
+                *d = *share;
+            }
+        } else {
+            saturated_round_robin_into(interval, cfg, demands, seq, false, scratch, out);
+            return;
+        }
+    }
+    lay_out_into(cfg, interval, seq, scratch, out);
+    clamp_to_interval(out, interval, cfg.guard);
 }
 
-/// Build the schedule for the next burst interval.
-///
-/// `demands` must list **all** known clients in a stable order (schedules
-/// are deterministic); clients with zero demand get no slot under the
-/// dynamic policies but always get one under the static ones.
-pub fn build_schedule(
-    policy: PolicyKind,
+/// [`PolicyKind::StaticEqual`]: one equal share of the interval per
+/// known client, active or not.
+fn build_static_into(
+    interval: SimDuration,
     cfg: &BuilderConfig,
     demands: &[ClientDemand],
     seq: u64,
-) -> Schedule {
-    let mut scratch = PolicyScratch::default();
-    let mut out = Schedule::default();
-    build_schedule_into(policy, cfg, demands, seq, &mut scratch, &mut out);
-    out
+    scratch: &mut PolicyScratch,
+    out: &mut Schedule,
+) {
+    if demands.is_empty() {
+        reset(out, seq, interval);
+        return;
+    }
+    let n = demands.len() as u64;
+    let overhead = cfg.schedule_airtime + cfg.guard * (n + 1);
+    let share = interval.saturating_sub(overhead) / n;
+    if share < cfg.min_slot {
+        // Overhead has eaten the interval: equal division would emit
+        // zero-length (or sub-minimum) slots for everyone.
+        saturated_round_robin_into(interval, cfg, demands, seq, false, scratch, out);
+        return;
+    }
+    scratch.slots.clear();
+    scratch.slots.extend(demands.iter().map(|d| (d.client, share)));
+    lay_out_into(cfg, interval, seq, scratch, out);
+    out.fixed_slots = true;
+}
+
+/// [`PolicyKind::SlottedStatic`]: a broadcast TCP slot first, then equal
+/// UDP slots for every known client.
+fn build_slotted_into(
+    interval: SimDuration,
+    tcp_weight: f64,
+    cfg: &BuilderConfig,
+    demands: &[ClientDemand],
+    seq: u64,
+    scratch: &mut PolicyScratch,
+    out: &mut Schedule,
+) {
+    assert!((0.0..1.0).contains(&tcp_weight), "tcp_weight must be in [0,1)");
+    if demands.is_empty() {
+        reset(out, seq, interval);
+        return;
+    }
+    let n = demands.len() as u64;
+    let overhead = cfg.schedule_airtime + cfg.guard * (n + 2);
+    let usable = interval.saturating_sub(overhead);
+    let tcp_slot = SimDuration::from_us((usable.as_us() as f64 * tcp_weight) as u64);
+    let udp_share = usable.saturating_sub(tcp_slot) / n;
+    if udp_share < cfg.min_slot {
+        // Same degradation as the static policy, but keep a broadcast
+        // TCP slot so spliced streams aren't starved entirely.
+        saturated_round_robin_into(interval, cfg, demands, seq, true, scratch, out);
+        return;
+    }
+    scratch.slots.clear();
+    scratch.slots.push((HostAddr::BROADCAST, tcp_slot));
+    for d in demands {
+        scratch.slots.push((d.client, udp_share));
+    }
+    lay_out_into(cfg, interval, seq, scratch, out);
+    out.fixed_slots = true;
+}
+
+/// [`PolicyKind::PsmBeacon`]: one broadcast window long enough to drain
+/// every queue, capped by the beacon interval.
+fn build_psm_into(
+    interval: SimDuration,
+    cfg: &BuilderConfig,
+    demands: &[ClientDemand],
+    seq: u64,
+    scratch: &mut PolicyScratch,
+    out: &mut Schedule,
+) {
+    let total: u64 = demands.iter().map(|d| d.total()).sum();
+    if total == 0 {
+        reset(out, seq, interval);
+        out.fixed_slots = true;
+        return;
+    }
+    let avg = weighted_avg_pkt(demands);
+    let overhead = cfg.schedule_airtime + cfg.guard * 2;
+    let window =
+        drain_time(cfg, total, avg).max(cfg.min_slot).min(interval.saturating_sub(overhead));
+    scratch.slots.clear();
+    scratch.slots.push((HostAddr::BROADCAST, window));
+    lay_out_into(cfg, interval, seq, scratch, out);
+    out.fixed_slots = true;
 }
 
 /// Reset `out` to an empty schedule with the given sequence and interval.
@@ -671,8 +576,6 @@ fn clamp_to_interval(s: &mut Schedule, interval: SimDuration, guard: SimDuration
     s.entries.retain(|e| !e.duration.is_zero());
 }
 
-/// Degenerate-channel check: with every link Good, the channel-aware
-/// weighting is the identity, so the two policies must agree exactly.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -682,14 +585,16 @@ mod tests {
         ClientDemand::new(HostAddr(host), udp, 0, 1_000)
     }
 
+    /// Degenerate-channel check: with every link Good, the channel-aware
+    /// weighting is the identity, so the two policies must agree exactly.
     #[test]
     fn channel_aware_with_all_good_equals_fixed() {
         let cfg = BuilderConfig::default();
         let demands: Vec<ClientDemand> =
             (0..8).map(|i| demand(i, 1_000 * (i as u64 + 1))).collect();
         let interval = SimDuration::from_ms(100);
-        let a = FixedPolicy { interval }.build(&cfg, &demands, 7);
-        let b = ChannelAwarePolicy { interval }.build(&cfg, &demands, 7);
+        let a = PolicyKind::DynamicFixed { interval }.build(&cfg, &demands, 7);
+        let b = PolicyKind::ChannelAware { interval }.build(&cfg, &demands, 7);
         assert_eq!(a, b);
     }
 
@@ -699,7 +604,7 @@ mod tests {
         let mut demands = vec![demand(1, 10_000), demand(2, 10_000)];
         demands[1].channel = ChannelQuality::Bad;
         let interval = SimDuration::from_ms(100);
-        let s = ChannelAwarePolicy { interval }.build(&cfg, &demands, 0);
+        let s = PolicyKind::ChannelAware { interval }.build(&cfg, &demands, 0);
         assert_eq!(s.entries.len(), 2);
         let good = s.entries[0].duration.as_us();
         let bad = s.entries[1].duration.as_us();
@@ -716,7 +621,8 @@ mod tests {
         demands[1].buffer_bytes = Some(target); // on target → plain share
         demands[2].buffer_bytes = Some(3 * target); // overfull → trimmed
         let interval = SimDuration::from_ms(200);
-        let s = BufferAwarePolicy { interval, target_buffer: target }.build(&cfg, &demands, 0);
+        let s =
+            PolicyKind::BufferAware { interval, target_buffer: target }.build(&cfg, &demands, 0);
         assert_eq!(s.entries.len(), 3);
         let starving = s.entries[0].duration.as_us();
         let on_target = s.entries[1].duration.as_us();
@@ -731,8 +637,8 @@ mod tests {
         let demands: Vec<ClientDemand> =
             (0..5).map(|i| demand(i, 5_000 + 777 * i as u64)).collect();
         let interval = SimDuration::from_ms(100);
-        let a = FixedPolicy { interval }.build(&cfg, &demands, 3);
-        let b = BufferAwarePolicy { interval, target_buffer: DEFAULT_TARGET_BUFFER }
+        let a = PolicyKind::DynamicFixed { interval }.build(&cfg, &demands, 3);
+        let b = PolicyKind::BufferAware { interval, target_buffer: DEFAULT_TARGET_BUFFER }
             .build(&cfg, &demands, 3);
         assert_eq!(a, b);
     }
@@ -743,7 +649,7 @@ mod tests {
         let demands: Vec<ClientDemand> = (0..6).map(|i| demand(i, 2_000)).collect();
         let mut scratch = PolicyScratch::default();
         let mut out = Schedule::default();
-        let p = FixedPolicy { interval: SimDuration::from_ms(100) };
+        let p = PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) };
         p.build_into(&cfg, &demands, 0, &mut scratch, &mut out);
         let first = out.clone();
         // A second build with dirty buffers must produce the same result.
@@ -758,5 +664,26 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(names.len(), dedup.len(), "duplicate policy names: {names:?}");
+    }
+
+    /// The match is exhaustive, so a new variant stops this test compiling
+    /// until it gets an index here; the count then fails until
+    /// `registry()` lists it.
+    #[test]
+    fn registry_lists_every_kind_exactly_once() {
+        let mut listed = [0u32; 7];
+        for p in registry() {
+            listed[match p {
+                PolicyKind::DynamicFixed { .. } => 0,
+                PolicyKind::DynamicVariable { .. } => 1,
+                PolicyKind::ChannelAware { .. } => 2,
+                PolicyKind::BufferAware { .. } => 3,
+                PolicyKind::StaticEqual { .. } => 4,
+                PolicyKind::SlottedStatic { .. } => 5,
+                PolicyKind::PsmBeacon { .. } => 6,
+            }] += 1;
+        }
+        assert_eq!(listed, [1; 7], "registry() must list each PolicyKind once");
+        assert!(matches!(registry()[0], PolicyKind::DynamicFixed { .. }), "fixed comes first");
     }
 }

@@ -47,15 +47,24 @@ use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionStats};
 use crate::bandwidth::BandwidthModel;
 use crate::invariants::{InvariantKind, InvariantLog, ScheduleAuditor, Violation};
 use crate::marking::MarkCoordinator;
-use crate::policy::{build_schedule_into, PolicyScratch};
+use crate::policy::{PolicyKind, PolicyScratch};
 use crate::queues::PacketQueue;
-use crate::schedule::{BuilderConfig, ClientDemand, PolicyKind, Schedule};
+use crate::schedule::{BuilderConfig, ClientDemand, Schedule};
 use crate::wire::{BudgetGrant, DemandReport};
 
 /// Proxy interface toward the servers (the Fast Ethernet side).
 pub const PROXY_LAN: IfaceId = IfaceId(0);
 /// Proxy interface toward the access point.
 pub const PROXY_AP: IfaceId = IfaceId(1);
+
+/// Send-cost model converting slot time to bytes (the fitted default).
+const BW: BandwidthModel = BandwidthModel::DEFAULT_11MBPS;
+/// Per-client buffer capacity, bytes (§3.2.2 sizes ~512 KB total).
+const QUEUE_CAP: usize = 256 * 1024;
+/// Guard gap between slots.
+const GUARD: SimDuration = SimDuration::from_ms(1);
+/// Smallest slot worth scheduling.
+const MIN_SLOT: SimDuration = SimDuration::from_ms(4);
 
 /// What a proxy timer fires for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,18 +117,8 @@ pub struct ProxyConfig {
     pub addr: SockAddr,
     /// Scheduling policy.
     pub policy: PolicyKind,
-    /// Send-cost model (from calibration or the default).
-    pub bw: BandwidthModel,
-    /// TCP parameters for splice endpoints.
-    pub tcp: TcpConfig,
     /// Known client hosts (the wireless subnet), in schedule order.
     pub clients: Vec<HostAddr>,
-    /// Per-client buffer capacity, bytes (§3.2.2 sizes ~512 KB total).
-    pub queue_cap: usize,
-    /// Guard gap between slots.
-    pub guard: SimDuration,
-    /// Smallest slot worth scheduling.
-    pub min_slot: SimDuration,
     /// Split vs pass-through.
     pub mode: ProxyMode,
     /// Emit the §5 "unchanged" flag when consecutive schedules match.
@@ -142,12 +141,7 @@ impl ProxyConfig {
         ProxyConfig {
             addr,
             policy,
-            bw: BandwidthModel::DEFAULT_11MBPS,
-            tcp: TcpConfig::default(),
             clients,
-            queue_cap: 256 * 1024,
-            guard: SimDuration::from_ms(1),
-            min_slot: SimDuration::from_ms(4),
             mode: ProxyMode::Split,
             flag_unchanged: false,
             admission: None,
@@ -296,14 +290,14 @@ impl Proxy {
             .iter()
             .map(|&host| ClientState {
                 host,
-                queue: PacketQueue::new(cfg.queue_cap),
+                queue: PacketQueue::new(QUEUE_CAP),
                 splices: Vec::new(),
                 burst_until: SimTime::ZERO,
             })
             .collect();
         let client_index: FastHashMap<_, _> =
             cfg.clients.iter().enumerate().map(|(i, &h)| (h, i)).collect();
-        let admission = cfg.admission.map(|a| AdmissionControl::new(a, &cfg.bw, 728));
+        let admission = cfg.admission.map(|a| AdmissionControl::new(a, &BW, 728));
         let n_clients = clients.len();
         Proxy {
             cfg,
@@ -346,11 +340,6 @@ impl Proxy {
         self.obs = rec;
     }
 
-    /// Invariant violations recorded so far.
-    pub fn invariant_log(&self) -> &InvariantLog {
-        &self.audit.log
-    }
-
     /// Take the invariant log (for folding into a run report).
     pub fn take_invariants(&mut self) -> InvariantLog {
         std::mem::take(&mut self.audit.log)
@@ -362,17 +351,12 @@ impl Proxy {
     /// once the byte budget is exhausted), so allow two full segments per
     /// client sharing the window.
     fn burst_grace(&self, sharers: usize) -> SimDuration {
-        self.cfg.bw.send_time(self.cfg.tcp.mss + 40).times(2 * sharers.max(1) as u64)
+        BW.send_time(TcpConfig::default().mss + 40).times(2 * sharers.max(1) as u64)
     }
 
     /// Total packets dropped at client queues.
     pub fn queue_drops(&self) -> u64 {
         self.clients.iter().map(|c| c.queue.drops).sum()
-    }
-
-    /// The schedule policy in force.
-    pub fn policy(&self) -> PolicyKind {
-        self.cfg.policy
     }
 
     /// Admission-control counters, if admission is configured.
@@ -425,7 +409,7 @@ impl Proxy {
 
     fn schedule_airtime_estimate(&self) -> SimDuration {
         let payload = 19 + 12 * self.clients.len();
-        self.cfg.bw.send_time(payload + 28)
+        BW.send_time(payload + 28)
     }
 
     fn on_srp(&mut self, ctx: &mut Ctx<'_>) {
@@ -449,22 +433,15 @@ impl Proxy {
         }
         let bcfg = BuilderConfig {
             schedule_airtime: self.schedule_airtime_estimate(),
-            guard: self.cfg.guard,
-            min_slot: self.cfg.min_slot,
-            bw: self.cfg.bw,
+            guard: GUARD,
+            min_slot: MIN_SLOT,
+            bw: BW,
         };
         // Build into the spare schedule's buffers: together with the
         // `prev` ↔ `spare` swap below, the per-SRP build is allocation-free
         // once entry capacity reaches steady state.
         let mut sched = std::mem::take(&mut self.spare_schedule);
-        build_schedule_into(
-            self.cfg.policy,
-            &bcfg,
-            &demands,
-            self.seq,
-            &mut self.policy_scratch,
-            &mut sched,
-        );
+        self.cfg.policy.build_into(&bcfg, &demands, self.seq, &mut self.policy_scratch, &mut sched);
         self.seq += 1;
         // Shrink to the coordinator's airtime grant before anything reads
         // the schedule: the audit, the unchanged comparison, and the
@@ -640,7 +617,7 @@ impl Proxy {
             progress = false;
             for ci in 0..n {
                 let Some(size) = self.clients[ci].queue.peek_size() else { continue };
-                let cost = self.cfg.bw.send_time(size);
+                let cost = BW.send_time(size);
                 if cost > remaining {
                     continue;
                 }
@@ -663,10 +640,7 @@ impl Proxy {
         self.psm_last_of = last_of;
         let sent = out.len() as u64;
         for (_, pkt) in out.drain(..) {
-            self.stats.udp_bytes_sent += pkt.wire_size() as u64;
-            self.obs.add(Counter::UdpBytesSent, pkt.wire_size() as u64);
-            self.audit.on_frame(self.cfg.bw.send_time(pkt.wire_size()), pkt.tos_mark);
-            ctx.send(PROXY_AP, pkt);
+            self.send_datagram(ctx, pkt);
         }
         self.psm_out = out;
         self.stats.udp_packets_sent += sent;
@@ -682,6 +656,14 @@ impl Proxy {
             self.bursting = None;
         }
         self.audit.end_burst(ctx.now());
+    }
+
+    /// Count, audit and send one burst datagram toward the AP.
+    fn send_datagram(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
+        self.stats.udp_bytes_sent += pkt.wire_size() as u64;
+        self.obs.add(Counter::UdpBytesSent, pkt.wire_size() as u64);
+        self.audit.on_frame(BW.send_time(pkt.wire_size()), pkt.tos_mark);
+        ctx.send(PROXY_AP, pkt);
     }
 
     /// Burst datagrams to client `ci` within `remaining`; marks the last
@@ -701,17 +683,14 @@ impl Proxy {
         let mut sent = 0u64;
         let mut last_pkt: Option<Packet> = None;
         while let Some(size) = self.clients[ci].queue.peek_size() {
-            let cost = self.cfg.bw.send_time(size);
+            let cost = BW.send_time(size);
             if cost > *remaining {
                 break;
             }
             *remaining -= cost;
             let pkt = self.clients[ci].queue.pop().expect("invariant: peek_size saw a packet");
             if let Some(prev) = last_pkt.replace(pkt) {
-                self.stats.udp_bytes_sent += prev.wire_size() as u64;
-                self.obs.add(Counter::UdpBytesSent, prev.wire_size() as u64);
-                self.audit.on_frame(self.cfg.bw.send_time(prev.wire_size()), prev.tos_mark);
-                ctx.send(PROXY_AP, prev);
+                self.send_datagram(ctx, prev);
                 sent += 1;
             }
         }
@@ -721,10 +700,7 @@ impl Proxy {
                 // The mark ends the client's listening window.
                 self.clients[ci].burst_until = ctx.now();
             }
-            self.stats.udp_bytes_sent += last.wire_size() as u64;
-            self.obs.add(Counter::UdpBytesSent, last.wire_size() as u64);
-            self.audit.on_frame(self.cfg.bw.send_time(last.wire_size()), last.tos_mark);
-            ctx.send(PROXY_AP, last);
+            self.send_datagram(ctx, last);
             sent += 1;
         }
         self.stats.udp_packets_sent += sent;
@@ -739,17 +715,15 @@ impl Proxy {
     /// end-of-burst mark really lands on the last frame of the burst.
     /// Returns bytes sent.
     fn burst_tcp(&mut self, ctx: &mut Ctx<'_>, ci: usize, budget: SimDuration, mark: bool) -> u64 {
-        let mss = self.cfg.tcp.mss;
+        let mss = TcpConfig::default().mss;
         // Reserve airtime for the client's ACKs (one per two segments with
         // delayed ACKs) — §3.2.2: overrunning the slot delays every
         // subsequent client *and* the next schedule broadcast.
         // Guarantee progress: a slot always carries at least one segment,
         // even when it is smaller than one message's estimated cost
         // (min_slot-sized slots for tiny queues).
-        let mut byte_budget =
-            self.cfg.bw.bytes_in_with_echo(budget, mss + 40, 40, 0.5).max(mss as u64);
+        let mut byte_budget = BW.bytes_in_with_echo(budget, mss + 40, 40, 0.5).max(mss as u64);
         let mut total = 0u64;
-        let mut last_touched: Option<usize> = None;
         let mut last_held: Option<Packet> = None;
         let mut splice_ids = std::mem::take(&mut self.burst_splices);
         splice_ids.clear();
@@ -765,7 +739,7 @@ impl Proxy {
                 byte_budget = byte_budget.saturating_sub(pkt.wire_size() as u64);
                 total += pkt.payload.len() as u64;
                 if let Some(prev) = last_held.replace(pkt) {
-                    self.audit.on_frame(self.cfg.bw.send_time(prev.wire_size()), prev.tos_mark);
+                    self.audit.on_frame(BW.send_time(prev.wire_size()), prev.tos_mark);
                     ctx.send_assigning(PROXY_AP, prev);
                 }
             }
@@ -827,9 +801,7 @@ impl Proxy {
                 s.client_side.send(now, chunk);
             }
             total += allow;
-            last_touched = Some(sid);
         }
-        let _ = last_touched;
         // A mark nominated in an earlier interval that has not yet reached
         // the air still closes this client's window when it emits — the
         // burst is covered either way.
@@ -847,7 +819,7 @@ impl Proxy {
             }
         }
         if let Some(pkt) = last_held.take() {
-            self.audit.on_frame(self.cfg.bw.send_time(pkt.wire_size()), pkt.tos_mark);
+            self.audit.on_frame(BW.send_time(pkt.wire_size()), pkt.tos_mark);
             ctx.send_assigning(PROXY_AP, pkt);
         }
         // Drain endpoint output inside the burst window.
@@ -866,10 +838,11 @@ impl Proxy {
     fn create_splice(&mut self, client_sock: SockAddr, server_sock: SockAddr) -> usize {
         let ci = self.client_index[&client_sock.host];
         let idx = self.splices.len();
+        let tcp = TcpConfig::default();
         self.splices.push(Splice {
             client_idx: ci,
-            client_side: TcpEndpoint::passive(server_sock, client_sock, self.cfg.tcp),
-            server_side: TcpEndpoint::active(client_sock, server_sock, self.cfg.tcp),
+            client_side: TcpEndpoint::passive(server_sock, client_sock, tcp),
+            server_side: TcpEndpoint::active(client_sock, server_sock, tcp),
             pending: VecDeque::new(),
             pending_bytes: 0,
             mark: MarkCoordinator::new(),
@@ -958,7 +931,7 @@ impl Proxy {
                     in_burst = false;
                     close_window = true;
                 }
-                self.audit.on_frame(self.cfg.bw.send_time(pkt.wire_size()), pkt.tos_mark);
+                self.audit.on_frame(BW.send_time(pkt.wire_size()), pkt.tos_mark);
                 ctx.send_assigning(PROXY_AP, pkt);
             }
         }

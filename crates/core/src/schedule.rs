@@ -1,4 +1,4 @@
-//! Schedule data types and the policy selector (construction lives in
+//! Schedule data types (the policies that build them live in
 //! [`crate::policy`], the wire codec in [`crate::wire`]).
 //!
 //! §3.2.1: "The proxy broadcasts a schedule message as a UDP packet to all
@@ -7,8 +7,8 @@
 //! client *i* is assigned rendezvous point RP_i. ... The schedule will also
 //! contain the time at which the following schedule will be broadcast."
 //!
-//! Seven policies are implemented (see the [`crate::policy`] trait
-//! module):
+//! Seven policies build schedules, one [`crate::policy::PolicyKind`]
+//! variant each:
 //!
 //! * **dynamic / fixed interval** (100 ms, 500 ms): each active client gets
 //!   a fraction of the interval proportional to its queue size;
@@ -29,8 +29,6 @@ use powerburst_sim::SimDuration;
 use powerburst_net::{ChannelQuality, HostAddr};
 
 use crate::bandwidth::BandwidthModel;
-
-pub use crate::policy::build_schedule;
 
 /// One slot in a schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,64 +104,6 @@ impl Schedule {
     }
 }
 
-/// Scheduling policy selector.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum PolicyKind {
-    /// Dynamic schedule with a fixed burst interval; slots proportional to
-    /// queue sizes (§3.2.1 "fixed size" schedules).
-    DynamicFixed {
-        /// The burst interval (100 ms and 500 ms in the paper).
-        interval: SimDuration,
-    },
-    /// Dynamic schedule with a variable burst interval; every client gets
-    /// enough time to drain its queue.
-    DynamicVariable {
-        /// Smallest allowed interval (100 ms in the paper).
-        min: SimDuration,
-        /// Largest allowed interval (≈500 ms in the paper).
-        max: SimDuration,
-    },
-    /// Permanent equal slots for every known client (§4.3 baseline).
-    StaticEqual {
-        /// The burst interval.
-        interval: SimDuration,
-    },
-    /// Figure 7: a TCP slot (all clients awake) of `tcp_weight` of the
-    /// interval, then equal UDP slots.
-    SlottedStatic {
-        /// The burst interval (500 ms in the paper's Figure 7).
-        interval: SimDuration,
-        /// Fraction of the usable interval given to the TCP slot
-        /// (0.10 / 0.33 / 0.56 in the paper).
-        tcp_weight: f64,
-    },
-    /// 802.11 power-save-mode baseline (§2 related work): one shared
-    /// delivery window after each beacon during which *every* client
-    /// listens while the AP drains all buffered traffic — no per-client
-    /// rendezvous points. Demonstrates why PSM "is not a good match for
-    /// multimedia": each client pays for everyone's traffic.
-    PsmBeacon {
-        /// The beacon interval (100 ms in 802.11's default).
-        interval: SimDuration,
-    },
-    /// Channel-aware dynamic schedule: fixed interval, shares proportional
-    /// to needed *airtime* under the per-client Markov channel state
-    /// (rate-adaptive slots, Wang et al. arXiv:1606.00952).
-    ChannelAware {
-        /// The burst interval.
-        interval: SimDuration,
-    },
-    /// Buffer-aware dynamic schedule: fixed interval, burst length shaped
-    /// by reported client playout-buffer occupancy (EStreamer-style burst
-    /// shaping, Hoque et al. arXiv:1403.3710).
-    BufferAware {
-        /// The burst interval.
-        interval: SimDuration,
-        /// Desired playout-buffer occupancy, bytes.
-        target_buffer: u64,
-    },
-}
-
 /// Per-client demand snapshot taken at schedule-construction time
 /// ("examining a snapshot of the packet queues for all clients").
 #[derive(Debug, Clone, Copy)]
@@ -233,6 +173,7 @@ impl Default for BuilderConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::PolicyKind;
 
     fn demand(host: u32, udp: u64, tcp: u64) -> ClientDemand {
         ClientDemand::new(HostAddr(host), udp, tcp, 1_000)
@@ -277,12 +218,8 @@ mod tests {
 
         // And the built schedule actually reserves the larger window
         // (interval chosen big enough that no clamping hides the fix).
-        let s = build_schedule(
-            PolicyKind::PsmBeacon { interval: SimDuration::from_secs(1) },
-            &c,
-            &demands,
-            0,
-        );
+        let s =
+            PolicyKind::PsmBeacon { interval: SimDuration::from_secs(1) }.build(&c, &demands, 0);
         assert_eq!(s.entries.len(), 1);
         assert_eq!(s.entries[0].duration.as_us(), new_us);
     }
@@ -294,7 +231,7 @@ mod tests {
         // Overhead alone (2 ms airtime + 11 guards) dwarfs the 5 ms
         // interval; the old integer division handed all 10 clients
         // zero-length slots and emitted every entry anyway.
-        let s = build_schedule(PolicyKind::StaticEqual { interval }, &cfg(), &demands, 0);
+        let s = PolicyKind::StaticEqual { interval }.build(&cfg(), &demands, 0);
         assert!(s.saturated, "schedule must be flagged saturated");
         assert!(!s.entries.is_empty(), "at least one client is served per interval");
         assert!(s.entries.iter().all(|e| !e.duration.is_zero()), "no zero-length slots");
@@ -302,7 +239,7 @@ mod tests {
 
         // The round-robin rotates with the sequence number so every
         // client is eventually served.
-        let s1 = build_schedule(PolicyKind::StaticEqual { interval }, &cfg(), &demands, 1);
+        let s1 = PolicyKind::StaticEqual { interval }.build(&cfg(), &demands, 1);
         assert_ne!(s.entries[0].client, s1.entries[0].client, "rotation by seq");
 
         // The flag survives the wire.
@@ -313,12 +250,7 @@ mod tests {
     fn slotted_saturates_gracefully_and_keeps_tcp_slot() {
         let interval = SimDuration::from_ms(30);
         let demands: Vec<ClientDemand> = (0..40).map(|i| demand(i, 1_000, 0)).collect();
-        let s = build_schedule(
-            PolicyKind::SlottedStatic { interval, tcp_weight: 0.33 },
-            &cfg(),
-            &demands,
-            0,
-        );
+        let s = PolicyKind::SlottedStatic { interval, tcp_weight: 0.33 }.build(&cfg(), &demands, 0);
         assert!(s.saturated);
         assert!(!s.entries.is_empty());
         assert!(s.entries[0].client.is_broadcast(), "TCP slot survives saturation");
@@ -329,8 +261,7 @@ mod tests {
 
     #[test]
     fn fixed_slots_proportional_to_queues() {
-        let s = build_schedule(
-            PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) },
+        let s = PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) }.build(
             &cfg(),
             &[demand(1, 30_000, 0), demand(2, 10_000, 0)],
             0,
@@ -355,7 +286,7 @@ mod tests {
         for i in 1..10 {
             demands.push(demand(i, 300, 0));
         }
-        let s = build_schedule(PolicyKind::DynamicFixed { interval }, &c, &demands, 0);
+        let s = PolicyKind::DynamicFixed { interval }.build(&c, &demands, 0);
         assert!(!s.saturated, "floors fit: 10 × 4 ms within 100 ms");
         for d in &demands {
             assert!(
@@ -376,7 +307,7 @@ mod tests {
         c.min_slot = SimDuration::from_ms(4);
         let interval = SimDuration::from_ms(20);
         let demands: Vec<ClientDemand> = (0..10).map(|i| demand(i, 1_000, 0)).collect();
-        let s = build_schedule(PolicyKind::DynamicFixed { interval }, &c, &demands, 0);
+        let s = PolicyKind::DynamicFixed { interval }.build(&c, &demands, 0);
         assert!(s.saturated, "10 × 4 ms floors cannot fit 20 ms");
         assert!(!s.entries.is_empty());
         assert!(s.entries.iter().all(|e| !e.duration.is_zero()));
@@ -390,15 +321,11 @@ mod tests {
         for i in 1..10 {
             demands.push(demand(i, 300, 0));
         }
-        let s = build_schedule(
-            PolicyKind::DynamicVariable {
-                min: SimDuration::from_ms(100),
-                max: SimDuration::from_ms(500),
-            },
-            &c,
-            &demands,
-            0,
-        );
+        let s = PolicyKind::DynamicVariable {
+            min: SimDuration::from_ms(100),
+            max: SimDuration::from_ms(500),
+        }
+        .build(&c, &demands, 0);
         for d in &demands {
             assert!(
                 s.entries.iter().any(|e| e.client == d.client),
@@ -412,8 +339,7 @@ mod tests {
 
     #[test]
     fn fixed_skips_idle_clients() {
-        let s = build_schedule(
-            PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) },
+        let s = PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) }.build(
             &cfg(),
             &[demand(1, 0, 0), demand(2, 5_000, 0)],
             0,
@@ -427,8 +353,7 @@ mod tests {
         for interval_ms in [100u64, 500] {
             let demands: Vec<ClientDemand> =
                 (0..10).map(|i| demand(i, 1_000 * (i as u64 + 1), 0)).collect();
-            let s = build_schedule(
-                PolicyKind::DynamicFixed { interval: SimDuration::from_ms(interval_ms) },
+            let s = PolicyKind::DynamicFixed { interval: SimDuration::from_ms(interval_ms) }.build(
                 &cfg(),
                 &demands,
                 0,
@@ -444,40 +369,28 @@ mod tests {
 
     #[test]
     fn variable_interval_tracks_demand() {
-        let small = build_schedule(
-            PolicyKind::DynamicVariable {
-                min: SimDuration::from_ms(100),
-                max: SimDuration::from_ms(500),
-            },
-            &cfg(),
-            &[demand(1, 2_000, 0)],
-            0,
-        );
+        let small = PolicyKind::DynamicVariable {
+            min: SimDuration::from_ms(100),
+            max: SimDuration::from_ms(500),
+        }
+        .build(&cfg(), &[demand(1, 2_000, 0)], 0);
         assert_eq!(small.next_srp, SimDuration::from_ms(100), "clamped up to min");
-        let big = build_schedule(
-            PolicyKind::DynamicVariable {
-                min: SimDuration::from_ms(100),
-                max: SimDuration::from_ms(500),
-            },
-            &cfg(),
-            &[demand(1, 120_000, 0), demand(2, 120_000, 0)],
-            0,
-        );
+        let big = PolicyKind::DynamicVariable {
+            min: SimDuration::from_ms(100),
+            max: SimDuration::from_ms(500),
+        }
+        .build(&cfg(), &[demand(1, 120_000, 0), demand(2, 120_000, 0)], 0);
         assert!(big.next_srp > SimDuration::from_ms(100));
         assert!(big.next_srp <= SimDuration::from_ms(500));
     }
 
     #[test]
     fn variable_overload_scales_slots_down() {
-        let s = build_schedule(
-            PolicyKind::DynamicVariable {
-                min: SimDuration::from_ms(100),
-                max: SimDuration::from_ms(500),
-            },
-            &cfg(),
-            &(0..10).map(|i| demand(i, 500_000, 0)).collect::<Vec<_>>(),
-            0,
-        );
+        let s = PolicyKind::DynamicVariable {
+            min: SimDuration::from_ms(100),
+            max: SimDuration::from_ms(500),
+        }
+        .build(&cfg(), &(0..10).map(|i| demand(i, 500_000, 0)).collect::<Vec<_>>(), 0);
         assert_eq!(s.next_srp, SimDuration::from_ms(500));
         let end = s.entries.last().map(|e| e.rp_offset + e.duration).unwrap();
         assert!(end <= SimDuration::from_ms(500));
@@ -485,8 +398,7 @@ mod tests {
 
     #[test]
     fn static_equal_gives_every_client_a_slot() {
-        let s = build_schedule(
-            PolicyKind::StaticEqual { interval: SimDuration::from_ms(100) },
+        let s = PolicyKind::StaticEqual { interval: SimDuration::from_ms(100) }.build(
             &cfg(),
             &[demand(1, 0, 0), demand(2, 9_999, 0), demand(3, 5, 0)],
             0,
@@ -499,14 +411,12 @@ mod tests {
     #[test]
     fn static_schedules_are_identical_across_intervals() {
         let demands = [demand(1, 100, 0), demand(2, 50_000, 0)];
-        let a = build_schedule(
-            PolicyKind::StaticEqual { interval: SimDuration::from_ms(100) },
+        let a = PolicyKind::StaticEqual { interval: SimDuration::from_ms(100) }.build(
             &cfg(),
             &demands,
             0,
         );
-        let b = build_schedule(
-            PolicyKind::StaticEqual { interval: SimDuration::from_ms(100) },
+        let b = PolicyKind::StaticEqual { interval: SimDuration::from_ms(100) }.build(
             &cfg(),
             &[demand(1, 999_999, 0), demand(2, 0, 0)],
             1,
@@ -516,12 +426,8 @@ mod tests {
 
     #[test]
     fn slotted_static_has_tcp_slot_first() {
-        let s = build_schedule(
-            PolicyKind::SlottedStatic { interval: SimDuration::from_ms(500), tcp_weight: 0.33 },
-            &cfg(),
-            &(0..4).map(|i| demand(i, 1_000, 0)).collect::<Vec<_>>(),
-            0,
-        );
+        let s = PolicyKind::SlottedStatic { interval: SimDuration::from_ms(500), tcp_weight: 0.33 }
+            .build(&cfg(), &(0..4).map(|i| demand(i, 1_000, 0)).collect::<Vec<_>>(), 0);
         assert_eq!(s.entries.len(), 5);
         assert!(s.entries[0].client.is_broadcast());
         let tcp = s.entries[0].duration.as_us() as f64;
@@ -532,12 +438,8 @@ mod tests {
 
     #[test]
     fn slots_for_includes_broadcast() {
-        let s = build_schedule(
-            PolicyKind::SlottedStatic { interval: SimDuration::from_ms(500), tcp_weight: 0.10 },
-            &cfg(),
-            &[demand(1, 0, 0), demand(2, 0, 0)],
-            0,
-        );
+        let s = PolicyKind::SlottedStatic { interval: SimDuration::from_ms(500), tcp_weight: 0.10 }
+            .build(&cfg(), &[demand(1, 0, 0), demand(2, 0, 0)], 0);
         let mine: Vec<_> = s.slots_for(HostAddr(1)).collect();
         assert_eq!(mine.len(), 2, "own slot + broadcast TCP slot");
     }
@@ -547,7 +449,7 @@ mod tests {
         let c = cfg();
         let interval = SimDuration::from_ms(100);
         let demands: Vec<ClientDemand> = (0..4).map(|i| demand(i, 20_000, 0)).collect();
-        let full = build_schedule(PolicyKind::DynamicFixed { interval }, &c, &demands, 0);
+        let full = PolicyKind::DynamicFixed { interval }.build(&c, &demands, 0);
         let mut half = full.clone();
         half.apply_airtime_budget(500, c.schedule_airtime, c.guard);
 
@@ -575,12 +477,8 @@ mod tests {
 
     #[test]
     fn empty_demands_yield_empty_schedule() {
-        let s = build_schedule(
-            PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) },
-            &cfg(),
-            &[],
-            3,
-        );
+        let s =
+            PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) }.build(&cfg(), &[], 3);
         assert!(s.entries.is_empty());
         assert_eq!(s.seq, 3);
     }

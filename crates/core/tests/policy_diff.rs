@@ -1,22 +1,20 @@
-//! Differential lock-down of the PR 7 policy refactor.
+//! Differential lock-down of the paper's two schedule builders.
 //!
-//! The `legacy` module below is a **verbatim freeze** of the pre-refactor
+//! The `legacy` module below is a **verbatim freeze** of the original
 //! `build_fixed` / `build_variable` schedule builders (and their private
 //! helpers) exactly as they lived in `crates/core/src/schedule.rs` before
-//! the `SchedulePolicy` trait extraction. The tests drive the frozen code
-//! and the trait implementations over Figure-4/Figure-5-style demand
-//! sweeps and require the resulting `Schedule` wire encodings to be
-//! **byte-identical** — the refactor must be a pure code motion for the
-//! two paper policies, or the golden traces would shift.
+//! schedule construction moved to `crates/core/src/policy.rs`. The tests
+//! drive the frozen code and `PolicyKind::{DynamicFixed, DynamicVariable}`
+//! over Figure-4/Figure-5-style demand sweeps and require the resulting
+//! `Schedule` wire encodings to be **byte-identical** — any restructuring
+//! of the policy code must be a pure code motion for the two paper
+//! policies, or the golden traces would shift.
 //!
 //! If a deliberate behavior change to the fixed/variable builders is ever
 //! made, this freeze must be updated in the same commit, with the golden
 //! traces regenerated — the point is that it can never happen silently.
 
-use powerburst_core::{
-    build_schedule, BuilderConfig, ClientDemand, FixedPolicy, PolicyKind, SchedulePolicy,
-    VariablePolicy,
-};
+use powerburst_core::{BuilderConfig, ClientDemand, PolicyKind, PolicyScratch, Schedule};
 use powerburst_net::HostAddr;
 use powerburst_sim::SimDuration;
 
@@ -297,7 +295,7 @@ fn fixed_policy_is_byte_identical_to_legacy_builder() {
         for (di, demands) in all_snapshots(interval_ms).into_iter().enumerate() {
             for seq in 0..50u64 {
                 let old = legacy::build_fixed(interval, &cfg, &demands, seq);
-                let new = FixedPolicy { interval }.build(&cfg, &demands, seq);
+                let new = PolicyKind::DynamicFixed { interval }.build(&cfg, &demands, seq);
                 assert_eq!(
                     old.encode(),
                     new.encode(),
@@ -317,7 +315,7 @@ fn variable_policy_is_byte_identical_to_legacy_builder() {
         for (di, demands) in all_snapshots(interval_ms).into_iter().enumerate() {
             for seq in 0..50u64 {
                 let old = legacy::build_variable(min, max, &cfg, &demands, seq);
-                let new = VariablePolicy { min, max }.build(&cfg, &demands, seq);
+                let new = PolicyKind::DynamicVariable { min, max }.build(&cfg, &demands, seq);
                 assert_eq!(
                     old.encode(),
                     new.encode(),
@@ -329,21 +327,26 @@ fn variable_policy_is_byte_identical_to_legacy_builder() {
     }
 }
 
-/// The `PolicyKind` dispatch path (what the proxy actually calls) agrees
-/// with the legacy builders too — the trait layer adds nothing.
+/// The allocation-free `build_into` path (what the proxy actually calls,
+/// with one scratch and output reused across snapshots) agrees with the
+/// legacy builders too.
 #[test]
 fn policy_kind_dispatch_matches_legacy_builders() {
     let cfg = BuilderConfig::default();
     let interval = SimDuration::from_ms(100);
     let (min, max) = (SimDuration::from_ms(100), SimDuration::from_ms(500));
+    let mut scratch = PolicyScratch::default();
+    let mut out = Schedule::default();
     for demands in all_snapshots(100) {
         for seq in [0u64, 7, 49] {
-            let fixed = build_schedule(PolicyKind::DynamicFixed { interval }, &cfg, &demands, seq);
-            assert_eq!(legacy::build_fixed(interval, &cfg, &demands, seq).encode(), fixed.encode());
-            let var = build_schedule(PolicyKind::DynamicVariable { min, max }, &cfg, &demands, seq);
+            let fixed = PolicyKind::DynamicFixed { interval };
+            fixed.build_into(&cfg, &demands, seq, &mut scratch, &mut out);
+            assert_eq!(legacy::build_fixed(interval, &cfg, &demands, seq).encode(), out.encode());
+            let var = PolicyKind::DynamicVariable { min, max };
+            var.build_into(&cfg, &demands, seq, &mut scratch, &mut out);
             assert_eq!(
                 legacy::build_variable(min, max, &cfg, &demands, seq).encode(),
-                var.encode()
+                out.encode()
             );
         }
     }

@@ -1,11 +1,11 @@
 //! The policy-contract property harness: every policy in
-//! [`powerburst_core::registry`] must satisfy the four `SchedulePolicy`
-//! contract clauses (no overlap, fit, coverage-unless-saturated, purity)
+//! [`powerburst_core::registry`] must satisfy the four policy contract
+//! clauses (no overlap, fit, coverage-unless-saturated, purity)
 //! for arbitrary demand snapshots — including snapshots carrying the PR 7
 //! inputs (Markov channel states, reported buffer occupancies).
 //!
-//! New policies are picked up automatically: add the impl to `registry()`
-//! and this harness starts fuzzing it.
+//! New policies are picked up automatically: list the `PolicyKind` in
+//! `registry()` and this harness starts fuzzing it.
 
 use proptest::prelude::*;
 
@@ -149,12 +149,8 @@ proptest! {
             .enumerate()
             .map(|(i, &w)| ClientDemand::new(HostAddr(i as u32 + 1), w, 0, 1_000))
             .collect();
-        let sched = powerburst_core::build_schedule(
-            powerburst_core::PolicyKind::DynamicFixed { interval },
-            &cfg,
-            &demands,
-            seq,
-        );
+        let sched =
+            powerburst_core::PolicyKind::DynamicFixed { interval }.build(&cfg, &demands, seq);
         prop_assert!(!sched.saturated, "{n} clients fit this geometry");
         prop_assert_eq!(sched.entries.len(), n, "one slot per active client");
         check_layout("dust-audit", &sched, &demands, &cfg);

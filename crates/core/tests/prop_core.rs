@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 
 use powerburst_core::{
-    build_schedule, BuilderConfig, ClientDemand, MarkCoordinator, PolicyKind, Schedule,
-    ScheduleEntry,
+    BuilderConfig, ClientDemand, MarkCoordinator, PolicyKind, Schedule, ScheduleEntry,
 };
 use powerburst_net::HostAddr;
 use powerburst_sim::SimDuration;
@@ -98,7 +97,7 @@ proptest! {
                 tcp_weight,
             },
         };
-        let sched = build_schedule(policy, &BuilderConfig::default(), &demands, 0);
+        let sched = policy.build(&BuilderConfig::default(), &demands, 0);
         let mut cursor = SimDuration::ZERO;
         for e in &sched.entries {
             prop_assert!(e.rp_offset >= cursor, "slot overlap at {:?}", e);

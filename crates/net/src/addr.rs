@@ -81,8 +81,6 @@ pub mod ports {
     pub const MEDIA: u16 = 554;
     /// HTTP.
     pub const HTTP: u16 = 80;
-    /// FTP data.
-    pub const FTP_DATA: u16 = 20;
     /// UDP port clients send stream feedback (receiver reports) to.
     pub const FEEDBACK: u16 = 7002;
     /// UDP port the coordinator tier exchanges per-cell aggregate demand

@@ -119,11 +119,6 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Total injected medium-level drops (loss + targeted SRP drops).
-    pub fn total_dropped(&self) -> u64 {
-        self.frames_lost + self.schedules_dropped
-    }
-
     /// Fold another injector's counters into this one — a sharded world
     /// runs one injector per cell and reports the city-wide sum.
     pub fn merge(&mut self, other: &FaultStats) {

@@ -103,12 +103,6 @@ impl Ctx<'_> {
         self.now
     }
 
-    /// This node's id.
-    #[inline]
-    pub fn node_id(&self) -> NodeId {
-        self.node
-    }
-
     /// Current time as read on this node's (possibly skewed) local clock.
     #[inline]
     pub fn local_now(&self) -> LocalTime {
@@ -195,15 +189,6 @@ impl Ctx<'_> {
         let now = self.now;
         if let Some(w) = self.wnic.as_deref_mut() {
             w.sleep(now);
-        }
-    }
-
-    /// Is this node's WNIC currently able to receive?
-    pub fn radio_listening(&mut self) -> bool {
-        let now = self.now;
-        match self.wnic.as_deref_mut() {
-            Some(w) => w.is_listening(now),
-            None => true, // wired nodes always "hear" their links
         }
     }
 

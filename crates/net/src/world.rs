@@ -272,8 +272,8 @@ pub struct World {
     /// Topology frozen (state redistributed into shards)? Set lazily at
     /// the first run; all `add_*`/`attach_*` calls must precede it.
     finalized: bool,
-    /// Worker threads for multi-shard runs; 0 = auto (the machine's
-    /// parallelism). Thread count never changes results.
+    /// Worker threads for multi-shard runs (1 by default). Thread count
+    /// never changes results.
     threads: usize,
     topo: Topo,
     /// Staging: exactly one shard holding everything until `finalize`.
@@ -297,7 +297,7 @@ impl World {
             now: SimTime::ZERO,
             started: false,
             finalized: false,
-            threads: 0,
+            threads: 1,
             topo: Topo {
                 host_index: Vec::new(),
                 node_loc: Vec::new(),
@@ -318,8 +318,7 @@ impl World {
         self.seed
     }
 
-    /// Set the worker-thread count for multi-shard runs. `0` (the
-    /// default) resolves the machine's parallelism at run time.
+    /// Set the worker-thread count for multi-shard runs (1 by default).
     /// Purely a scheduling knob: results are identical for any value.
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads;
@@ -546,11 +545,6 @@ impl World {
         }
     }
 
-    /// The host address a node owns.
-    pub fn host_of(&self, id: NodeId) -> Option<HostAddr> {
-        self.slot(id).host
-    }
-
     /// Engine counters for a node.
     pub fn stats(&self, id: NodeId) -> &NodeStats {
         &self.slot(id).stats
@@ -583,15 +577,6 @@ impl World {
     /// Frames dropped at the medium transmit queues, summed over cells.
     pub fn medium_drops(&self) -> u64 {
         self.shards.iter().flat_map(|s| s.cells.iter()).map(|c| c.medium.drops).sum()
-    }
-
-    /// Airtime carried by the media (utilization numerator), summed over
-    /// cells.
-    pub fn medium_carried_airtime(&self) -> SimDuration {
-        self.shards
-            .iter()
-            .flat_map(|s| s.cells.iter())
-            .fold(SimDuration::ZERO, |acc, c| acc + c.medium.carried_airtime)
     }
 
     /// Downcast a node to its concrete type.
@@ -699,11 +684,7 @@ impl World {
         // inclusive of events at `t` (time is integral µs). A one-shard
         // world has lookahead `SimDuration::MAX`: it runs as one window on
         // the caller's thread, the pre-shard event loop exactly.
-        let threads = match self.threads {
-            0 => powerburst_sim::default_threads(),
-            n => n,
-        };
-        let plan = EpochPlan { threads, target: t, lookahead: self.topo.lookahead };
+        let plan = EpochPlan { threads: self.threads, target: t, lookahead: self.topo.lookahead };
         let topo = &self.topo;
         let obs = &self.obs;
         run_epochs(
@@ -935,50 +916,26 @@ impl Exec<'_> {
     /// traffic never leaves the shard: every cell member (and the AP that
     /// bridges outward) lives on the cell's shard.
     fn radio_deliver(&mut self, pkt: Packet, from: NodeId, airtime: SimDuration) {
+        use rand::Rng;
         let now = self.s.now;
         let gci = self.topo.node_cell[from.index()]
             .expect("invariant: radio frames originate from cell members");
         let cix = self.local_cell(gci);
-        // Injected faults: generic frame loss plus targeted SRP drops. The
-        // airtime was burned either way, so the transmitter still pays.
-        if let Some(f) = self.s.cells[cix].faults.as_mut() {
-            let is_schedule = pkt.is_broadcast() && pkt.dst.port == ports::SCHEDULE;
-            if f.should_drop(is_schedule) {
-                self.s.sniffer.record(SnifferRecord::of(now, &pkt, airtime, Delivery::Corrupted));
-                let s = self.local_slot(from);
-                s.stats.tx_frames += 1;
-                s.stats.tx_airtime += airtime;
-                if let Some(w) = s.wnic.as_mut() {
-                    w.on_transmit(now, airtime);
-                }
-                return;
-            }
-        }
-        // Channel corruption: the frame burned its airtime but nobody
-        // decodes it (the §4.3 lossy-channel validation knob).
-        let loss_prob = self.s.cells[cix].medium.airtime_model().loss_prob;
-        if loss_prob > 0.0 {
-            use rand::Rng;
-            if self.s.cells[cix].rng.random::<f64>() < loss_prob {
-                self.s.sniffer.record(SnifferRecord::of(now, &pkt, airtime, Delivery::Corrupted));
-                // Transmit energy is still paid.
-                let s = self.local_slot(from);
-                s.stats.tx_frames += 1;
-                s.stats.tx_airtime += airtime;
-                if let Some(w) = s.wnic.as_mut() {
-                    w.on_transmit(now, airtime);
-                }
-                return;
-            }
-        }
-        // Transmit-side energy (client uplink: TCP ACKs, stream feedback).
-        {
-            let s = self.local_slot(from);
-            s.stats.tx_frames += 1;
-            s.stats.tx_airtime += airtime;
-            if let Some(w) = s.wnic.as_mut() {
-                w.on_transmit(now, airtime);
-            }
+        // Injected faults (generic frame loss plus targeted SRP drops),
+        // then channel corruption (the §4.3 lossy-channel validation
+        // knob): the frame burned its airtime but nobody decodes it. The
+        // cell RNG is drawn only for frames the fault injector passed.
+        let cell = &mut self.s.cells[cix];
+        let is_schedule = pkt.is_broadcast() && pkt.dst.port == ports::SCHEDULE;
+        let loss_prob = cell.medium.airtime_model().loss_prob;
+        let corrupted = cell.faults.as_mut().is_some_and(|f| f.should_drop(is_schedule))
+            || (loss_prob > 0.0 && cell.rng.random::<f64>() < loss_prob);
+        // Transmit-side energy (client uplink: TCP ACKs, stream feedback),
+        // paid whether or not the frame was decoded.
+        bill_transmit(self.local_slot(from), now, airtime);
+        if corrupted {
+            self.s.sniffer.record(SnifferRecord::of(now, &pkt, airtime, Delivery::Corrupted));
+            return;
         }
 
         if pkt.is_broadcast() {
@@ -996,17 +953,7 @@ impl Exec<'_> {
                 let slot = self.local_slot(id);
                 let wiface =
                     slot.wireless_iface.expect("invariant: cell members always have a radio iface");
-                let listening = match slot.wnic.as_mut() {
-                    Some(w) => w.is_listening(now),
-                    None => true,
-                };
-                if listening {
-                    slot.stats.rx_frames += 1;
-                    slot.stats.rx_bytes += pkt.wire_size() as u64;
-                    slot.stats.rx_airtime += airtime;
-                    if let Some(w) = slot.wnic.as_mut() {
-                        w.on_receive(now, airtime);
-                    }
+                if receive_if_listening(slot, now, pkt.wire_size(), airtime) {
                     let cloned = pkt.clone();
                     self.with_node(id, |n, ctx| n.on_packet(ctx, wiface, cloned));
                 } else {
@@ -1026,17 +973,7 @@ impl Exec<'_> {
                 let slot = self.local_slot(id);
                 let wiface =
                     slot.wireless_iface.expect("invariant: match arm checked wireless_iface");
-                let listening = match slot.wnic.as_mut() {
-                    Some(w) => w.is_listening(now),
-                    None => true,
-                };
-                if listening {
-                    slot.stats.rx_frames += 1;
-                    slot.stats.rx_bytes += pkt.wire_size() as u64;
-                    slot.stats.rx_airtime += airtime;
-                    if let Some(w) = slot.wnic.as_mut() {
-                        w.on_receive(now, airtime);
-                    }
+                if receive_if_listening(slot, now, pkt.wire_size(), airtime) {
                     self.s.sniffer.record(SnifferRecord::of(
                         now,
                         &pkt,
@@ -1082,6 +1019,40 @@ impl Exec<'_> {
             }
         }
     }
+}
+
+/// Bill a transmitter for a frame's airtime.
+#[inline]
+fn bill_transmit(slot: &mut NodeSlot, now: SimTime, airtime: SimDuration) {
+    slot.stats.tx_frames += 1;
+    slot.stats.tx_airtime += airtime;
+    if let Some(w) = slot.wnic.as_mut() {
+        w.on_transmit(now, airtime);
+    }
+}
+
+/// If the node's radio is listening (wired-only nodes always are), bill
+/// it for receiving a frame and return `true`.
+#[inline]
+fn receive_if_listening(
+    slot: &mut NodeSlot,
+    now: SimTime,
+    wire_size: usize,
+    airtime: SimDuration,
+) -> bool {
+    let listening = match slot.wnic.as_mut() {
+        Some(w) => w.is_listening(now),
+        None => true,
+    };
+    if listening {
+        slot.stats.rx_frames += 1;
+        slot.stats.rx_bytes += wire_size as u64;
+        slot.stats.rx_airtime += airtime;
+        if let Some(w) = slot.wnic.as_mut() {
+            w.on_receive(now, airtime);
+        }
+    }
+    listening
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 use powerburst_client::PowerClient;
 use powerburst_coord::{Coordinator, CoordinatorConfig, COORD_IFACE};
 use powerburst_core::invariants::{check_energy_conservation, InvariantKind, Violation};
-use powerburst_core::{AdmissionStats, Proxy, ProxyConfig, ProxyStats, PROXY_AP, PROXY_LAN};
+use powerburst_core::{
+    AdmissionStats, PolicyKind, Proxy, ProxyConfig, ProxyStats, PROXY_AP, PROXY_LAN,
+};
 use powerburst_energy::{naive_energy_mj, CardSpec};
 use powerburst_net::faults::{clock_skew_ramp, fault_stream, fault_streams, ApJitterFault};
 use powerburst_net::{
@@ -21,8 +23,8 @@ use powerburst_sim::rng::streams;
 use powerburst_sim::{derive_rng, ClockModel, SimDuration, SimTime};
 use powerburst_trace::{analyze_client, utilization};
 use powerburst_traffic::{
-    generate_script, App, ByteServer, FtpClientApp, StreamSpec, VideoClientApp, VideoServer,
-    WebClientApp,
+    generate_script, AdaptConfig, App, ByteServer, FtpClientApp, StreamSpec, VideoClientApp,
+    VideoServer, WebClientApp,
 };
 use powerburst_transport::TcpConfig;
 
@@ -82,18 +84,12 @@ pub struct Shard {
 pub struct Assembled {
     /// The world, ready to run.
     pub world: World,
-    /// The proxy's node id (shard 0 in multi-cell worlds).
-    pub proxy: NodeId,
-    /// The access point's node id (cell 0's AP in multi-cell worlds).
-    pub ap: NodeId,
     /// Client node ids, in spec order.
     pub clients: Vec<NodeId>,
     /// The video server's node id.
     pub video_server: NodeId,
-    /// The byte server's node id.
-    pub byte_server: NodeId,
     /// All proxy shards, one per occupied cell (length 1 in the paper's
-    /// single-AP world; `shards[0]` is always `proxy`/`ap`).
+    /// single-AP world).
     pub shards: Vec<Shard>,
     /// The coordinator's node id, in multi-cell worlds.
     pub coordinator: Option<NodeId>,
@@ -150,8 +146,8 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     let obs = if cfg.obs.metrics {
         Recorder::new(RecorderConfig {
             events: cfg.obs.events,
-            event_cap: cfg.obs.event_cap,
             lanes: if multi { realized.len() + 1 } else { 1 },
+            ..RecorderConfig::default()
         })
     } else {
         Recorder::disabled()
@@ -185,7 +181,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         Box::new(VideoServer::new(
             SockAddr::new(hosts::VIDEO_SERVER, ports::MEDIA),
             streams,
-            cfg.adapt,
+            AdaptConfig::default(),
             &mut traffic_rng,
         )),
         NodeConfig::wired(hosts::VIDEO_SERVER),
@@ -247,7 +243,6 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
             shard_client_hosts,
             cfg.policy,
         );
-        pcfg.bw = cfg.bw;
         pcfg.mode = cfg.proxy_mode;
         pcfg.flag_unchanged = cfg.flag_unchanged;
         pcfg.admission = cfg.admission;
@@ -329,6 +324,10 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     world.set_faults(cfg.faults);
 
     // --- clients --------------------------------------------------------------------------
+    // Video clients send buffer-extended (32-byte) receiver reports only
+    // under the buffer-aware policy, the one policy that reads them: the
+    // legacy 24-byte reports keep every other run's trace byte-identical.
+    let buffer_reports = matches!(cfg.policy, PolicyKind::BufferAware { .. });
     let mut clock_rng = derive_rng(cfg.seed, streams::CLOCK);
     let mut skew_rng = derive_rng(cfg.seed, fault_stream(fault_streams::CLOCK));
     let mut client_ids = Vec::with_capacity(n);
@@ -341,9 +340,8 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
                     SockAddr::new(hosts::VIDEO_SERVER, ports::MEDIA),
                     i as u64,
                 );
-                if cfg.buffer_reports {
-                    // Playout drains at the nominal stream rate; the report
-                    // format widens to 32 bytes only on this opt-in path.
+                if buffer_reports {
+                    // Playout drains at the nominal stream rate.
                     app = app.with_buffer_reports(fidelity.effective_bps() as u64);
                 }
                 Box::new(app)
@@ -412,17 +410,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     world.set_threads(cfg.threads);
     world.presize_from_topology();
 
-    Assembled {
-        world,
-        proxy: shards[0].proxy,
-        ap: shards[0].ap,
-        clients: client_ids,
-        video_server,
-        byte_server,
-        shards,
-        coordinator,
-        obs,
-    }
+    Assembled { world, clients: client_ids, video_server, shards, coordinator, obs }
 }
 
 /// Run a scenario to completion and collect results.

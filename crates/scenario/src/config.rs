@@ -1,14 +1,12 @@
 //! Experiment configuration: network parameters, client specifications,
 //! and scenario assembly inputs.
 
-use powerburst_core::{
-    AdmissionConfig, BandwidthModel, CompMode, PolicyKind, PolicyParams, ProxyMode,
-};
+use powerburst_core::{AdmissionConfig, CompMode, PolicyKind, PolicyParams, ProxyMode};
 use powerburst_net::{
     AirtimeModel, ApDelayParams, FaultPlan, LinkSpec, MarkovChannelConfig, PipeSpec,
 };
 use powerburst_sim::SimDuration;
-use powerburst_traffic::{AdaptConfig, Fidelity, WebScriptConfig};
+use powerburst_traffic::{Fidelity, WebScriptConfig};
 
 /// Physical-network parameters (the testbed of §4.1).
 #[derive(Debug, Clone, Copy)]
@@ -129,24 +127,23 @@ impl ClientSpec {
 pub struct ObsConfig {
     /// Collect metrics (counters, gauges, histograms).
     pub metrics: bool,
-    /// Also collect the structured event stream (heavier).
+    /// Also collect the structured event stream (heavier), up to the
+    /// recorder's default capacity; later events are counted as dropped.
     pub events: bool,
-    /// Event-channel capacity; later events are counted as dropped.
-    pub event_cap: usize,
 }
 
 impl ObsConfig {
     /// Everything off (the default).
-    pub const OFF: ObsConfig = ObsConfig { metrics: false, events: false, event_cap: 0 };
+    pub const OFF: ObsConfig = ObsConfig { metrics: false, events: false };
 
     /// Metrics only.
     pub fn metrics() -> ObsConfig {
-        ObsConfig { metrics: true, events: false, event_cap: 0 }
+        ObsConfig { metrics: true, events: false }
     }
 
-    /// Metrics plus the event stream at the default capacity.
+    /// Metrics plus the event stream.
     pub fn full() -> ObsConfig {
-        ObsConfig { metrics: true, events: true, event_cap: 65_536 }
+        ObsConfig { metrics: true, events: true }
     }
 }
 
@@ -179,8 +176,6 @@ pub struct ScenarioConfig {
     pub policy: PolicyKind,
     /// Proxy connection mode (split vs pass-through ablation).
     pub proxy_mode: ProxyMode,
-    /// Proxy send-cost model.
-    pub bw: BandwidthModel,
     /// Emit the §5 unchanged flag.
     pub flag_unchanged: bool,
     /// The clients.
@@ -192,8 +187,6 @@ pub struct ScenarioConfig {
     /// Video stream start stagger (§4.1: "requests were spaced roughly one
     /// second apart").
     pub stagger: SimDuration,
-    /// RealServer adaptation behaviour.
-    pub adapt: AdaptConfig,
     /// Optional DummyNet pipe between the servers and the proxy (§4.3).
     pub pipe: Option<PipeSpec>,
     /// Optional §3.2.1 admission control at the proxy.
@@ -208,12 +201,6 @@ pub struct ScenarioConfig {
     /// channel-aware policy reads the resulting states, so the model is
     /// passive under every other policy.
     pub channel: Option<MarkovChannelConfig>,
-    /// Video clients send buffer-extended (32-byte) receiver reports so
-    /// the proxy can snoop playout occupancy. Off by default — legacy
-    /// 24-byte reports keep golden traces byte-identical. Enabled
-    /// automatically by [`ScenarioConfig::new`] when the policy is
-    /// buffer-aware.
-    pub buffer_reports: bool,
     /// Number of radio cells. 1 (the default) is the paper's single-AP
     /// world. With more, the builder instantiates one AP + one proxy
     /// shard per *occupied* cell on the wired topology, plus a
@@ -232,48 +219,44 @@ pub struct ScenarioConfig {
     /// `None` grants every cell its full interval (non-overlapping
     /// channels). Ignored in 1-cell worlds, which have no coordinator.
     pub coord_pool_permille: Option<u32>,
-    /// Worker threads for the sharded event core (`0`, the default, uses
-    /// the available parallelism). Thread count never changes any
-    /// simulated result — the conservative-lookahead engine is
-    /// byte-identical at every thread count (see the determinism matrix
-    /// test) — and 1-cell worlds always run on the caller's thread.
+    /// Worker threads for the sharded event core (1 by default). Thread
+    /// count never changes any simulated result — the
+    /// conservative-lookahead engine is byte-identical at every thread
+    /// count (see the determinism matrix test) — and 1-cell worlds always
+    /// run on the caller's thread.
     pub threads: usize,
 }
 
 impl ScenarioConfig {
     /// A scenario with paper-standard network settings.
     pub fn new(seed: u64, policy: PolicyKind, clients: Vec<ClientSpec>) -> ScenarioConfig {
-        // The two policy-aware inputs default on when their policy is
-        // selected, so `--policy channel|buffer` works without extra
-        // flags; both stay off otherwise to keep the default information
-        // set (and the golden traces) identical to the paper's.
+        // The channel model defaults on when its policy is selected, so
+        // `--policy channel` works without extra flags; it stays off
+        // otherwise to keep the default information set (and the golden
+        // traces) identical to the paper's.
         let channel = match policy {
             PolicyKind::ChannelAware { .. } => Some(MarkovChannelConfig::default()),
             _ => None,
         };
-        let buffer_reports = matches!(policy, PolicyKind::BufferAware { .. });
         ScenarioConfig {
             seed,
             net: NetworkConfig::default(),
             policy,
             proxy_mode: ProxyMode::Split,
-            bw: BandwidthModel::DEFAULT_11MBPS,
             flag_unchanged: false,
             clients,
             radio: RadioMode::Monitor,
             duration: SimDuration::from_secs(119),
             stagger: SimDuration::from_secs(1),
-            adapt: AdaptConfig::default(),
             pipe: None,
             admission: None,
             faults: FaultPlan::NONE,
             obs: ObsConfig::OFF,
             channel,
-            buffer_reports,
             cells: 1,
             cell_map: None,
             coord_pool_permille: None,
-            threads: 0,
+            threads: 1,
         }
     }
 
@@ -322,8 +305,8 @@ impl ScenarioConfig {
         self
     }
 
-    /// Run the sharded event core on `threads` workers (builder style);
-    /// `0` auto-detects. Purely a wall-clock knob.
+    /// Run the sharded event core on `threads` workers (builder style).
+    /// Purely a wall-clock knob.
     pub fn with_threads(mut self, threads: usize) -> ScenarioConfig {
         self.threads = threads;
         self

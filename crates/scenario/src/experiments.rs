@@ -10,7 +10,7 @@
 use powerburst_core::{AdmissionConfig, CompMode, PolicyKind, ProxyMode, DEFAULT_TARGET_BUFFER};
 use powerburst_energy::{optimal_savings_for_rate, CardSpec};
 use powerburst_net::PipeSpec;
-use powerburst_sim::{default_threads, parallel_sweep, SimDuration};
+use powerburst_sim::{parallel_sweep, SimDuration};
 use powerburst_traffic::{Fidelity, WebScriptConfig};
 
 use crate::build::run_scenario;
@@ -30,12 +30,6 @@ pub struct ExpOptions {
     pub duration: SimDuration,
     /// Worker threads for the sweep.
     pub threads: usize,
-}
-
-impl Default for ExpOptions {
-    fn default() -> Self {
-        ExpOptions { seed: 7, duration: SimDuration::from_secs(119), threads: default_threads() }
-    }
 }
 
 impl ExpOptions {

@@ -44,5 +44,5 @@ pub use hash::{FastHashBuilder, FastHashMap};
 pub use rng::derive_rng;
 pub use shard::{run_epochs, EpochPlan, MailSender, Outboxes};
 pub use stats::{LinearFit, Summary};
-pub use sweep::{default_threads, parallel_sweep};
+pub use sweep::parallel_sweep;
 pub use time::{SimDuration, SimTime};

@@ -31,8 +31,6 @@ pub mod streams {
     pub const NODE_BASE: u64 = 0x1000_0000;
     /// Workload/traffic generator streams start here; add the flow id.
     pub const TRAFFIC_BASE: u64 = 0x2000_0000;
-    /// Link/medium jitter and loss streams start here; add the link id.
-    pub const LINK_BASE: u64 = 0x3000_0000;
     /// Clock skew/drift assignment.
     pub const CLOCK: u64 = 0x4000_0000;
     /// Access-point delay process.

@@ -46,11 +46,6 @@ impl Summary {
         }
         Summary { n, mean, min, max, std: (m2 / n as f64).sqrt() }
     }
-
-    /// Population variance.
-    pub fn variance(&self) -> f64 {
-        self.std * self.std
-    }
 }
 
 /// Linear least-squares fit `y = alpha + beta * x`.

@@ -7,31 +7,19 @@
 //! jobs from a shared atomic cursor. Results come back in input order
 //! regardless of completion order, so tables are reproducible.
 //!
-//! Result collection is lock-free: the atomic cursor hands each job index
-//! to exactly one worker, so every result slot has a single writer and
-//! workers never contend on a shared lock to publish results.
-
-use std::cell::UnsafeCell;
+//! Result collection takes no lock and no shared slot: each worker keeps
+//! the `(index, result)` pairs of the jobs the cursor handed it and
+//! returns them through its join handle, and the caller puts every result
+//! at its index.
 
 use crate::shard::Cursor;
-
-/// One result slot, written by exactly one worker.
-///
-/// The cursor's `fetch_add` hands each index to a single worker, so each
-/// `UnsafeCell` has one writer for the lifetime of the scope; the main
-/// thread only reads after `thread::scope` has joined every worker, which
-/// provides the happens-before edge.
-struct Slot<T>(UnsafeCell<Option<T>>);
-
-// SAFETY: see the struct docs — per-index single writer, reads only after
-// all workers have been joined.
-unsafe impl<T: Send> Sync for Slot<T> {}
 
 /// Run `f` over every config, using up to `threads` worker threads.
 /// Results are returned in the same order as `configs`.
 ///
 /// `threads == 0` or `1`, or a single config, runs inline on the caller
-/// thread (useful under `cargo test` and for debugging).
+/// thread (useful under `cargo test` and for debugging). A panicking job
+/// re-raises its panic on the caller.
 pub fn parallel_sweep<C, R, F>(configs: Vec<C>, threads: usize, f: F) -> Vec<R>
 where
     C: Sync,
@@ -45,38 +33,31 @@ where
     }
 
     let cursor = Cursor::new();
-    let slots: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
-
+    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let slots = &slots;
-            let f = &f;
-            let configs = &configs;
-            scope.spawn(move || loop {
-                let idx = cursor.next();
-                if idx >= n {
-                    break;
-                }
-                let r = f(&configs[idx]);
-                // SAFETY: `idx` came from the cursor's fetch_add, so this
-                // worker is the only writer of `slots[idx]`; the main
-                // thread reads only after the scope joins all workers.
-                unsafe { *slots[idx].0.get() = Some(r) };
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let idx = cursor.next();
+                        if idx >= n {
+                            break done;
+                        }
+                        done.push((idx, f(&configs[idx])));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            let done = worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (idx, r) in done {
+                results[idx] = Some(r);
+            }
         }
     });
 
-    slots.into_iter().map(|s| s.0.into_inner().expect("every job produced a result")).collect()
-}
-
-/// Pick a default worker count: the available parallelism, capped so
-/// sweeps don't oversubscribe small CI machines.
-///
-/// Thread count only changes how sweep jobs are scheduled onto workers,
-/// never any simulated result (see the thread-count determinism tests).
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16)
+    results.into_iter().map(|r| r.expect("every job produced a result")).collect()
 }
 
 #[cfg(test)]

@@ -6,8 +6,7 @@
 //! Figure 6, against the baseline of a naive always-on client.
 //!
 //! * [`postmortem`] — the replay simulator ([`analyze_client`]);
-//! * [`summary`] — per-client traffic accounting, medium utilization, and
-//!   JSON-lines export of captures;
+//! * [`summary`] — medium utilization and JSON-lines export of captures;
 //! * [`golden`] — the golden-trace regression harness: canonical summary
 //!   rendering plus snapshot compare/refresh.
 
@@ -20,6 +19,4 @@ pub mod summary;
 
 pub use golden::{check_golden, render_postmortem};
 pub use postmortem::{analyze_client, PolicyParams, PostmortemReport};
-pub use summary::{
-    client_traffic, medium_summary, to_jsonl, utilization, ClientTraffic, MediumSummary, TraceRow,
-};
+pub use summary::{to_jsonl, utilization, TraceRow};

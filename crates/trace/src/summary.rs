@@ -1,82 +1,30 @@
 //! Trace summaries and export.
 //!
 //! Utilities the experiment harnesses use on top of the raw capture:
-//! per-client traffic accounting, medium utilization, and a JSON-lines
-//! export of capture rows for offline inspection (the stand-in for keeping
-//! the paper's raw `tcpdump` files).
+//! medium utilization, and a JSON-lines export of capture rows for
+//! offline inspection (the stand-in for keeping the paper's raw `tcpdump`
+//! files).
 
-use powerburst_net::{Delivery, HostAddr, Proto, SnifferRecord};
+use powerburst_net::{Delivery, Proto, SnifferRecord};
 use powerburst_sim::{SimDuration, SimTime};
-
-/// Per-client traffic totals extracted from a trace.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ClientTraffic {
-    /// Downlink frames addressed to the client that made it to the air.
-    pub frames: u64,
-    /// Downlink wire bytes.
-    pub bytes: u64,
-    /// Downlink airtime.
-    pub airtime: SimDuration,
-    /// Marked (end-of-burst) frames.
-    pub marks: u64,
-    /// Frames the live client slept through (live-mode runs only).
-    pub missed_live: u64,
-    /// Frames dropped at the AP queue.
-    pub ap_drops: u64,
-    /// Uplink frames sent by the client.
-    pub uplink_frames: u64,
-}
-
-/// Compute traffic totals for one client.
-pub fn client_traffic(records: &[SnifferRecord], client: HostAddr) -> ClientTraffic {
-    let mut t = ClientTraffic::default();
-    for r in records {
-        if r.src.host == client {
-            t.uplink_frames += 1;
-            continue;
-        }
-        if r.dst.host != client {
-            continue;
-        }
-        match r.delivery {
-            Delivery::QueueDrop => t.ap_drops += 1,
-            Delivery::MissedAsleep => {
-                t.missed_live += 1;
-                t.frames += 1;
-                t.bytes += r.wire_size as u64;
-                t.airtime += r.airtime;
-            }
-            Delivery::Delivered => {
-                t.frames += 1;
-                t.bytes += r.wire_size as u64;
-                t.airtime += r.airtime;
-                if r.tos_mark {
-                    t.marks += 1;
-                }
-            }
-            _ => {}
-        }
-    }
-    t
-}
 
 /// Whole-trace medium statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct MediumSummary {
+struct MediumSummary {
     /// Frames on the air.
-    pub frames: u64,
+    frames: u64,
     /// Total airtime.
-    pub airtime: SimDuration,
+    airtime: SimDuration,
     /// Schedule broadcasts.
-    pub broadcasts: u64,
+    broadcasts: u64,
     /// Frames dropped at the transmit queue.
-    pub queue_drops: u64,
+    queue_drops: u64,
     /// Capture span (first..last timestamp).
-    pub span: SimDuration,
+    span: SimDuration,
 }
 
 /// Summarize medium activity.
-pub fn medium_summary(records: &[SnifferRecord]) -> MediumSummary {
+fn medium_summary(records: &[SnifferRecord]) -> MediumSummary {
     let mut s = MediumSummary::default();
     let mut first: Option<SimTime> = None;
     let mut last = SimTime::ZERO;
@@ -196,7 +144,7 @@ pub fn to_jsonl(records: &[SnifferRecord]) -> String {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use powerburst_net::{Packet, SockAddr};
+    use powerburst_net::{HostAddr, Packet, SockAddr};
 
     fn rec(src: u32, dst: u32, mark: bool, delivery: Delivery, t_ms: u64) -> SnifferRecord {
         let mut pkt = Packet::udp(
@@ -207,24 +155,6 @@ mod tests {
         );
         pkt.tos_mark = mark;
         SnifferRecord::of(SimTime::from_ms(t_ms), &pkt, SimDuration::from_us(900), delivery)
-    }
-
-    #[test]
-    fn client_traffic_separates_directions() {
-        let recs = vec![
-            rec(1, 10, false, Delivery::Delivered, 1),
-            rec(1, 10, true, Delivery::Delivered, 2),
-            rec(10, 1, false, Delivery::Delivered, 3),
-            rec(1, 11, false, Delivery::Delivered, 4),
-            rec(1, 10, false, Delivery::MissedAsleep, 5),
-            rec(1, 10, false, Delivery::QueueDrop, 6),
-        ];
-        let t = client_traffic(&recs, HostAddr(10));
-        assert_eq!(t.frames, 3);
-        assert_eq!(t.marks, 1);
-        assert_eq!(t.missed_live, 1);
-        assert_eq!(t.ap_drops, 1);
-        assert_eq!(t.uplink_frames, 1);
     }
 
     #[test]

@@ -6,7 +6,6 @@
 
 use std::any::Any;
 
-use bytes::Bytes;
 use powerburst_sim::{SimDuration, SimTime};
 
 use powerburst_net::{Ctx, IfaceId, Node, Packet, Proto, SockAddr, TimerToken};
@@ -110,12 +109,6 @@ impl App for CountingSink {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// Convenience: a freshly allocated payload of exactly `total` bytes
-/// (header included), filled with the `0x5A` CBR pattern.
-pub fn filler(total: usize) -> Bytes {
-    powerburst_net::pattern_bytes(0x5A, total)
 }
 
 #[cfg(test)]

@@ -37,10 +37,6 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
-    /// All fidelities, lowest first.
-    pub const LADDER: [Fidelity; 4] =
-        [Fidelity::K56, Fidelity::K128, Fidelity::K256, Fidelity::K512];
-
     /// Nominal encoding rate, kbps (what the user requested).
     pub fn nominal_kbps(self) -> u32 {
         match self {

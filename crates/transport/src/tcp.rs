@@ -252,11 +252,6 @@ impl TcpEndpoint {
         self.sendbuf.stream_len()
     }
 
-    /// True once every queued byte is acknowledged (FIN included, if sent).
-    pub fn drained(&self) -> bool {
-        self.sendbuf.fully_acked() && (!self.fin_queued || self.fin_acked)
-    }
-
     /// Fully terminated?
     pub fn is_terminated(&self) -> bool {
         self.state == TcpState::Terminated

@@ -16,6 +16,7 @@
 //! error — an unknown flag, a missing or malformed value — prints a
 //! message naming the flag and exits with code 2.
 
+use std::num::NonZeroUsize;
 use std::process::ExitCode;
 
 use powerburst::prelude::*;
@@ -154,6 +155,13 @@ const RUN_VALUED: &[&str] = &[
 const RUN_SWITCHES: &[&str] =
     &["--live", "--psm", "--static", "--admission", "--fail-on-invariants"];
 
+/// The worker count of `run` without `--threads` and of `experiment`'s
+/// sweeps: the available parallelism, capped so runs don't oversubscribe
+/// small CI machines. Thread count never changes any output.
+fn default_threads() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(16)
+}
+
 fn pattern(name: &str) -> Option<VideoPattern> {
     Some(match name {
         "56k" | "56K" => VideoPattern::All56,
@@ -231,10 +239,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
     if cells > 1 {
         cfg = cfg.with_cells(cells);
     }
-    // Worker threads for the sharded event core (0 = auto).
-    // Outputs are byte-identical at every value; single-cell worlds
-    // always run sequentially regardless.
-    cfg = cfg.with_threads(f.parse("--threads", 0)?);
+    // Worker threads for the sharded event core. Outputs are
+    // byte-identical at every value; single-cell worlds always run
+    // sequentially regardless.
+    let threads = f.opt::<NonZeroUsize>("--threads")?;
+    cfg = cfg.with_threads(threads.map_or_else(default_threads, NonZeroUsize::get));
     if let Some(pool) = f.opt("--coord-pool")? {
         cfg = cfg.with_coord_pool(pool);
     }
@@ -263,7 +272,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
     let metrics_out = f.get("--metrics-out");
     let events_out = f.get("--trace-events");
     if metrics_out.is_some() || events_out.is_some() {
-        cfg.obs = ObsConfig { metrics: true, events: events_out.is_some(), event_cap: 65_536 };
+        cfg.obs = ObsConfig { metrics: true, events: events_out.is_some() };
     }
 
     eprintln!(
@@ -393,7 +402,7 @@ fn cmd_experiment(args: &[String]) -> Result<ExitCode, Usage> {
     let opt = exp::ExpOptions {
         duration: SimDuration::from_secs(f.parse("--secs", 119)?),
         seed: f.parse("--seed", 7)?,
-        ..exp::ExpOptions::default()
+        threads: default_threads(),
     };
 
     let out = match name.as_str() {

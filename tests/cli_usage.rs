@@ -25,6 +25,7 @@ fn malformed_values_are_rejected_naming_the_flag() {
         (&["run", "--secs", "3.5"][..], "--secs", "3.5"),
         (&["run", "--seed", "x"], "--seed", "x"),
         (&["run", "--threads", "two"], "--threads", "two"),
+        (&["run", "--threads", "0"], "--threads", "0"),
         (&["run", "--coord-pool", "-1"], "--coord-pool", "-1"),
         (&["run", "--stagger-ms", "1e3"], "--stagger-ms", "1e3"),
         (&["run", "--fault-loss", "half"], "--fault-loss", "half"),

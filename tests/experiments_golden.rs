@@ -14,7 +14,7 @@ use powerburst::trace::check_golden;
 
 #[test]
 fn every_experiment_matches_golden_snapshot() {
-    let opt = ExpOptions { seed: 7, duration: SimDuration::from_secs(10), ..ExpOptions::default() };
+    let opt = ExpOptions { seed: 7, duration: SimDuration::from_secs(10), threads: 2 };
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests")
         .join("golden")

@@ -18,7 +18,10 @@ fn video_cells(seed: u64, cells: usize, per_cell: usize, secs: u64) -> ScenarioC
         clients,
     )
     .with_duration(SimDuration::from_secs(secs))
-    .with_cells(cells);
+    .with_cells(cells)
+    // Two workers, so the threaded epoch executor (which the sanitizer
+    // job runs these tests for) drives every multi-cell world here.
+    .with_threads(2);
     // City-scale runs can't afford the paper's 1 s request stagger — every
     // client must start well inside the (short) test window.
     cfg.stagger = SimDuration::from_ms(1);
