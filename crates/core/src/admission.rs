@@ -8,7 +8,7 @@
 //! citation points at: the proxy tracks the measured airtime load of every
 //! admitted flow (exponentially-decayed rate estimates) and admits a new
 //! flow only if the measured load plus a nominal reservation for the
-//! newcomer stays under the configured capacity. Rejected flows are dropped
+//! newcomer stays under 85 % of the channel. Rejected flows are dropped
 //! at the proxy (UDP) or refused with a reset (TCP), so admitted clients
 //! keep their scheduled slots, their low loss, and their energy savings
 //! even when the cell is oversubscribed.
@@ -20,29 +20,14 @@ use powerburst_sim::{SimDuration, SimTime};
 
 use crate::bandwidth::BandwidthModel;
 
-/// Admission-control configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AdmissionConfig {
-    /// Fraction of the channel the proxy is willing to commit (0..1).
-    pub capacity_fraction: f64,
-    /// Reservation assumed for a flow whose rate is not yet known, bits/s.
-    pub assumed_flow_bps: f64,
-    /// Rate-estimator time constant.
-    pub tau: SimDuration,
-    /// A silent admitted flow releases its reservation after this long.
-    pub flow_expiry: SimDuration,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            capacity_fraction: 0.85,
-            assumed_flow_bps: 450_000.0,
-            tau: SimDuration::from_secs(2),
-            flow_expiry: SimDuration::from_secs(10),
-        }
-    }
-}
+/// Fraction of the channel the proxy is willing to commit.
+const CAPACITY_FRACTION: f64 = 0.85;
+/// Reservation assumed for a flow whose rate is not yet known, bits/s.
+const ASSUMED_FLOW_BPS: f64 = 450_000.0;
+/// Rate-estimator time constant.
+const TAU: SimDuration = SimDuration::from_secs(2);
+/// A silent admitted flow releases its reservation after this long.
+const FLOW_EXPIRY: SimDuration = SimDuration::from_secs(10);
 
 /// A flow is identified by its (destination client endpoint, source
 /// endpoint) pair — the granularity at which streams arrive at the proxy.
@@ -67,10 +52,19 @@ pub struct AdmissionStats {
     pub packets_refused: u64,
 }
 
+impl AdmissionStats {
+    /// Fold another shard's counters into this one (multi-cell runs
+    /// report the sum over shards).
+    pub fn merge(&mut self, o: &AdmissionStats) {
+        self.admitted += o.admitted;
+        self.rejected += o.rejected;
+        self.packets_refused += o.packets_refused;
+    }
+}
+
 /// The admission controller.
 #[derive(Debug)]
 pub struct AdmissionControl {
-    cfg: AdmissionConfig,
     /// Airtime cost per payload byte at typical media framing, seconds.
     airtime_per_byte_s: f64,
     /// Keyed by flow; a BTreeMap so load sums iterate in a fixed order
@@ -83,10 +77,9 @@ pub struct AdmissionControl {
 impl AdmissionControl {
     /// Build a controller against the proxy's send-cost model, using
     /// `typical_pkt` bytes as the framing granularity for airtime costs.
-    pub fn new(cfg: AdmissionConfig, bw: &BandwidthModel, typical_pkt: usize) -> AdmissionControl {
+    pub fn new(bw: &BandwidthModel, typical_pkt: usize) -> AdmissionControl {
         let per_pkt = bw.send_time(typical_pkt).as_secs_f64();
         AdmissionControl {
-            cfg,
             airtime_per_byte_s: per_pkt / typical_pkt as f64,
             flows: BTreeMap::new(),
             stats: AdmissionStats::default(),
@@ -95,7 +88,7 @@ impl AdmissionControl {
 
     fn decay(&self, st: &FlowState, now: SimTime) -> f64 {
         let dt = now.since(st.last_update).as_secs_f64();
-        let tau = self.cfg.tau.as_secs_f64();
+        let tau = TAU.as_secs_f64();
         st.rate_bytes_s * (-dt / tau).exp()
     }
 
@@ -110,27 +103,27 @@ impl AdmissionControl {
 
     /// Committed load: every *live* admitted flow holds at least its
     /// nominal reservation (peak-rate admission, per the multimedia-server
-    /// literature the paper cites); a flow silent past `flow_expiry`
+    /// literature the paper cites); a flow silent past `FLOW_EXPIRY`
     /// releases it.
     pub fn committed_load(&self, now: SimTime) -> f64 {
         let reservation = self.reservation();
         self.flows
             .values()
-            .filter(|f| f.admitted && now.since(f.last_update) < self.cfg.flow_expiry)
+            .filter(|f| f.admitted && now.since(f.last_update) < FLOW_EXPIRY)
             .map(|f| (self.decay(f, now) * self.airtime_per_byte_s).max(reservation))
             .sum()
     }
 
     /// Airtime fraction a nominal new flow would add.
     fn reservation(&self) -> f64 {
-        self.cfg.assumed_flow_bps / 8.0 * self.airtime_per_byte_s
+        ASSUMED_FLOW_BPS / 8.0 * self.airtime_per_byte_s
     }
 
     /// Offer a packet of `bytes` belonging to `key`. Returns `true` if the
     /// flow is (or becomes) admitted; `false` means the proxy must refuse
     /// the packet.
     pub fn offer(&mut self, key: FlowKey, bytes: usize, now: SimTime) -> bool {
-        let tau = self.cfg.tau.as_secs_f64();
+        let tau = TAU.as_secs_f64();
         if let Some(st) = self.flows.get_mut(&key) {
             if st.admitted {
                 let decayed = {
@@ -145,7 +138,7 @@ impl AdmissionControl {
             return false;
         }
         // New flow: admit iff committed load + its reservation fits.
-        let admitted = self.committed_load(now) + self.reservation() <= self.cfg.capacity_fraction;
+        let admitted = self.committed_load(now) + self.reservation() <= CAPACITY_FRACTION;
         if admitted {
             self.stats.admitted += 1;
         } else {
@@ -155,7 +148,7 @@ impl AdmissionControl {
         self.flows.insert(
             key,
             FlowState {
-                rate_bytes_s: bytes as f64 / self.cfg.tau.as_secs_f64(),
+                rate_bytes_s: bytes as f64 / TAU.as_secs_f64(),
                 last_update: now,
                 admitted,
             },
@@ -178,24 +171,15 @@ mod tests {
         (SockAddr::new(HostAddr(100 + c), 554), SockAddr::new(HostAddr(1), s))
     }
 
-    fn ac(capacity: f64) -> AdmissionControl {
-        AdmissionControl::new(
-            AdmissionConfig {
-                capacity_fraction: capacity,
-                assumed_flow_bps: 450_000.0,
-                tau: SimDuration::from_secs(2),
-                flow_expiry: SimDuration::from_secs(10),
-            },
-            &BandwidthModel::DEFAULT_11MBPS,
-            728,
-        )
+    fn ac() -> AdmissionControl {
+        AdmissionControl::new(&BandwidthModel::DEFAULT_11MBPS, 728)
     }
 
     #[test]
     fn first_flows_admitted_then_rejected_at_capacity() {
         // 450 kbps at ~2.04 us/B framing ≈ 11.5% airtime each; at 85%
         // capacity roughly 6-7 such reservations fit.
-        let mut a = ac(0.85);
+        let mut a = ac();
         let t = SimTime::from_secs(1);
         let mut admitted = 0;
         for i in 0..10u32 {
@@ -210,18 +194,23 @@ mod tests {
 
     #[test]
     fn rejected_flow_stays_rejected() {
-        let mut a = ac(0.0); // admit nothing
+        let mut a = ac();
         let t = SimTime::from_secs(1);
-        assert!(!a.offer(key(0, 2000), 700, t));
-        assert!(!a.offer(key(0, 2000), 700, t + SimDuration::from_secs(5)));
+        // Saturate the channel: the first flow that does not fit is
+        // rejected, and every later packet of it is refused.
+        let rejected = (0..10u32)
+            .map(|i| key(i, 2000))
+            .find(|&k| !a.offer(k, 700, t))
+            .expect("ten 450 kbps reservations oversubscribe the cell");
+        assert!(!a.offer(rejected, 700, t + SimDuration::from_secs(5)));
         assert_eq!(a.stats.rejected, 1);
         assert_eq!(a.stats.packets_refused, 2);
-        assert!(!a.is_admitted(&key(0, 2000)));
+        assert!(!a.is_admitted(&rejected));
     }
 
     #[test]
     fn measured_load_tracks_actual_rate() {
-        let mut a = ac(0.9);
+        let mut a = ac();
         let mut t = SimTime::from_secs(1);
         // Feed ~56 kB/s (450 kbps) for several tau.
         for _ in 0..800 {
@@ -235,7 +224,7 @@ mod tests {
 
     #[test]
     fn idle_flows_decay_and_free_capacity() {
-        let mut a = ac(0.85);
+        let mut a = ac();
         let t0 = SimTime::from_secs(1);
         // Saturate with admitted reservations.
         let mut admitted0 = 0;
@@ -252,7 +241,7 @@ mod tests {
 
     #[test]
     fn unknown_flows_default_admitted() {
-        let a = ac(0.85);
+        let a = ac();
         assert!(a.is_admitted(&key(7, 7)));
     }
 }

@@ -40,7 +40,7 @@ pub mod queues;
 pub mod schedule;
 pub mod wire;
 
-pub use admission::{AdmissionConfig, AdmissionControl, AdmissionStats};
+pub use admission::{AdmissionControl, AdmissionStats};
 pub use bandwidth::BandwidthModel;
 pub use client_policy::{
     Action, ClientPolicy, CompMode, PolicyParams, PolicyStats, PolicyTimer, WokeFor,

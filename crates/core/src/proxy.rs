@@ -43,7 +43,7 @@ use powerburst_net::{
 };
 use powerburst_transport::{TcpConfig, TcpEndpoint, TcpEvent};
 
-use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionStats};
+use crate::admission::{AdmissionControl, AdmissionStats};
 use crate::bandwidth::BandwidthModel;
 use crate::invariants::{InvariantKind, InvariantLog, ScheduleAuditor, Violation};
 use crate::marking::MarkCoordinator;
@@ -123,8 +123,8 @@ pub struct ProxyConfig {
     pub mode: ProxyMode,
     /// Emit the §5 "unchanged" flag when consecutive schedules match.
     pub flag_unchanged: bool,
-    /// Optional §3.2.1 admission control.
-    pub admission: Option<AdmissionConfig>,
+    /// Run §3.2.1 admission control.
+    pub admission: bool,
     /// The radio cell this shard serves (0 in the single-AP world).
     pub cell: u32,
     /// Coordinator address, when this shard is part of a multi-cell
@@ -144,7 +144,7 @@ impl ProxyConfig {
             clients,
             mode: ProxyMode::Split,
             flag_unchanged: false,
-            admission: None,
+            admission: false,
             cell: 0,
             coord: None,
         }
@@ -297,7 +297,7 @@ impl Proxy {
             .collect();
         let client_index: FastHashMap<_, _> =
             cfg.clients.iter().enumerate().map(|(i, &h)| (h, i)).collect();
-        let admission = cfg.admission.map(|a| AdmissionControl::new(a, &BW, 728));
+        let admission = cfg.admission.then(|| AdmissionControl::new(&BW, 728));
         let n_clients = clients.len();
         Proxy {
             cfg,

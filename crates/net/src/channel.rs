@@ -58,44 +58,27 @@ impl ChannelQuality {
     }
 }
 
-/// Transition structure of the per-client chain, in parts-per-thousand.
-///
-/// Probabilities are integers (‰) so configs hash/compare exactly and the
-/// model never touches floats. Each row must sum to ≤ 1000; the remainder
-/// is the self-transition probability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MarkovChannelConfig {
-    /// Epoch length: how often every client re-rolls its state.
-    pub epoch: SimDuration,
-    /// Good → Fair (‰ per epoch).
-    pub good_to_fair: u16,
-    /// Fair → Good (‰ per epoch).
-    pub fair_to_good: u16,
-    /// Fair → Bad (‰ per epoch).
-    pub fair_to_bad: u16,
-    /// Bad → Fair (‰ per epoch).
-    pub bad_to_fair: u16,
-}
+// Transition structure of the per-client chain: a slowly-fading indoor
+// channel with 100 ms coherence epochs, mostly Good, occasional Fair
+// excursions, rare deep fades (stationary distribution ≈ 77% Good / 19%
+// Fair / 4% Bad). Probabilities are integers, parts per thousand per
+// epoch, so the model never touches floats; the remainder of each row is
+// the self-transition probability.
 
-impl Default for MarkovChannelConfig {
-    /// A slowly-fading indoor channel: 100 ms coherence epochs, mostly
-    /// Good, occasional Fair excursions, rare deep fades. Stationary
-    /// distribution ≈ 77% Good / 19% Fair / 4% Bad.
-    fn default() -> Self {
-        MarkovChannelConfig {
-            epoch: SimDuration::from_ms(100),
-            good_to_fair: 50,
-            fair_to_good: 200,
-            fair_to_bad: 40,
-            bad_to_fair: 200,
-        }
-    }
-}
+/// Epoch length: how often every client re-rolls its state.
+const EPOCH: SimDuration = SimDuration::from_ms(100);
+/// Good → Fair (‰ per epoch).
+const GOOD_TO_FAIR: u16 = 50;
+/// Fair → Good (‰ per epoch).
+const FAIR_TO_GOOD: u16 = 200;
+/// Fair → Bad (‰ per epoch).
+const FAIR_TO_BAD: u16 = 40;
+/// Bad → Fair (‰ per epoch).
+const BAD_TO_FAIR: u16 = 200;
 
 /// Per-client Good/Fair/Bad trajectory, advanced lazily in epochs.
 #[derive(Debug)]
 pub struct ChannelModel {
-    cfg: MarkovChannelConfig,
     states: Vec<ChannelQuality>,
     rng: StdRng,
     /// Number of epochs already applied.
@@ -108,13 +91,8 @@ impl ChannelModel {
     ///
     /// `rng` must be a seed-derived stream (see `powerburst_sim::rng`);
     /// the model performs exactly one draw per client per epoch.
-    pub fn new(cfg: MarkovChannelConfig, clients: usize, rng: StdRng) -> Self {
-        ChannelModel { cfg, states: vec![ChannelQuality::Good; clients], rng, epochs_done: 0 }
-    }
-
-    /// The configured epoch length.
-    pub fn epoch(&self) -> SimDuration {
-        self.cfg.epoch
+    pub fn new(clients: usize, rng: StdRng) -> Self {
+        ChannelModel { states: vec![ChannelQuality::Good; clients], rng, epochs_done: 0 }
     }
 
     /// Advance the chain so it reflects sim time `now`.
@@ -123,12 +101,11 @@ impl ChannelModel {
     /// Idempotent within an epoch: sampling twice at the same `now` (or
     /// anywhere inside the same epoch) performs no extra draws.
     pub fn advance_to(&mut self, now: SimTime) {
-        let epoch_us = self.cfg.epoch.as_us().max(1);
-        let target = now.as_us() / epoch_us;
+        let target = now.as_us() / EPOCH.as_us();
         while self.epochs_done < target {
             for i in 0..self.states.len() {
                 let roll: u64 = self.rng.random_range(0..1000);
-                self.states[i] = step(self.states[i], &self.cfg, roll as u16);
+                self.states[i] = step(self.states[i], roll as u16);
             }
             self.epochs_done += 1;
         }
@@ -157,26 +134,26 @@ impl ChannelModel {
 }
 
 /// One Markov step given a uniform roll in `[0, 1000)`.
-fn step(s: ChannelQuality, cfg: &MarkovChannelConfig, roll: u16) -> ChannelQuality {
+fn step(s: ChannelQuality, roll: u16) -> ChannelQuality {
     match s {
         ChannelQuality::Good => {
-            if roll < cfg.good_to_fair {
+            if roll < GOOD_TO_FAIR {
                 ChannelQuality::Fair
             } else {
                 ChannelQuality::Good
             }
         }
         ChannelQuality::Fair => {
-            if roll < cfg.fair_to_good {
+            if roll < FAIR_TO_GOOD {
                 ChannelQuality::Good
-            } else if roll < cfg.fair_to_good.saturating_add(cfg.fair_to_bad) {
+            } else if roll < FAIR_TO_GOOD + FAIR_TO_BAD {
                 ChannelQuality::Bad
             } else {
                 ChannelQuality::Fair
             }
         }
         ChannelQuality::Bad => {
-            if roll < cfg.bad_to_fair {
+            if roll < BAD_TO_FAIR {
                 ChannelQuality::Fair
             } else {
                 ChannelQuality::Bad
@@ -191,11 +168,7 @@ mod tests {
     use powerburst_sim::rng::{derive_rng, streams};
 
     fn model(seed: u64, clients: usize) -> ChannelModel {
-        ChannelModel::new(
-            MarkovChannelConfig::default(),
-            clients,
-            derive_rng(seed, streams::CHANNEL),
-        )
+        ChannelModel::new(clients, derive_rng(seed, streams::CHANNEL))
     }
 
     #[test]

@@ -39,15 +39,15 @@ pub mod world;
 
 pub use addr::{ports, HostAddr, IfaceId, NodeId, SockAddr};
 pub use ap::{AccessPoint, ApDelayParams, ApDelayProcess, AP_RADIO, AP_WIRED};
-pub use channel::{ChannelModel, ChannelQuality, MarkovChannelConfig};
+pub use channel::{ChannelModel, ChannelQuality};
 pub use faults::{ApJitterFault, FaultInjector, FaultPlan, FaultStats};
 pub use feedback::ReceiverReport;
 pub use forward::{StaticRouter, Switch};
-pub use link::{Endpoint, HalfLink, Link, LinkSpec, WireOutcome};
+pub use link::{Endpoint, HalfLink, LinkSpec, WireOutcome};
 pub use medium::{AirtimeModel, Medium, TxOutcome};
 pub use node::{Ctx, Ev, Node, TimerId, TimerToken};
 pub use packet::{Packet, Proto, TcpFlags, TcpHeader, IP_HEADER, TCP_HEADER, UDP_HEADER};
 pub use pattern::{pattern_bytes, PatternCache};
-pub use shaper::{Pipe, PipeSpec};
+pub use shaper::Pipe;
 pub use sniffer::{Delivery, Sniffer, SnifferRecord};
 pub use world::{NodeConfig, NodeStats, World};

@@ -67,10 +67,9 @@ pub enum WireOutcome {
 }
 
 /// One direction of a wired link: the transmit state owned by the sending
-/// side. A sharded world splits every [`Link`] into its two halves so each
-/// shard owns exactly the directions it transmits on — the two directions
-/// were always independent (separate busy/drop state), so the split cannot
-/// change any outcome.
+/// side. A world stages every link as its two halves, one per direction,
+/// and hands each to the shard of the node that transmits on it; the two
+/// directions share only their [`LinkSpec`].
 #[derive(Debug, Clone)]
 pub struct HalfLink {
     /// Static parameters (shared with the reverse direction).
@@ -102,90 +101,20 @@ impl HalfLink {
     }
 }
 
-/// A bidirectional point-to-point link: two independent [`HalfLink`]s.
-#[derive(Debug, Clone)]
-pub struct Link {
-    ends: [Endpoint; 2],
-    halves: [HalfLink; 2],
-}
-
-impl Link {
-    /// Create a link between two endpoints.
-    pub fn new(a: Endpoint, b: Endpoint, spec: LinkSpec) -> Link {
-        Link { ends: [a, b], halves: [HalfLink::new(spec, b), HalfLink::new(spec, a)] }
-    }
-
-    /// Which direction index sends *from* this endpoint, if attached.
-    pub fn direction_from(&self, node: NodeId, iface: IfaceId) -> Option<usize> {
-        let ep = Endpoint { node, iface };
-        if self.ends[0] == ep {
-            Some(0)
-        } else if self.ends[1] == ep {
-            Some(1)
-        } else {
-            None
-        }
-    }
-
-    /// The endpoint that receives traffic sent in direction `dir`.
-    pub fn peer(&self, dir: usize) -> Endpoint {
-        self.ends[1 - dir]
-    }
-
-    /// Frames dropped in direction `dir`.
-    pub fn drops(&self, dir: usize) -> u64 {
-        self.halves[dir].drops
-    }
-
-    /// Attempt to send `bytes` in direction `dir` at `now`.
-    pub fn transmit(&mut self, now: SimTime, dir: usize, bytes: usize) -> WireOutcome {
-        self.halves[dir].transmit(now, bytes)
-    }
-
-    /// Split into `(sending endpoint, half)` pairs, direction order —
-    /// the shard finalizer hands each half to its sender's shard.
-    pub fn into_halves(self) -> [(Endpoint, HalfLink); 2] {
-        let [a, b] = self.ends;
-        let [ha, hb] = self.halves;
-        [(a, ha), (b, hb)]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ep(n: u32, i: u8) -> Endpoint {
-        Endpoint { node: NodeId(n), iface: IfaceId(i) }
-    }
-
-    #[test]
-    fn direction_resolution() {
-        let l = Link::new(ep(1, 0), ep(2, 1), LinkSpec::FAST_ETHERNET);
-        assert_eq!(l.direction_from(NodeId(1), IfaceId(0)), Some(0));
-        assert_eq!(l.direction_from(NodeId(2), IfaceId(1)), Some(1));
-        assert_eq!(l.direction_from(NodeId(3), IfaceId(0)), None);
-        assert_eq!(l.peer(0), ep(2, 1));
-        assert_eq!(l.peer(1), ep(1, 0));
+    fn half(spec: LinkSpec) -> HalfLink {
+        HalfLink::new(spec, Endpoint { node: NodeId(2), iface: IfaceId(0) })
     }
 
     #[test]
     fn transmit_adds_serialization_and_delay() {
-        let mut l = Link::new(ep(1, 0), ep(2, 0), LinkSpec::FAST_ETHERNET);
+        let mut h = half(LinkSpec::FAST_ETHERNET);
         // 1250 bytes at 100 Mbps = 100 us; +50 us delay.
-        let WireOutcome::Sent { arrive } = l.transmit(SimTime::ZERO, 0, 1250) else { panic!() };
+        let WireOutcome::Sent { arrive } = h.transmit(SimTime::ZERO, 1250) else { panic!() };
         assert_eq!(arrive.as_us(), 150);
-    }
-
-    #[test]
-    fn directions_are_independent() {
-        let mut l = Link::new(ep(1, 0), ep(2, 0), LinkSpec::FAST_ETHERNET);
-        let WireOutcome::Sent { arrive: a } = l.transmit(SimTime::ZERO, 0, 125_000) else {
-            panic!()
-        };
-        let WireOutcome::Sent { arrive: b } = l.transmit(SimTime::ZERO, 1, 1250) else { panic!() };
-        // Reverse direction isn't delayed by forward traffic.
-        assert!(b < a);
     }
 
     #[test]
@@ -195,23 +124,22 @@ mod tests {
             delay: SimDuration::ZERO,
             max_backlog: SimDuration::from_ms(10),
         };
-        let mut l = Link::new(ep(1, 0), ep(2, 0), spec);
+        let mut h = half(spec);
         let mut dropped = 0;
         for _ in 0..100 {
-            if l.transmit(SimTime::ZERO, 0, 10_000) == WireOutcome::Dropped {
+            if h.transmit(SimTime::ZERO, 10_000) == WireOutcome::Dropped {
                 dropped += 1;
             }
         }
         assert!(dropped > 0);
-        assert_eq!(l.drops(0), dropped);
-        assert_eq!(l.drops(1), 0);
+        assert_eq!(h.drops, dropped);
     }
 
     #[test]
     fn queued_sends_serialize() {
-        let mut l = Link::new(ep(1, 0), ep(2, 0), LinkSpec::FAST_ETHERNET);
-        let WireOutcome::Sent { arrive: a1 } = l.transmit(SimTime::ZERO, 0, 1250) else { panic!() };
-        let WireOutcome::Sent { arrive: a2 } = l.transmit(SimTime::ZERO, 0, 1250) else { panic!() };
+        let mut h = half(LinkSpec::FAST_ETHERNET);
+        let WireOutcome::Sent { arrive: a1 } = h.transmit(SimTime::ZERO, 1250) else { panic!() };
+        let WireOutcome::Sent { arrive: a2 } = h.transmit(SimTime::ZERO, 1250) else { panic!() };
         assert_eq!((a2 - a1).as_us(), 100);
     }
 }

@@ -80,23 +80,19 @@ impl SnifferRecord {
 /// The capture buffer. Cheap to append; analysis happens after the run.
 #[derive(Debug, Default)]
 pub struct Sniffer {
-    /// Whether capture is enabled (on by default).
-    pub enabled: bool,
     records: Vec<SnifferRecord>,
 }
 
 impl Sniffer {
-    /// A new enabled sniffer with some headroom preallocated.
+    /// A new sniffer with some headroom preallocated.
     pub fn new() -> Sniffer {
-        Sniffer { enabled: true, records: Vec::with_capacity(4096) }
+        Sniffer { records: Vec::with_capacity(4096) }
     }
 
-    /// Append a record (no-op when disabled).
+    /// Append a record.
     #[inline]
     pub fn record(&mut self, rec: SnifferRecord) {
-        if self.enabled {
-            self.records.push(rec);
-        }
+        self.records.push(rec);
     }
 
     /// All captured records in time order.
@@ -149,14 +145,6 @@ mod tests {
         assert_eq!(r.pkt_id, 7);
         assert_eq!(r.wire_size, 20 + 8 + 50);
         assert_eq!(r.delivery, Delivery::Delivered);
-    }
-
-    #[test]
-    fn disabled_sniffer_drops_records() {
-        let mut s = Sniffer::new();
-        s.enabled = false;
-        s.record(SnifferRecord::of(SimTime::ZERO, &pkt(), SimDuration::ZERO, Delivery::Broadcast));
-        assert!(s.is_empty());
     }
 
     #[test]

@@ -33,7 +33,7 @@ use powerburst_energy::{CardSpec, EnergyReport, Wnic};
 
 use crate::addr::{ports, HostAddr, IfaceId, NodeId};
 use crate::faults::{fault_stream, fault_streams, FaultInjector, FaultPlan, FaultStats};
-use crate::link::{Endpoint, HalfLink, Link, LinkSpec, WireOutcome};
+use crate::link::{Endpoint, HalfLink, LinkSpec, WireOutcome};
 use crate::medium::{AirtimeModel, Medium, TxOutcome};
 use crate::node::{Ctx, Ev, Node};
 use crate::packet::Packet;
@@ -280,8 +280,9 @@ pub struct World {
     shards: Vec<ShardState>,
     /// Cross-shard outboxes, one per sending shard, sized at finalize.
     mail: Outboxes<Mail>,
-    /// Staged bidirectional links; split into per-shard halves at finalize.
-    links: Vec<Link>,
+    /// Staged link halves, each with the endpoint that transmits on it;
+    /// handed to the sender's shard at finalize.
+    links: Vec<(Endpoint, HalfLink)>,
     /// Wired nodes explicitly pinned to a cell's shard (a cell's proxy
     /// front-end), applied at finalize.
     pins: Vec<(NodeId, u32)>,
@@ -413,9 +414,10 @@ impl World {
     pub fn add_link(&mut self, a: Endpoint, b: Endpoint, spec: LinkSpec) {
         assert!(!self.finalized, "topology is frozen once the world runs");
         let idx = self.links.len();
-        self.links.push(Link::new(a, b, spec));
+        self.links.push((a, HalfLink::new(spec, b)));
+        self.links.push((b, HalfLink::new(spec, a)));
         self.slot_mut(a.node).attach(a.iface, Attachment::Wired { link: idx });
-        self.slot_mut(b.node).attach(b.iface, Attachment::Wired { link: idx });
+        self.slot_mut(b.node).attach(b.iface, Attachment::Wired { link: idx + 1 });
     }
 
     /// Pin a *wired* node onto the shard of `cell` — a cell's proxy
@@ -592,11 +594,11 @@ impl World {
     }
 
     /// Freeze the topology: decide every node's shard, redistribute the
-    /// staging state, split links into sender-owned halves, and derive the
-    /// conservative lookahead. Idempotent; runs lazily before the first
-    /// event. Worlds with fewer than two radio cells stay one shard — the
-    /// redistribution is then a no-op re-wiring and the event loop is the
-    /// exact sequential loop of the pre-shard engine.
+    /// staging state, hand link halves to their senders' shards, and
+    /// derive the conservative lookahead. Idempotent; runs lazily before
+    /// the first event. Worlds with fewer than two radio cells stay one
+    /// shard — the redistribution is then a no-op re-wiring and the event
+    /// loop is the exact sequential loop of the pre-shard engine.
     fn finalize(&mut self) {
         if self.finalized {
             return;
@@ -639,24 +641,22 @@ impl World {
             shards[sh].cells.push(cell);
         }
 
-        // Split each staged link into its two sender-owned halves and
-        // re-point the senders' attachments at the per-shard wire table.
-        // The minimum delay among shard-crossing halves is the lookahead.
+        // Hand each staged link half to its sender's shard and re-point
+        // the sender's attachment at that shard's wire table. The minimum
+        // delay among shard-crossing halves is the lookahead.
         let mut lookahead = SimDuration::MAX;
-        for link in self.links.drain(..) {
-            for (from_ep, half) in link.into_halves() {
-                let from_sh = shard_of[from_ep.node.index()] as usize;
-                let peer_shard = shard_of[half.peer.node.index()];
-                if peer_shard as usize != from_sh {
-                    lookahead = lookahead.min(half.spec.delay);
-                }
-                let (sh, ix) = self.topo.loc(from_ep.node);
-                debug_assert_eq!(sh, from_sh);
-                let wire = shards[from_sh].wires.len();
-                shards[sh].nodes[ix].attachments[from_ep.iface.0 as usize] =
-                    Some(Attachment::Wired { link: wire });
-                shards[from_sh].wires.push(WireHalf { half, peer_shard });
+        for (from_ep, half) in self.links.drain(..) {
+            let from_sh = shard_of[from_ep.node.index()] as usize;
+            let peer_shard = shard_of[half.peer.node.index()];
+            if peer_shard as usize != from_sh {
+                lookahead = lookahead.min(half.spec.delay);
             }
+            let (sh, ix) = self.topo.loc(from_ep.node);
+            debug_assert_eq!(sh, from_sh);
+            let wire = shards[from_sh].wires.len();
+            shards[sh].nodes[ix].attachments[from_ep.iface.0 as usize] =
+                Some(Attachment::Wired { link: wire });
+            shards[from_sh].wires.push(WireHalf { half, peer_shard });
         }
         if multi {
             assert!(

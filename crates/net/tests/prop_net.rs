@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use powerburst_net::feedback::{REPORT_LEN, REPORT_LEN_BUFFERED};
 use powerburst_net::{
-    AirtimeModel, ApDelayParams, ApDelayProcess, Endpoint, IfaceId, Link, LinkSpec, Medium, NodeId,
-    ReceiverReport, TxOutcome, WireOutcome,
+    AirtimeModel, ApDelayParams, ApDelayProcess, Endpoint, HalfLink, IfaceId, LinkSpec, Medium,
+    NodeId, ReceiverReport, TxOutcome, WireOutcome,
 };
 use powerburst_sim::{derive_rng, SimDuration, SimTime};
 
@@ -57,16 +57,15 @@ proptest! {
     fn links_preserve_order(
         sends in prop::collection::vec((0u64..50_000, 40usize..1_500), 1..60),
     ) {
-        let mut l = Link::new(
-            Endpoint { node: NodeId(0), iface: IfaceId(0) },
-            Endpoint { node: NodeId(1), iface: IfaceId(0) },
+        let mut l = HalfLink::new(
             LinkSpec::FAST_ETHERNET,
+            Endpoint { node: NodeId(1), iface: IfaceId(0) },
         );
         let mut t = SimTime::ZERO;
         let mut prev = SimTime::ZERO;
         for (gap, bytes) in sends {
             t += SimDuration::from_us(gap);
-            if let WireOutcome::Sent { arrive } = l.transmit(t, 0, bytes) {
+            if let WireOutcome::Sent { arrive } = l.transmit(t, bytes) {
                 prop_assert!(arrive >= prev, "reordered: {arrive} < {prev}");
                 prop_assert!(arrive > t);
                 prev = arrive;

@@ -33,5 +33,5 @@ pub mod report;
 
 pub use events::{EventKind, ObsEvent};
 pub use metrics::{Counter, Gauge, Hist, BUCKET_BOUNDS};
-pub use recorder::{Recorder, RecorderConfig};
+pub use recorder::{Recorder, RecorderConfig, EVENT_CAP};
 pub use report::{HistSnapshot, ObsReport};

@@ -28,17 +28,18 @@ use crate::events::{EventKind, ObsEvent};
 use crate::metrics::{Counter, Gauge, Hist, BUCKETS};
 use crate::report::{HistSnapshot, ObsReport};
 
+/// Maximum events retained; later events are counted as dropped. The
+/// buffer is pre-allocated to this cap so recording never allocates. With
+/// multiple lanes the cap applies per lane while recording and again to
+/// the merged stream at export.
+pub const EVENT_CAP: usize = 65_536;
+
 /// Recorder construction options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Record structured events (metrics are always on for an enabled
     /// recorder; the event channel is the optional, heavier half).
     pub events: bool,
-    /// Maximum events retained; later events are counted as dropped. The
-    /// buffer is pre-allocated to this cap so recording never allocates.
-    /// With multiple lanes the cap applies per lane while recording and
-    /// again to the merged stream at export.
-    pub event_cap: usize,
     /// Number of independent recording lanes (clamped to ≥ 1). One unless
     /// the world is sharded, in which case shard *k* records on lane *k*.
     pub lanes: usize,
@@ -46,7 +47,7 @@ pub struct RecorderConfig {
 
 impl Default for RecorderConfig {
     fn default() -> Self {
-        RecorderConfig { events: true, event_cap: 65_536, lanes: 1 }
+        RecorderConfig { events: true, lanes: 1 }
     }
 }
 
@@ -79,11 +80,11 @@ struct LaneCore {
 }
 
 impl LaneCore {
-    fn new(events_on: bool, event_cap: usize) -> Self {
+    fn new(events_on: bool) -> Self {
         LaneCore {
             gauge_set: [const { AtomicI64::new(0) }; Gauge::COUNT],
             gauge_written: [const { AtomicU64::new(0) }; Gauge::COUNT],
-            events: Mutex::new(Vec::with_capacity(if events_on { event_cap } else { 0 })),
+            events: Mutex::new(Vec::with_capacity(if events_on { EVENT_CAP } else { 0 })),
             events_dropped: AtomicU64::new(0),
         }
     }
@@ -95,7 +96,6 @@ struct ObsCore {
     gauges: [AtomicI64; Gauge::COUNT],
     hists: [HistCore; Hist::COUNT],
     events_on: bool,
-    event_cap: usize,
     lanes: Vec<LaneCore>,
 }
 
@@ -135,8 +135,7 @@ impl Recorder {
                 gauges: [const { AtomicI64::new(0) }; Gauge::COUNT],
                 hists: std::array::from_fn(|_| HistCore::new()),
                 events_on: cfg.events,
-                event_cap: cfg.event_cap,
-                lanes: (0..lanes).map(|_| LaneCore::new(cfg.events, cfg.event_cap)).collect(),
+                lanes: (0..lanes).map(|_| LaneCore::new(cfg.events)).collect(),
             })),
             lane: 0,
         }
@@ -226,7 +225,7 @@ impl Recorder {
         }
         let lane = &core.lanes[self.lane as usize];
         let mut ev = lane.events.lock().expect("obs event channel poisoned");
-        if ev.len() < core.event_cap {
+        if ev.len() < EVENT_CAP {
             ev.push(ObsEvent { t_us, kind });
         } else {
             lane.events_dropped.fetch_add(1, Ordering::Relaxed);
@@ -277,9 +276,9 @@ impl Recorder {
         }
         if core.lanes.len() > 1 {
             events.sort_by_key(|e| e.t_us);
-            if events.len() > core.event_cap {
-                events_dropped += (events.len() - core.event_cap) as u64;
-                events.truncate(core.event_cap);
+            if events.len() > EVENT_CAP {
+                events_dropped += (events.len() - EVENT_CAP) as u64;
+                events.truncate(EVENT_CAP);
             }
         }
         Some(ObsReport { counters, gauges, hists, events, events_dropped })
@@ -326,18 +325,23 @@ mod tests {
 
     #[test]
     fn event_channel_caps_and_counts_drops() {
-        let r = Recorder::new(RecorderConfig { events: true, event_cap: 2, lanes: 1 });
-        for i in 0..5 {
+        let r = Recorder::new(RecorderConfig::default());
+        for i in 0..EVENT_CAP as u64 + 3 {
             r.event(i, EventKind::BurstStart { client: 1, budget_us: i });
         }
         let rep = r.export().unwrap();
-        assert_eq!(rep.events.len(), 2);
+        assert_eq!(rep.events.len(), EVENT_CAP);
         assert_eq!(rep.events_dropped, 3);
+        assert_eq!(
+            rep.events.last().map(|e| e.t_us),
+            Some(EVENT_CAP as u64 - 1),
+            "keeps the first"
+        );
     }
 
     #[test]
     fn events_can_be_disabled_independently() {
-        let r = Recorder::new(RecorderConfig { events: false, event_cap: 16, lanes: 1 });
+        let r = Recorder::new(RecorderConfig { events: false, lanes: 1 });
         assert!(r.enabled());
         assert!(!r.events_on());
         r.event(1, EventKind::BurstStart { client: 1, budget_us: 1 });
@@ -349,7 +353,7 @@ mod tests {
 
     #[test]
     fn lanes_merge_deterministically() {
-        let r = Recorder::new(RecorderConfig { events: true, event_cap: 8, lanes: 3 });
+        let r = Recorder::new(RecorderConfig { events: true, lanes: 3 });
         let l1 = r.lane(1);
         let l2 = r.lane(2);
         // Counters stay shared.

@@ -63,7 +63,7 @@ fn recording_hot_paths_do_not_allocate() {
     // Enabled recorder: construction allocates (fixed arrays + the event
     // buffer pre-sized to its cap), but recording afterwards must not —
     // including events, as long as the channel stays under the cap.
-    let enabled = Recorder::new(RecorderConfig { events: true, event_cap: 100_000, lanes: 1 });
+    let enabled = Recorder::new(RecorderConfig { events: true, lanes: 1 });
     let before = ALLOCS.load(Ordering::SeqCst);
     hammer(&enabled);
     let after = ALLOCS.load(Ordering::SeqCst);

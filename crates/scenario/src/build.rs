@@ -5,6 +5,11 @@
 //! implicit monitoring station — the engine sniffer) on the shared radio
 //! medium; runs the workload; and collects per-client results through the
 //! postmortem analyzer.
+//!
+//! [`run_scenario`] is the composition of public stages, so a harness can
+//! step through one run and still get exactly its result: [`assemble`] →
+//! `World::run_until` → `World::take_trace` → [`postmortem`] →
+//! [`collect`].
 
 use powerburst_client::PowerClient;
 use powerburst_coord::{Coordinator, CoordinatorConfig, COORD_IFACE};
@@ -15,16 +20,16 @@ use powerburst_core::{
 use powerburst_energy::{naive_energy_mj, CardSpec};
 use powerburst_net::faults::{clock_skew_ramp, fault_stream, fault_streams, ApJitterFault};
 use powerburst_net::{
-    ports, AccessPoint, ChannelModel, Endpoint, HostAddr, IfaceId, NodeConfig, NodeId, Pipe,
-    SockAddr, StaticRouter, Switch, World, AP_WIRED,
+    ports, AccessPoint, ChannelModel, Endpoint, HostAddr, IfaceId, LinkSpec, NodeConfig, NodeId,
+    Pipe, SnifferRecord, SockAddr, StaticRouter, Switch, World, AP_WIRED,
 };
 use powerburst_obs::{Counter, Recorder, RecorderConfig};
 use powerburst_sim::rng::streams;
 use powerburst_sim::{derive_rng, ClockModel, SimDuration, SimTime};
-use powerburst_trace::{analyze_client, utilization};
+use powerburst_trace::{analyze_client, utilization, PostmortemReport};
 use powerburst_traffic::{
-    generate_script, AdaptConfig, App, ByteServer, FtpClientApp, StreamSpec, VideoClientApp,
-    VideoServer, WebClientApp,
+    generate_script, App, ByteServer, FtpClientApp, StreamSpec, VideoClientApp, VideoServer,
+    WebClientApp,
 };
 use powerburst_transport::TcpConfig;
 
@@ -65,6 +70,17 @@ pub mod hosts {
     }
 }
 
+/// Most occupied cells one world can hold. The switch numbers its
+/// interfaces with a `u8`: two go to the servers, one to the coordinator,
+/// and one to each occupied cell.
+pub const MAX_CELLS: usize = u8::MAX as usize + 1 - 3;
+
+/// AP transmit-queue bound, expressed as backlog time.
+const MEDIUM_BACKLOG: SimDuration = SimDuration::from_ms(150);
+
+/// Max client clock offset, microseconds (uniform ±).
+const CLOCK_OFFSET_US: i64 = 5_000;
+
 /// One proxy shard + access point serving one radio cell.
 pub struct Shard {
     /// The shard proxy's node id.
@@ -104,17 +120,9 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     let n = cfg.clients.len();
 
     // --- cell partition ------------------------------------------------------
-    // Clients map onto cells (round-robin unless an explicit map is given);
-    // only occupied cells get an AP + proxy shard, so `cells: 16` with all
-    // clients in cell 0 assembles the identical 1-cell world.
-    if let Some(map) = &cfg.cell_map {
-        assert_eq!(map.len(), n, "cell_map must name a cell for every client");
-        assert!(
-            map.iter().all(|&c| (c as usize) < cfg.cells),
-            "cell_map entry out of range (cells = {})",
-            cfg.cells
-        );
-    }
+    // Clients map onto cells round-robin; only occupied cells get an AP +
+    // proxy shard, so one client in `cells: 16` assembles the identical
+    // 1-cell world.
     let mut cell_clients: Vec<Vec<usize>> = vec![Vec::new(); cfg.cells.max(1)];
     for i in 0..n {
         cell_clients[cfg.cell_of(i)].push(i);
@@ -130,9 +138,9 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         rank_of_cell[c] = r;
     }
     // Switch ifaces: 0 video, 1 byte, 2+r per shard, one more for the
-    // coordinator. IfaceId is a u8, which caps the fan-out at 253 cells.
+    // coordinator.
     assert!(
-        2 + realized.len() + usize::from(multi) <= u8::MAX as usize + 1,
+        realized.len() <= MAX_CELLS,
         "too many occupied cells for the switch's u8 iface space: {}",
         realized.len()
     );
@@ -147,7 +155,6 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         Recorder::new(RecorderConfig {
             events: cfg.obs.events,
             lanes: if multi { realized.len() + 1 } else { 1 },
-            ..RecorderConfig::default()
         })
     } else {
         Recorder::disabled()
@@ -181,7 +188,6 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         Box::new(VideoServer::new(
             SockAddr::new(hosts::VIDEO_SERVER, ports::MEDIA),
             streams,
-            AdaptConfig::default(),
             &mut traffic_rng,
         )),
         NodeConfig::wired(hosts::VIDEO_SERVER),
@@ -220,12 +226,12 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     world.add_link(
         Endpoint { node: video_server, iface: IfaceId(0) },
         Endpoint { node: switch, iface: IfaceId(0) },
-        cfg.net.wired,
+        LinkSpec::FAST_ETHERNET,
     );
     world.add_link(
         Endpoint { node: byte_server, iface: IfaceId(0) },
         Endpoint { node: switch, iface: IfaceId(1) },
-        cfg.net.wired,
+        LinkSpec::FAST_ETHERNET,
     );
 
     // --- proxy shards + access points, one pair per occupied cell --------------
@@ -251,12 +257,13 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
             pcfg.coord = Some(coord_addr);
         }
         let mut proxy_node = Proxy::new(pcfg);
-        if let Some(chan_cfg) = cfg.channel {
-            // The model draws from its own derived stream (one per shard),
-            // so attaching it never perturbs any other stochastic
-            // component of the run.
+        // The Markov channel model is attached exactly for the policy that
+        // reads it, so every other run keeps the paper's fixed-rate
+        // information set. It draws from its own derived stream (one per
+        // shard), so attaching it never perturbs any other stochastic
+        // component of the run.
+        if matches!(cfg.policy, PolicyKind::ChannelAware { .. }) {
             proxy_node.set_channel_model(ChannelModel::new(
-                chan_cfg,
                 shard_clients.len(),
                 derive_rng(cfg.seed, streams::CHANNEL + r as u64),
             ));
@@ -286,18 +293,17 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         // delay is then the only cross-shard latency and becomes the
         // engine's conservative lookahead. 1-cell worlds keep the paper's
         // all-Fast-Ethernet LAN on the single sequential shard.
-        let uplink_spec = if multi { cfg.net.backhaul } else { cfg.net.wired };
+        let uplink_spec = if multi { LinkSpec::METRO_BACKHAUL } else { LinkSpec::FAST_ETHERNET };
         let uplink = Endpoint { node: switch, iface: IfaceId((2 + r) as u8) };
-        let pipe = cfg
-            .pipe
-            .map(|pspec| world.add_node(Box::new(Pipe::new(pspec)), NodeConfig::infrastructure()));
+        let pipe =
+            cfg.pipe.then(|| world.add_node(Box::<Pipe>::default(), NodeConfig::infrastructure()));
         match pipe {
             Some(pipe) => {
                 world.add_link(uplink, Endpoint { node: pipe, iface: IfaceId(0) }, uplink_spec);
                 world.add_link(
                     Endpoint { node: pipe, iface: IfaceId(1) },
                     Endpoint { node: proxy, iface: PROXY_LAN },
-                    cfg.net.wired,
+                    LinkSpec::FAST_ETHERNET,
                 );
             }
             None => {
@@ -307,9 +313,9 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         world.add_link(
             Endpoint { node: proxy, iface: PROXY_AP },
             Endpoint { node: ap, iface: AP_WIRED },
-            cfg.net.wired,
+            LinkSpec::FAST_ETHERNET,
         );
-        let cell_idx = world.add_cell(cfg.net.airtime, cfg.net.medium_backlog, ap);
+        let cell_idx = world.add_cell(cfg.net.airtime, MEDIUM_BACKLOG, ap);
         debug_assert_eq!(cell_idx, r);
         world.attach_wireless_cell(ap, powerburst_net::AP_RADIO, r);
         if multi {
@@ -364,7 +370,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
             )),
         };
         let mut clock =
-            ClockModel::sample(&mut clock_rng, cfg.net.clock_offset_us, cfg.net.clock_drift_ppm);
+            ClockModel::sample(&mut clock_rng, CLOCK_OFFSET_US, cfg.net.clock_drift_ppm);
         // Fault plan: pile an extra frequency error on top, so the
         // client↔proxy skew ramps linearly over the run.
         clock.drift_ppm += clock_skew_ramp(&cfg.faults, &mut skew_rng);
@@ -397,7 +403,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         world.add_link(
             Endpoint { node: switch, iface: IfaceId((2 + shards.len()) as u8) },
             Endpoint { node: coord, iface: COORD_IFACE },
-            cfg.net.wired,
+            LinkSpec::FAST_ETHERNET,
         );
         Some(coord)
     } else {
@@ -417,19 +423,40 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
     let mut a = assemble(cfg);
     a.world.run_until(SimTime::ZERO + cfg.duration);
-
     let trace = a.world.take_trace();
-    let card = CardSpec::WAVELAN_DSSS;
-    let end = SimTime::ZERO + cfg.duration;
+    let posts = postmortem(cfg, &trace);
+    collect(cfg, &mut a, posts, &trace)
+}
 
+/// Replay the capture of a finished run once per client, in client order,
+/// through the paper's postmortem analyzer.
+pub fn postmortem(cfg: &ScenarioConfig, trace: &[SnifferRecord]) -> Vec<PostmortemReport> {
+    let end = SimTime::ZERO + cfg.duration;
+    cfg.clients
+        .iter()
+        .enumerate()
+        .map(|(i, spec)| analyze_client(trace, hosts::client(i), end, &spec.policy_params()))
+        .collect()
+}
+
+/// Fold a finished run into its result: live WNIC readouts, energy
+/// conservation, daemon and app stats, the per-shard proxy, admission and
+/// invariant counters, faults, utilization and the obs export. `posts`
+/// are [`postmortem`]'s reports and `trace` the capture they came from.
+pub fn collect(
+    cfg: &ScenarioConfig,
+    a: &mut Assembled,
+    posts: Vec<PostmortemReport>,
+    trace: &[SnifferRecord],
+) -> ScenarioResult {
+    let card = CardSpec::WAVELAN_DSSS;
     let mut clients = Vec::with_capacity(cfg.clients.len());
     let mut downshifts = 0u32;
     let mut dwell_violations: Vec<Violation> = Vec::new();
-    for (i, spec) in cfg.clients.iter().enumerate() {
+    assert_eq!(posts.len(), cfg.clients.len(), "one postmortem report per client");
+    for ((i, spec), post) in cfg.clients.iter().enumerate().zip(posts) {
         let host = hosts::client(i);
         let node = a.clients[i];
-        let post = analyze_client(&trace, host, end, &spec.policy_params());
-
         let live = match cfg.radio {
             RadioMode::Monitor => None,
             RadioMode::Live => {
@@ -528,10 +555,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         let p = a.world.node_mut::<Proxy>(s.proxy);
         proxy_stats.merge(&p.stats);
         if let Some(shard_adm) = p.admission_stats() {
-            let total = admission.get_or_insert(AdmissionStats::default());
-            total.admitted += shard_adm.admitted;
-            total.rejected += shard_adm.rejected;
-            total.packets_refused += shard_adm.packets_refused;
+            admission.get_or_insert_with(AdmissionStats::default).merge(&shard_adm);
         }
         let log = p.take_invariants();
         invariants.merge(log);
@@ -569,7 +593,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioResult {
         clients,
         proxy: proxy_stats,
         medium_drops: a.world.medium_drops(),
-        utilization: utilization(&trace, cfg.duration),
+        utilization: utilization(trace, cfg.duration),
         trace_frames: trace.len(),
         duration: cfg.duration,
         downshifts,
@@ -620,15 +644,13 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Any explicit cell map partitions the clients: every client's
-        /// radio lands in exactly the cell its map entry names, shards
-        /// cover the client index space exactly once, and each realized
-        /// cell holds its AP plus precisely its own clients.
+        /// Round-robin placement partitions the clients for any client and
+        /// cell count, fewer clients than cells included: every client's
+        /// radio lands in cell `i % cells`, shards cover the client index
+        /// space exactly once, each realized cell holds its AP plus
+        /// precisely its own clients, and empty cells are elided.
         #[test]
-        fn arbitrary_cell_maps_partition_clients(
-            map in proptest::collection::vec(0u32..6, 1..32),
-        ) {
-            let n = map.len();
+        fn round_robin_cells_partition_clients(n in 1usize..32, cells in 1usize..40) {
             let clients = (0..n)
                 .map(|_| ClientSpec::new(ClientKind::Video { fidelity: Fidelity::K56 }))
                 .collect();
@@ -637,14 +659,13 @@ mod tests {
                 PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) },
                 clients,
             )
-            .with_cells(6)
-            .with_cell_map(map.clone());
+            .with_cells(cells);
             let a = assemble(&cfg);
 
             let mut seen = vec![0u32; n];
             for s in &a.shards {
                 for &i in &s.clients {
-                    proptest::prop_assert_eq!(map[i], s.cell, "client {} in wrong shard", i);
+                    proptest::prop_assert_eq!(i % cells, s.cell as usize, "client {} misplaced", i);
                     seen[i] += 1;
                 }
             }
@@ -659,9 +680,10 @@ mod tests {
                     proptest::prop_assert_eq!(a.world.cell_of(a.clients[i]), Some(r as u32));
                 }
             }
-            let occupied: std::collections::BTreeSet<u32> = map.iter().copied().collect();
-            proptest::prop_assert_eq!(a.shards.len(), occupied.len(), "one shard per occupied cell");
-            proptest::prop_assert_eq!(a.coordinator.is_some(), occupied.len() > 1);
+            let occupied = n.min(cells);
+            proptest::prop_assert_eq!(a.shards.len(), occupied, "one shard per occupied cell");
+            proptest::prop_assert_eq!(a.world.cell_count(), occupied, "empty cells are elided");
+            proptest::prop_assert_eq!(a.coordinator.is_some(), occupied > 1);
         }
     }
 

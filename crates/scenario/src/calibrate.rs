@@ -15,8 +15,8 @@ use std::any::Any;
 use bytes::Bytes;
 use powerburst_core::BandwidthModel;
 use powerburst_net::{
-    AccessPoint, Ctx, Endpoint, HostAddr, IfaceId, Node, NodeConfig, Packet, SockAddr, TimerToken,
-    World, AP_RADIO, AP_WIRED,
+    AccessPoint, Ctx, Endpoint, HostAddr, IfaceId, LinkSpec, Node, NodeConfig, Packet, SockAddr,
+    TimerToken, World, AP_RADIO, AP_WIRED,
 };
 use powerburst_sim::{SimDuration, SimTime};
 use powerburst_traffic::{CountingSink, NaiveClient};
@@ -101,7 +101,7 @@ pub fn calibrate(net: &NetworkConfig, seed: u64, sizes: &[usize], per_size: usiz
     world.add_link(
         Endpoint { node: probe, iface: IfaceId(0) },
         Endpoint { node: ap, iface: AP_WIRED },
-        net.wired,
+        LinkSpec::FAST_ETHERNET,
     );
     world.add_cell(net.airtime, SimDuration::from_secs(1), ap);
     world.attach_wireless_cell(ap, AP_RADIO, 0);

@@ -1,33 +1,21 @@
 //! Experiment configuration: network parameters, client specifications,
 //! and scenario assembly inputs.
 
-use powerburst_core::{AdmissionConfig, CompMode, PolicyKind, PolicyParams, ProxyMode};
-use powerburst_net::{
-    AirtimeModel, ApDelayParams, FaultPlan, LinkSpec, MarkovChannelConfig, PipeSpec,
-};
+use powerburst_core::{CompMode, PolicyKind, PolicyParams, ProxyMode};
+use powerburst_net::{AirtimeModel, ApDelayParams, FaultPlan};
 use powerburst_sim::SimDuration;
 use powerburst_traffic::{Fidelity, WebScriptConfig};
 
-/// Physical-network parameters (the testbed of §4.1).
+/// Physical-network parameters the experiments vary (the testbed of
+/// §4.1). The rest of the testbed is fixed in `assemble`: 100 Mbps Fast
+/// Ethernet wiring, the metro backhaul between cells, a 150 ms AP
+/// transmit backlog and ±5 ms client clock offsets.
 #[derive(Debug, Clone, Copy)]
 pub struct NetworkConfig {
-    /// Wired segment (100 Mbps Fast Ethernet in the paper).
-    pub wired: LinkSpec,
-    /// The switch → per-cell shard links in multi-cell worlds (the metro
-    /// aggregation hops). Ignored in 1-cell worlds, which use `wired`
-    /// everywhere exactly as the paper's testbed did. The backhaul's
-    /// one-way delay doubles as the sharded engine's conservative
-    /// lookahead (DESIGN.md §17), so don't set it below ~1 ms unless you
-    /// enjoy barrier overhead.
-    pub backhaul: LinkSpec,
     /// Radio airtime model (11 Mbps DSSS).
     pub airtime: AirtimeModel,
-    /// AP transmit-queue bound, expressed as backlog time.
-    pub medium_backlog: SimDuration,
     /// AP forwarding-delay process (drives delay compensation).
     pub ap_delay: ApDelayParams,
-    /// Max client clock offset, microseconds (uniform ±).
-    pub clock_offset_us: i64,
     /// Max client clock drift, ppm (uniform ±).
     pub clock_drift_ppm: f64,
 }
@@ -35,12 +23,8 @@ pub struct NetworkConfig {
 impl Default for NetworkConfig {
     fn default() -> Self {
         NetworkConfig {
-            wired: LinkSpec::FAST_ETHERNET,
-            backhaul: LinkSpec::METRO_BACKHAUL,
             airtime: AirtimeModel::DSSS_11MBPS,
-            medium_backlog: SimDuration::from_ms(150),
             ap_delay: ApDelayParams::default(),
-            clock_offset_us: 5_000,
             clock_drift_ppm: 50.0,
         }
     }
@@ -172,7 +156,9 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// Network parameters.
     pub net: NetworkConfig,
-    /// Proxy scheduling policy.
+    /// Proxy scheduling policy. `assemble` gives each policy the inputs
+    /// it reads: the seeded Markov channel model for `ChannelAware`,
+    /// buffer-extended receiver reports for `BufferAware`.
     pub policy: PolicyKind,
     /// Proxy connection mode (split vs pass-through ablation).
     pub proxy_mode: ProxyMode,
@@ -187,33 +173,26 @@ pub struct ScenarioConfig {
     /// Video stream start stagger (§4.1: "requests were spaced roughly one
     /// second apart").
     pub stagger: SimDuration,
-    /// Optional DummyNet pipe between the servers and the proxy (§4.3).
-    pub pipe: Option<PipeSpec>,
-    /// Optional §3.2.1 admission control at the proxy.
-    pub admission: Option<AdmissionConfig>,
+    /// Put the paper's DummyNet pipe (4 Mb/s, 2 ms RTT, 5 % drops)
+    /// between the servers and the proxy (§4.3).
+    pub pipe: bool,
+    /// Run §3.2.1 admission control at the proxy.
+    pub admission: bool,
     /// Deterministic fault injection (loss/dup/reorder/SRP drops, AP
     /// jitter spikes, clock-skew ramps). Defaults to no faults.
     pub faults: FaultPlan,
     /// Observability (metrics/events) collection. Defaults to off.
     pub obs: ObsConfig,
-    /// Seeded Markov channel-state model attached to the proxy. `None`
-    /// (the default) keeps the paper's fixed-rate assumption; only the
-    /// channel-aware policy reads the resulting states, so the model is
-    /// passive under every other policy.
-    pub channel: Option<MarkovChannelConfig>,
     /// Number of radio cells. 1 (the default) is the paper's single-AP
-    /// world. With more, the builder instantiates one AP + one proxy
-    /// shard per *occupied* cell on the wired topology, plus a
-    /// coordinator tier exchanging per-cell aggregate demand — schedule
-    /// broadcasts then stay bounded by cell size instead of O(total
-    /// clients). Cells that end up with no clients are elided, so a
-    /// multi-cell config whose clients all land in cell 0 builds a world
-    /// structurally identical to the 1-cell one.
+    /// world. Client `i` joins cell `i % cells`. With more than one
+    /// occupied cell, `assemble` instantiates one AP + one proxy shard
+    /// per *occupied* cell on the wired topology, plus a coordinator tier
+    /// exchanging per-cell aggregate demand — schedule broadcasts then
+    /// stay bounded by cell size instead of O(total clients). Cells that
+    /// end up with no clients are elided, so a config with fewer clients
+    /// than cells occupies only `clients` cells, and one client in any
+    /// number of cells builds the 1-cell world.
     pub cells: usize,
-    /// Explicit client → cell assignment (`cell_map[i]` < `cells`).
-    /// `None` (the default) assigns round-robin: client `i` joins cell
-    /// `i % cells`.
-    pub cell_map: Option<Vec<u32>>,
     /// Shared airtime pool for the coordinator, in permille of one burst
     /// interval per cell (see `powerburst_coord::CoordinatorConfig`).
     /// `None` grants every cell its full interval (non-overlapping
@@ -230,14 +209,6 @@ pub struct ScenarioConfig {
 impl ScenarioConfig {
     /// A scenario with paper-standard network settings.
     pub fn new(seed: u64, policy: PolicyKind, clients: Vec<ClientSpec>) -> ScenarioConfig {
-        // The channel model defaults on when its policy is selected, so
-        // `--policy channel` works without extra flags; it stays off
-        // otherwise to keep the default information set (and the golden
-        // traces) identical to the paper's.
-        let channel = match policy {
-            PolicyKind::ChannelAware { .. } => Some(MarkovChannelConfig::default()),
-            _ => None,
-        };
         ScenarioConfig {
             seed,
             net: NetworkConfig::default(),
@@ -248,13 +219,11 @@ impl ScenarioConfig {
             radio: RadioMode::Monitor,
             duration: SimDuration::from_secs(119),
             stagger: SimDuration::from_secs(1),
-            pipe: None,
-            admission: None,
+            pipe: false,
+            admission: false,
             faults: FaultPlan::NONE,
             obs: ObsConfig::OFF,
-            channel,
             cells: 1,
-            cell_map: None,
             coord_pool_permille: None,
             threads: 1,
         }
@@ -278,24 +247,11 @@ impl ScenarioConfig {
         self
     }
 
-    /// Attach (or detach) the Markov channel model (builder style).
-    pub fn with_channel(mut self, cfg: Option<MarkovChannelConfig>) -> ScenarioConfig {
-        self.channel = cfg;
-        self
-    }
-
     /// Spread the clients over `cells` radio cells, round-robin (builder
     /// style).
     pub fn with_cells(mut self, cells: usize) -> ScenarioConfig {
         assert!(cells >= 1, "a world has at least one cell");
         self.cells = cells;
-        self
-    }
-
-    /// Pin every client to an explicit cell (builder style). The map must
-    /// cover every client with a cell index below `cells`.
-    pub fn with_cell_map(mut self, map: Vec<u32>) -> ScenarioConfig {
-        self.cell_map = Some(map);
         self
     }
 
@@ -312,12 +268,9 @@ impl ScenarioConfig {
         self
     }
 
-    /// The cell client `i` belongs to under this config.
+    /// The cell client `i` belongs to: round-robin over the cells.
     pub fn cell_of(&self, i: usize) -> usize {
-        match &self.cell_map {
-            Some(map) => map[i] as usize,
-            None => i % self.cells.max(1),
-        }
+        i % self.cells.max(1)
     }
 }
 

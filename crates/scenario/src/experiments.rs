@@ -7,9 +7,8 @@
 //! [`run_all`] iterate the registry; `tests/experiments_golden.rs`
 //! snapshots all of it at a shortened duration.
 
-use powerburst_core::{AdmissionConfig, CompMode, PolicyKind, ProxyMode, DEFAULT_TARGET_BUFFER};
+use powerburst_core::{CompMode, PolicyKind, ProxyMode, DEFAULT_TARGET_BUFFER};
 use powerburst_energy::{optimal_savings_for_rate, CardSpec};
-use powerburst_net::PipeSpec;
 use powerburst_sim::{parallel_sweep, SimDuration};
 use powerburst_traffic::{Fidelity, WebScriptConfig};
 
@@ -551,7 +550,7 @@ fn fig7_slotted_static(opt: &ExpOptions) -> String {
 /// RTT and 5 % drops on the radio hop); a wired-path pipe variant is also
 /// included for reference.
 fn tab_drop_impact(opt: &ExpOptions) -> String {
-    let mk = |radio: RadioMode, pipe: Option<PipeSpec>, radio_loss: f64| {
+    let mk = |radio: RadioMode, pipe: bool, radio_loss: f64| {
         let ftp = ClientSpec::new(ClientKind::Ftp { size: 2_000_000 });
         let mut cfg = opt.scenario(IntervalKind::Fixed100.policy(), vec![ftp]);
         cfg.radio = radio;
@@ -560,13 +559,10 @@ fn tab_drop_impact(opt: &ExpOptions) -> String {
         cfg
     };
     let configs = vec![
-        ("monitor (capture all)", mk(RadioMode::Monitor, None, 0.0)),
-        ("live (real drops)", mk(RadioMode::Live, None, 0.0)),
-        ("live + 5% radio loss (DummyNet)", mk(RadioMode::Live, None, 0.05)),
-        (
-            "live + wired pipe 4Mb/s 2ms 5%",
-            mk(RadioMode::Live, Some(PipeSpec::PAPER_DUMMYNET), 0.0),
-        ),
+        ("monitor (capture all)", mk(RadioMode::Monitor, false, 0.0)),
+        ("live (real drops)", mk(RadioMode::Live, false, 0.0)),
+        ("live + 5% radio loss (DummyNet)", mk(RadioMode::Live, false, 0.05)),
+        ("live + wired pipe 4Mb/s 2ms 5%", mk(RadioMode::Live, true, 0.0)),
     ];
     let runs = parallel_sweep(configs, opt.threads, |(label, cfg)| {
         let r = run_scenario(cfg);
@@ -775,10 +771,7 @@ fn abl_psm_baseline(opt: &ExpOptions) -> String {
 /// that fit keep full fidelity and clean slots while the rest are refused
 /// outright. Loss and savings count served clients only.
 fn abl_admission_control(opt: &ExpOptions) -> String {
-    let configs = vec![
-        ("no admission (paper)", None),
-        ("reservation admission", Some(AdmissionConfig::default())),
-    ];
+    let configs = vec![("no admission (paper)", false), ("reservation admission", true)];
     let rows = parallel_sweep(configs, opt.threads, |(label, admission)| {
         let mut cfg =
             opt.scenario(IntervalKind::Fixed100.policy(), video_clients(VideoPattern::All512, 10));
@@ -810,8 +803,8 @@ fn abl_admission_control(opt: &ExpOptions) -> String {
 /// A7 — scheduling-policy A/B: every registered slot allocator, at the
 /// paper's 100 ms cadence, over the two reference workloads — Figure 4's
 /// mixed-fidelity video row and Figure 5's video+web blend.
-/// `ScenarioConfig::new` attaches the Markov channel model for `channel`
-/// and buffer-extended reports for `buffer`, so each policy runs with
+/// `assemble` attaches the Markov channel model for `channel` and turns on
+/// buffer-extended reports for `buffer`, so each policy runs with
 /// exactly the information set it would have in a real deployment;
 /// `fixed` is byte-identical to the paper's builder.
 fn ab_policy_comparison(opt: &ExpOptions) -> String {

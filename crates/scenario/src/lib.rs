@@ -8,7 +8,8 @@
 //! * [`config`] — scenario/network/client configuration and the Figure-4
 //!   video access patterns;
 //! * [`build`] — topology assembly ([`assemble`]) and execution
-//!   ([`run_scenario`]);
+//!   ([`run_scenario`], the composition of [`assemble`], the world's run,
+//!   [`postmortem`] and [`collect`]);
 //! * [`results`] — per-client and per-run result structures;
 //! * [`calibrate`](mod@calibrate) — the §3.2.2 bandwidth microbenchmark (M1);
 //! * [`experiments`] — the experiment registry, one entry per paper
@@ -25,7 +26,7 @@ pub mod experiments;
 pub mod report;
 pub mod results;
 
-pub use build::{assemble, hosts, run_scenario, Assembled};
+pub use build::{assemble, collect, hosts, postmortem, run_scenario, Assembled, MAX_CELLS};
 pub use calibrate::{calibrate, Calibration, DEFAULT_SIZES};
 pub use config::{
     ClientKind, ClientSpec, NetworkConfig, ObsConfig, RadioMode, ScenarioConfig, VideoPattern,

@@ -6,17 +6,13 @@
 //! Figure 6, against the baseline of a naive always-on client.
 //!
 //! * [`postmortem`] — the replay simulator ([`analyze_client`]);
-//! * [`summary`] — medium utilization and JSON-lines export of captures;
-//! * [`golden`] — the golden-trace regression harness: canonical summary
-//!   rendering plus snapshot compare/refresh.
+//! * [`summary`] — medium utilization and JSON-lines export of captures.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod golden;
 pub mod postmortem;
 pub mod summary;
 
-pub use golden::{check_golden, render_postmortem};
 pub use postmortem::{analyze_client, PolicyParams, PostmortemReport};
 pub use summary::{to_jsonl, utilization, TraceRow};

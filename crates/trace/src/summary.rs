@@ -6,54 +6,19 @@
 //! files).
 
 use powerburst_net::{Delivery, Proto, SnifferRecord};
-use powerburst_sim::{SimDuration, SimTime};
+use powerburst_sim::SimDuration;
 
-/// Whole-trace medium statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct MediumSummary {
-    /// Frames on the air.
-    frames: u64,
-    /// Total airtime.
-    airtime: SimDuration,
-    /// Schedule broadcasts.
-    broadcasts: u64,
-    /// Frames dropped at the transmit queue.
-    queue_drops: u64,
-    /// Capture span (first..last timestamp).
-    span: SimDuration,
-}
-
-/// Summarize medium activity.
-fn medium_summary(records: &[SnifferRecord]) -> MediumSummary {
-    let mut s = MediumSummary::default();
-    let mut first: Option<SimTime> = None;
-    let mut last = SimTime::ZERO;
-    for r in records {
-        match r.delivery {
-            Delivery::QueueDrop => {
-                s.queue_drops += 1;
-                continue;
-            }
-            Delivery::Broadcast => s.broadcasts += 1,
-            _ => {}
-        }
-        s.frames += 1;
-        s.airtime += r.airtime;
-        first.get_or_insert(r.t);
-        last = last.max(r.t);
-    }
-    if let Some(f) = first {
-        s.span = last.since(f);
-    }
-    s
-}
-
-/// Medium utilization over `window` (fraction of time carrying frames).
+/// Medium utilization over `window`: the airtime of every frame that
+/// reached the air (queue drops never did), as a fraction of `window`.
 pub fn utilization(records: &[SnifferRecord], window: SimDuration) -> f64 {
     if window.is_zero() {
         return 0.0;
     }
-    medium_summary(records).airtime.as_secs_f64() / window.as_secs_f64()
+    let mut airtime = SimDuration::ZERO;
+    for r in records.iter().filter(|r| r.delivery != Delivery::QueueDrop) {
+        airtime += r.airtime;
+    }
+    airtime.as_secs_f64() / window.as_secs_f64()
 }
 
 /// One serializable capture row (tcpdump-line equivalent).
@@ -145,6 +110,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use powerburst_net::{HostAddr, Packet, SockAddr};
+    use powerburst_sim::SimTime;
 
     fn rec(src: u32, dst: u32, mark: bool, delivery: Delivery, t_ms: u64) -> SnifferRecord {
         let mut pkt = Packet::udp(
@@ -158,24 +124,16 @@ mod tests {
     }
 
     #[test]
-    fn medium_summary_counts() {
+    fn utilization_fraction() {
         let recs = vec![
             rec(1, 10, false, Delivery::Delivered, 0),
             rec(1, 11, false, Delivery::Broadcast, 50),
             rec(1, 10, false, Delivery::QueueDrop, 60),
         ];
-        let s = medium_summary(&recs);
-        assert_eq!(s.frames, 2);
-        assert_eq!(s.broadcasts, 1);
-        assert_eq!(s.queue_drops, 1);
-        assert_eq!(s.span, SimDuration::from_ms(50));
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let recs = vec![rec(1, 10, false, Delivery::Delivered, 0)];
-        let u = utilization(&recs, SimDuration::from_ms(9));
+        // Two 900 us frames reached the air; the queue drop did not.
+        let u = utilization(&recs, SimDuration::from_ms(18));
         assert!((u - 0.1).abs() < 1e-9, "u {u}");
+        assert_eq!(utilization(&recs, SimDuration::ZERO), 0.0);
     }
 
     #[test]

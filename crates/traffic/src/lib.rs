@@ -25,5 +25,5 @@ pub mod web;
 pub use app::{drive_endpoint, App, NaiveClient, APP_TOKEN, CLIENT_RADIO};
 pub use cbr::{CbrSource, CbrSpec, CountingSink};
 pub use ftp::FtpClientApp;
-pub use video::{AdaptConfig, Fidelity, PlayerStats, StreamSpec, VideoClientApp, VideoServer};
+pub use video::{Fidelity, PlayerStats, StreamSpec, VideoClientApp, VideoServer};
 pub use web::{generate_script, BrowserStats, ByteServer, Page, WebClientApp, WebScriptConfig};

@@ -163,35 +163,18 @@ pub use powerburst_net::feedback::{decode_report, encode_report, ReceiverReport,
 /// Maximum UDP payload per stream packet (media packets are mid-sized).
 pub const MAX_STREAM_PAYLOAD: usize = 700;
 
-/// Configuration for the server's loss-adaptation logic.
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptConfig {
-    /// Enable downshifting (RealServer behaviour).
-    pub enabled: bool,
-    /// A report with loss above this fraction counts as "lossy".
-    pub loss_threshold: f64,
-    /// Downshift after this many consecutive lossy reports.
-    pub lossy_reports_to_downshift: u32,
-    /// Maximum downshifts per stream (RealServer switches to *a* lower
-    /// encoding, not down a whole cascade).
-    pub max_downshifts: u32,
-}
-
-impl Default for AdaptConfig {
-    fn default() -> Self {
-        AdaptConfig {
-            enabled: true,
-            loss_threshold: 0.10,
-            lossy_reports_to_downshift: 3,
-            max_downshifts: 1,
-        }
-    }
-}
+/// RealServer's loss adaptation: a receiver report whose interval loss
+/// exceeds this fraction counts as lossy.
+const LOSS_THRESHOLD: f64 = 0.10;
+/// Consecutive lossy reports that downshift a stream.
+const LOSSY_REPORTS_TO_DOWNSHIFT: u32 = 3;
+/// Downshifts allowed per stream (RealServer switches to *a* lower
+/// encoding, not down a whole cascade).
+const MAX_DOWNSHIFTS: u32 = 1;
 
 /// The streaming server node.
 pub struct VideoServer {
     addr: SockAddr,
-    adapt: AdaptConfig,
     streams: Vec<StreamState>,
     /// `(flow, stream index)` sorted by flow, one entry per flow (its
     /// first stream), so a receiver report finds its stream by binary
@@ -207,7 +190,6 @@ impl VideoServer {
     pub fn new<R: Rng + ?Sized>(
         addr: SockAddr,
         streams: Vec<StreamSpec>,
-        adapt: AdaptConfig,
         rng: &mut R,
     ) -> VideoServer {
         let n = streams.len();
@@ -219,7 +201,6 @@ impl VideoServer {
         by_flow.dedup_by_key(|&mut (flow, _)| flow);
         VideoServer {
             addr,
-            adapt,
             streams: streams
                 .into_iter()
                 .map(|spec| StreamState {
@@ -311,13 +292,10 @@ impl VideoServer {
         }
         let loss = 1.0 - (got as f64 / expected as f64).min(1.0);
         let st = &mut self.streams[idx];
-        if !self.adapt.enabled {
-            return;
-        }
-        if loss > self.adapt.loss_threshold {
+        if loss > LOSS_THRESHOLD {
             st.lossy_reports += 1;
-            if st.lossy_reports >= self.adapt.lossy_reports_to_downshift {
-                if st.downshifts < self.adapt.max_downshifts {
+            if st.lossy_reports >= LOSSY_REPORTS_TO_DOWNSHIFT {
+                if st.downshifts < MAX_DOWNSHIFTS {
                     if let Some(lower) = st.current.lower() {
                         st.current = lower;
                         st.downshifts += 1;
@@ -563,7 +541,6 @@ mod tests {
         let mut server = VideoServer::new(
             SockAddr::new(powerburst_net::HostAddr(2), 554),
             specs,
-            AdaptConfig::default(),
             &mut derive_rng(8, 8),
         );
         let state = |s: &VideoServer| {

@@ -22,7 +22,7 @@ use std::process::ExitCode;
 use powerburst::prelude::*;
 use powerburst::scenario::experiments as exp;
 use powerburst::scenario::report::{fmt_summary, Table};
-use powerburst::scenario::NetworkConfig;
+use powerburst::scenario::{collect, postmortem, NetworkConfig, MAX_CELLS};
 use powerburst::trace::to_jsonl;
 
 fn main() -> ExitCode {
@@ -234,10 +234,17 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
     let mut cfg =
         ScenarioConfig::new(seed, policy, clients).with_duration(SimDuration::from_secs(secs));
     // Multi-cell: N cells round-robin over the client list, one AP +
-    // proxy shard per occupied cell, coordinator tier when N > 1.
-    let cells: usize = f.parse("--cells", 1)?;
-    if cells > 1 {
-        cfg = cfg.with_cells(cells);
+    // proxy shard per occupied cell, coordinator tier when more than one
+    // cell is occupied.
+    if let Some(cells) = f.opt::<NonZeroUsize>("--cells")? {
+        let occupied = cells.get().min(cfg.clients.len());
+        if occupied > MAX_CELLS {
+            return Err(Usage(format!(
+                "--cells {cells} puts {} clients in {occupied} cells; at most {MAX_CELLS} fit",
+                cfg.clients.len()
+            )));
+        }
+        cfg = cfg.with_cells(cells.get());
     }
     // Worker threads for the sharded event core. Outputs are
     // byte-identical at every value; single-cell worlds always run
@@ -254,7 +261,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
         cfg.radio = RadioMode::Live;
     }
     if f.has("--admission") {
-        cfg.admission = Some(powerburst::core::AdmissionConfig::default());
+        cfg.admission = true;
     }
     cfg.faults = FaultPlan {
         loss_prob: f.parse("--fault-loss", 0.0)?,
@@ -281,20 +288,20 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
         if cfg.radio == RadioMode::Live { "live" } else { "monitor" }
     );
 
+    // `run_scenario`'s stages, so the raw trace `--trace-out` writes and
+    // the report below come from one run.
+    let mut a = assemble(&cfg);
+    a.world.run_until(SimTime::ZERO + cfg.duration);
+    let trace = a.world.take_trace();
     if let Some(path) = f.get("--trace-out") {
-        // Capture the raw trace alongside the report.
-        let mut a = powerburst::scenario::assemble(&cfg);
-        a.world.run_until(SimTime::ZERO + cfg.duration);
-        let trace = a.world.take_trace();
         if let Err(e) = std::fs::write(path, to_jsonl(&trace)) {
             eprintln!("cannot write {path}: {e}");
             return Ok(ExitCode::FAILURE);
         }
         eprintln!("trace: {} frames -> {path}", trace.len());
-        // Re-run for the structured report (runs are deterministic).
     }
-
-    let r = run_scenario(&cfg);
+    let posts = postmortem(&cfg, &trace);
+    let r = collect(&cfg, &mut a, posts, &trace);
     let mut t = Table::new(vec!["client", "saved %", "loss %", "sleep (s)", "delivered"]);
     for c in &r.clients {
         t.row(vec![

@@ -10,7 +10,8 @@
 //! postmortem methodology).
 //!
 //! This crate is the facade: it re-exports the workspace crates under one
-//! roof and provides a [`prelude`] for examples and quick experiments.
+//! roof, provides a [`prelude`] for examples and quick experiments, and
+//! holds the [`golden`] snapshot harness the regression tests share.
 //!
 //! ```
 //! use powerburst::prelude::*;
@@ -31,6 +32,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+pub mod golden;
 
 pub use powerburst_client as client;
 pub use powerburst_core as core;
@@ -54,7 +57,7 @@ pub mod prelude {
         naive_energy_mj, optimal_savings_for_rate, CardSpec, EnergyReport, Wnic,
     };
     pub use powerburst_net::{
-        AirtimeModel, ApDelayParams, FaultPlan, FaultStats, HostAddr, LinkSpec, PipeSpec, World,
+        AirtimeModel, ApDelayParams, FaultPlan, FaultStats, HostAddr, LinkSpec, World,
     };
     pub use powerburst_obs::{ObsReport, Recorder, RecorderConfig};
     pub use powerburst_scenario::{

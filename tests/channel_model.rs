@@ -13,11 +13,12 @@
 
 use std::fmt::Write as _;
 
-use powerburst::net::{ChannelModel, ChannelQuality, MarkovChannelConfig};
+use powerburst::golden::render_postmortem;
+use powerburst::net::{ChannelModel, ChannelQuality};
 use powerburst::prelude::*;
+use powerburst::scenario::{collect, postmortem};
 use powerburst::sim::rng::streams;
 use powerburst::sim::{derive_rng, parallel_sweep};
-use powerburst::trace::render_postmortem;
 
 fn channel_cfg(seed: u64, policy: PolicyKind) -> ScenarioConfig {
     let clients =
@@ -39,11 +40,7 @@ fn render(r: &ScenarioResult) -> String {
 /// Walk a model for `epochs` 100 ms epochs, recording one state vector per
 /// epoch.
 fn trajectory(seed: u64, clients: usize, epochs: u64) -> Vec<Vec<ChannelQuality>> {
-    let mut m = ChannelModel::new(
-        MarkovChannelConfig::default(),
-        clients,
-        derive_rng(seed, streams::CHANNEL),
-    );
+    let mut m = ChannelModel::new(clients, derive_rng(seed, streams::CHANNEL));
     (1..=epochs)
         .map(|e| {
             m.advance_to(powerburst::sim::SimTime::ZERO + SimDuration::from_ms(100) * e);
@@ -66,8 +63,7 @@ fn trajectory_is_independent_of_sampling_cadence() {
     // Advancing epoch-by-epoch or in one leap must land on the same
     // states: lazy advancement cannot depend on how often the proxy asks.
     let fine = trajectory(7, 5, 300);
-    let mut m =
-        ChannelModel::new(MarkovChannelConfig::default(), 5, derive_rng(7, streams::CHANNEL));
+    let mut m = ChannelModel::new(5, derive_rng(7, streams::CHANNEL));
     m.advance_to(powerburst::sim::SimTime::ZERO + SimDuration::from_ms(100) * 300);
     assert_eq!(
         fine.last().expect("300 epochs").as_slice(),
@@ -92,11 +88,22 @@ fn model_is_passive_under_channel_blind_policies() {
     // model attached: the model only *observes* epochs-elapsed and draws
     // from its own stream, so the simulation must be untouched — event
     // for event, byte for byte.
-    let policy = PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) };
-    let without = channel_cfg(42, policy);
-    let with = channel_cfg(42, policy).with_channel(Some(MarkovChannelConfig::default()));
-    let r_without = run_scenario(&without);
-    let r_with = run_scenario(&with);
+    let cfg = channel_cfg(42, PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) });
+    let run = |attach: bool| {
+        let mut a = assemble(&cfg);
+        if attach {
+            let shard = &a.shards[0];
+            let model =
+                ChannelModel::new(shard.clients.len(), derive_rng(cfg.seed, streams::CHANNEL));
+            a.world.node_mut::<Proxy>(shard.proxy).set_channel_model(model);
+        }
+        a.world.run_until(SimTime::ZERO + cfg.duration);
+        let trace = a.world.take_trace();
+        let posts = postmortem(&cfg, &trace);
+        collect(&cfg, &mut a, posts, &trace)
+    };
+    let r_without = run(false);
+    let r_with = run(true);
     assert_eq!(
         r_without.sim_events, r_with.sim_events,
         "attaching the channel model changed the sim event count under a fixed policy"

@@ -26,6 +26,7 @@ fn malformed_values_are_rejected_naming_the_flag() {
         (&["run", "--seed", "x"], "--seed", "x"),
         (&["run", "--threads", "two"], "--threads", "two"),
         (&["run", "--threads", "0"], "--threads", "0"),
+        (&["run", "--clients", "4", "--cells", "0"], "--cells", "0"),
         (&["run", "--coord-pool", "-1"], "--coord-pool", "-1"),
         (&["run", "--stagger-ms", "1e3"], "--stagger-ms", "1e3"),
         (&["run", "--fault-loss", "half"], "--fault-loss", "half"),
@@ -34,6 +35,16 @@ fn malformed_values_are_rejected_naming_the_flag() {
     ] {
         assert_usage_error(args, &format!("invalid value `{value}` for {flag}"));
     }
+}
+
+#[test]
+fn more_occupied_cells_than_the_switch_has_ports_are_rejected() {
+    // Round-robin placement occupies min(cells, clients) cells; the
+    // switch's u8 interface space holds 253.
+    assert_usage_error(
+        &["run", "--clients", "300", "--cells", "300"],
+        "--cells 300 puts 300 clients in 300 cells; at most 253 fit",
+    );
 }
 
 #[test]

@@ -15,8 +15,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use powerburst::golden::check_golden;
 use powerburst::prelude::*;
-use powerburst::trace::{check_golden, to_jsonl};
+use powerburst::trace::to_jsonl;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 

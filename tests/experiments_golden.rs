@@ -8,9 +8,9 @@
 
 use std::path::PathBuf;
 
+use powerburst::golden::check_golden;
 use powerburst::scenario::experiments::{run_all, ExpOptions};
 use powerburst::sim::SimDuration;
-use powerburst::trace::check_golden;
 
 #[test]
 fn every_experiment_matches_golden_snapshot() {

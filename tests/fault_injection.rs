@@ -9,9 +9,9 @@
 
 use std::fmt::Write as _;
 
+use powerburst::golden::render_postmortem;
 use powerburst::prelude::*;
 use powerburst::sim::parallel_sweep;
-use powerburst::trace::render_postmortem;
 
 fn faulted_cfg(seed: u64) -> ScenarioConfig {
     let clients =

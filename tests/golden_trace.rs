@@ -7,8 +7,9 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use powerburst::golden::{check_golden, render_postmortem};
 use powerburst::prelude::*;
-use powerburst::trace::{check_golden, render_postmortem, to_jsonl};
+use powerburst::trace::to_jsonl;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests").join("golden").join(name)
