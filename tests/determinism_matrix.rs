@@ -163,7 +163,10 @@ fn sharded_city_trace_is_byte_identical_at_every_thread_count() {
 }
 
 /// The sharded city's run counters, every client's live-radio summary
-/// (exact floats) and the metrics JSON.
+/// (exact floats), the metrics JSON, the event count and the head of the
+/// event stream. The head holds the t = 1 000 µs block where all four
+/// cells' proxies record at the same instant, each on its own shard's
+/// recorder lane, so a node that records on another lane reorders it.
 fn render_city_live(cfg: &ScenarioConfig) -> String {
     let r = run_scenario(cfg);
     let mut s = String::new();
@@ -180,8 +183,14 @@ fn render_city_live(cfg: &ScenarioConfig) -> String {
         let live = c.live.expect("live radios measure every client");
         let _ = writeln!(s, "client-{} {} {live:?}", c.host.0, c.label);
     }
+    let obs = r.obs.expect("obs enabled");
     let _ = writeln!(s, "[metrics]");
-    let _ = writeln!(s, "{}", r.obs.expect("obs enabled").metrics_json());
+    let _ = writeln!(s, "{}", obs.metrics_json());
+    let _ = writeln!(s, "[events]");
+    let _ = writeln!(s, "events = {}", obs.events.len());
+    for line in obs.events_jsonl().lines().take(32) {
+        let _ = writeln!(s, "{line}");
+    }
     s
 }
 
