@@ -6,11 +6,12 @@
 //! armed, and carries out its actions on the node context: radio wake
 //! and sleep, and timers measured on the client's own (drifting) clock.
 //! It owns the policy's counters, and reports the ones that move, and
-//! every `WakeLead` the policy notes, to the observability recorder.
+//! every `WakeLead` the policy notes, to its shard's recorder lane
+//! (`Ctx::obs`).
 
 use std::any::Any;
 
-use powerburst_obs::{Counter, EventKind, Hist, Recorder};
+use powerburst_obs::{Counter, EventKind, Hist};
 
 use powerburst_core::{Action, ClientPolicy, PolicyParams, PolicyStats, PolicyTimer, Schedule};
 use powerburst_net::{ports, Ctx, HostAddr, IfaceId, Node, Packet, Proto, TimerId, TimerToken};
@@ -30,8 +31,6 @@ pub struct PowerClient {
     decode_buf: Schedule,
     /// The policy's counters.
     pub stats: PolicyStats,
-    /// Observability handle; disabled by default.
-    obs: Recorder,
 }
 
 impl PowerClient {
@@ -44,13 +43,7 @@ impl PowerClient {
             plan: Vec::new(),
             decode_buf: Schedule::default(),
             stats: PolicyStats::default(),
-            obs: Recorder::disabled(),
         }
-    }
-
-    /// Attach an observability recorder.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.obs = rec;
     }
 
     /// Access the hosted application.
@@ -61,7 +54,7 @@ impl PowerClient {
     /// Carry out the policy's actions, then report the counters that moved
     /// since they read `old`.
     fn drive(&mut self, ctx: &mut Ctx<'_>, old: PolicyStats) {
-        let now = ctx.now();
+        let (now, obs) = (ctx.now(), ctx.obs());
         for a in self.policy.actions() {
             match a {
                 Action::Wake => ctx.radio_wake(),
@@ -76,8 +69,8 @@ impl PowerClient {
                     }
                 }
                 Action::Waited(woke_for, lead) => {
-                    self.obs.observe(Hist::WakeLeadUs, lead.as_us());
-                    self.obs.event(
+                    obs.observe(Hist::WakeLeadUs, lead.as_us());
+                    obs.event(
                         now.as_us(),
                         EventKind::WakeLead {
                             client: self.me.0,
@@ -96,7 +89,7 @@ impl PowerClient {
             (Counter::ClientSkippedWakes, new.skipped_srp_wakes - old.skipped_srp_wakes),
         ] {
             if d > 0 {
-                self.obs.add(c, d);
+                obs.add(c, d);
             }
         }
     }

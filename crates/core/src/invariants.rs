@@ -169,15 +169,14 @@ struct BurstAudit {
 /// [`ScheduleAuditor::on_schedule`] after each build, then
 /// `begin_burst` / `on_frame` / `mark_nominated` / `end_burst` around each
 /// slot's synchronous emissions. All methods are cheap (no allocation on
-/// the clean path).
+/// the clean path). The calls that open or close a burst take the
+/// proxy's recorder lane (`Ctx::obs`), which gets burst boundaries and
+/// slot margins.
 #[derive(Debug, Default)]
 pub struct ScheduleAuditor {
     /// Collected violations.
     pub log: InvariantLog,
     open: Option<BurstAudit>,
-    /// Observability sink for burst boundaries and slot margins; the
-    /// default (disabled) recorder costs one branch per call.
-    obs: Recorder,
 }
 
 impl ScheduleAuditor {
@@ -186,17 +185,18 @@ impl ScheduleAuditor {
         ScheduleAuditor::default()
     }
 
-    /// Route burst events and slot-margin metrics to `rec`.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.obs = rec;
-    }
-
     /// Check schedule completeness: every client with queued demand must
     /// hold its own slot, unless a broadcast slot covers everyone.
-    pub fn on_schedule(&mut self, now: SimTime, sched: &Schedule, demands: &[ClientDemand]) {
+    pub fn on_schedule(
+        &mut self,
+        obs: &Recorder,
+        now: SimTime,
+        sched: &Schedule,
+        demands: &[ClientDemand],
+    ) {
         // A burst left open across an SRP would be a bookkeeping bug in
         // the proxy itself; close it so its checks still run.
-        self.end_burst(now);
+        self.end_burst(obs, now);
         // A saturated schedule *declares* that it serves only a rotating
         // subset this interval (overhead ate the layout); completeness is
         // deliberately given up and the degradation is already surfaced via
@@ -234,16 +234,17 @@ impl ScheduleAuditor {
     /// clients sleep on the slot boundary instead of a mark.
     pub fn begin_burst(
         &mut self,
+        obs: &Recorder,
         now: SimTime,
         client: HostAddr,
         budget: SimDuration,
         grace: SimDuration,
         expect_mark: bool,
     ) {
-        self.end_burst(now);
-        self.obs.incr(Counter::BurstsStarted);
-        self.obs.observe(Hist::BurstLenUs, budget.as_us());
-        self.obs.event(
+        self.end_burst(obs, now);
+        obs.incr(Counter::BurstsStarted);
+        obs.observe(Hist::BurstLenUs, budget.as_us());
+        obs.event(
             now.as_us(),
             EventKind::BurstStart { client: client.0, budget_us: budget.as_us() },
         );
@@ -279,12 +280,12 @@ impl ScheduleAuditor {
     }
 
     /// Close the open burst and run its checks.
-    pub fn end_burst(&mut self, now: SimTime) {
+    pub fn end_burst(&mut self, obs: &Recorder, now: SimTime) {
         let Some(b) = self.open.take() else { return };
-        self.obs.incr(Counter::BurstsCompleted);
+        obs.incr(Counter::BurstsCompleted);
         let allowance = (b.budget + b.grace).as_us() as i64;
         let margin = allowance - b.spent.as_us() as i64;
-        self.obs.event(
+        obs.event(
             now.as_us(),
             EventKind::BurstEnd {
                 client: b.client.0,
@@ -293,10 +294,10 @@ impl ScheduleAuditor {
             },
         );
         if margin >= 0 {
-            self.obs.observe(Hist::SlotMarginUs, margin as u64);
+            obs.observe(Hist::SlotMarginUs, margin as u64);
         } else {
-            self.obs.incr(Counter::SlotOverruns);
-            self.obs.observe(Hist::SlotOverrunUs, margin.unsigned_abs());
+            obs.incr(Counter::SlotOverruns);
+            obs.observe(Hist::SlotOverrunUs, margin.unsigned_abs());
         }
         if b.spent > b.budget + b.grace {
             self.log.record(Violation {
@@ -418,7 +419,12 @@ mod tests {
     fn missing_client_detected() {
         let mut a = ScheduleAuditor::new();
         let s = sched(vec![entry(HostAddr(1))]);
-        a.on_schedule(SimTime::ZERO, &s, &[demand(1, 500), demand(2, 800), demand(3, 0)]);
+        a.on_schedule(
+            &Recorder::disabled(),
+            SimTime::ZERO,
+            &s,
+            &[demand(1, 500), demand(2, 800), demand(3, 0)],
+        );
         let v: Vec<_> = a.log.of_kind(InvariantKind::MissingClient).collect();
         assert_eq!(v.len(), 1, "only the starved demander: {v:?}");
         assert_eq!(v[0].client, Some(HostAddr(2)));
@@ -431,7 +437,7 @@ mod tests {
         let mut a = ScheduleAuditor::new();
         let mut s = sched(vec![entry(HostAddr(1))]);
         s.saturated = true;
-        a.on_schedule(SimTime::ZERO, &s, &[demand(1, 500), demand(2, 800)]);
+        a.on_schedule(&Recorder::disabled(), SimTime::ZERO, &s, &[demand(1, 500), demand(2, 800)]);
         assert!(a.log.is_clean(), "{:?}", a.log);
     }
 
@@ -439,7 +445,7 @@ mod tests {
     fn broadcast_slot_covers_everyone() {
         let mut a = ScheduleAuditor::new();
         let s = sched(vec![entry(HostAddr::BROADCAST)]);
-        a.on_schedule(SimTime::ZERO, &s, &[demand(1, 500), demand(2, 800)]);
+        a.on_schedule(&Recorder::disabled(), SimTime::ZERO, &s, &[demand(1, 500), demand(2, 800)]);
         assert!(a.log.is_clean(), "{:?}", a.log);
     }
 
@@ -447,6 +453,7 @@ mod tests {
     fn burst_within_budget_is_clean() {
         let mut a = ScheduleAuditor::new();
         a.begin_burst(
+            &Recorder::disabled(),
             SimTime::ZERO,
             HostAddr(1),
             SimDuration::from_ms(10),
@@ -455,7 +462,7 @@ mod tests {
         );
         a.on_frame(SimDuration::from_ms(4), false);
         a.on_frame(SimDuration::from_ms(4), true);
-        a.end_burst(SimTime::from_ms(1));
+        a.end_burst(&Recorder::disabled(), SimTime::from_ms(1));
         assert!(a.log.is_clean(), "{:?}", a.log);
     }
 
@@ -463,6 +470,7 @@ mod tests {
     fn slot_overrun_detected_past_grace() {
         let mut a = ScheduleAuditor::new();
         a.begin_burst(
+            &Recorder::disabled(),
             SimTime::ZERO,
             HostAddr(1),
             SimDuration::from_ms(10),
@@ -471,10 +479,11 @@ mod tests {
         );
         // 11 ms spent: inside budget+grace — clean.
         a.on_frame(SimDuration::from_ms(11), true);
-        a.end_burst(SimTime::from_ms(1));
+        a.end_burst(&Recorder::disabled(), SimTime::from_ms(1));
         assert!(a.log.is_clean());
         // 13 ms spent: past budget+grace — violation.
         a.begin_burst(
+            &Recorder::disabled(),
             SimTime::from_ms(100),
             HostAddr(1),
             SimDuration::from_ms(10),
@@ -482,7 +491,7 @@ mod tests {
             true,
         );
         a.on_frame(SimDuration::from_ms(13), true);
-        a.end_burst(SimTime::from_ms(101));
+        a.end_burst(&Recorder::disabled(), SimTime::from_ms(101));
         assert_eq!(a.log.of_kind(InvariantKind::SlotOverrun).count(), 1);
     }
 
@@ -490,6 +499,7 @@ mod tests {
     fn unmarked_burst_detected() {
         let mut a = ScheduleAuditor::new();
         a.begin_burst(
+            &Recorder::disabled(),
             SimTime::ZERO,
             HostAddr(1),
             SimDuration::from_ms(10),
@@ -497,7 +507,7 @@ mod tests {
             true,
         );
         a.on_frame(SimDuration::from_ms(1), false);
-        a.end_burst(SimTime::from_ms(1));
+        a.end_burst(&Recorder::disabled(), SimTime::from_ms(1));
         assert_eq!(a.log.of_kind(InvariantKind::UnmarkedBurst).count(), 1);
     }
 
@@ -505,6 +515,7 @@ mod tests {
     fn nominated_mark_satisfies_the_burst() {
         let mut a = ScheduleAuditor::new();
         a.begin_burst(
+            &Recorder::disabled(),
             SimTime::ZERO,
             HostAddr(1),
             SimDuration::from_ms(10),
@@ -513,7 +524,7 @@ mod tests {
         );
         a.on_frame(SimDuration::from_ms(1), false);
         a.mark_nominated();
-        a.end_burst(SimTime::from_ms(1));
+        a.end_burst(&Recorder::disabled(), SimTime::from_ms(1));
         assert!(a.log.is_clean(), "{:?}", a.log);
     }
 
@@ -522,15 +533,17 @@ mod tests {
         let mut a = ScheduleAuditor::new();
         // No frames at all.
         a.begin_burst(
+            &Recorder::disabled(),
             SimTime::ZERO,
             HostAddr(1),
             SimDuration::from_ms(10),
             SimDuration::ZERO,
             true,
         );
-        a.end_burst(SimTime::from_ms(1));
+        a.end_burst(&Recorder::disabled(), SimTime::from_ms(1));
         // Shared window: frames but expect_mark = false.
         a.begin_burst(
+            &Recorder::disabled(),
             SimTime::from_ms(2),
             HostAddr::BROADCAST,
             SimDuration::from_ms(10),
@@ -538,7 +551,7 @@ mod tests {
             false,
         );
         a.on_frame(SimDuration::from_ms(1), false);
-        a.end_burst(SimTime::from_ms(3));
+        a.end_burst(&Recorder::disabled(), SimTime::from_ms(3));
         assert!(a.log.is_clean(), "{:?}", a.log);
     }
 

@@ -264,8 +264,6 @@ pub struct Proxy {
     pub stats: ProxyStats,
     /// Runtime contract checks (slot budgets, marks, completeness).
     audit: ScheduleAuditor,
-    /// Observability sink (disabled by default; one branch per call).
-    obs: Recorder,
     // Reused scratch buffers — the per-interval paths must not allocate in
     // steady state, so each keeps its capacity across calls.
     /// Demand snapshot built at every SRP.
@@ -315,7 +313,6 @@ impl Proxy {
             seq: 0,
             stats: ProxyStats::default(),
             audit: ScheduleAuditor::new(),
-            obs: Recorder::disabled(),
             demand_scratch: Vec::new(),
             psm_out: Vec::new(),
             psm_last_of: Vec::new(),
@@ -334,12 +331,6 @@ impl Proxy {
         self.channel = Some(model);
     }
 
-    /// Route metrics and events to `rec` (shared with the burst auditor).
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.audit.set_recorder(rec.clone());
-        self.obs = rec;
-    }
-
     /// Take the invariant log (for folding into a run report).
     pub fn take_invariants(&mut self) -> InvariantLog {
         std::mem::take(&mut self.audit.log)
@@ -352,11 +343,6 @@ impl Proxy {
     /// client sharing the window.
     fn burst_grace(&self, sharers: usize) -> SimDuration {
         BW.send_time(TcpConfig::default().mss + 40).times(2 * sharers.max(1) as u64)
-    }
-
-    /// Total packets dropped at client queues.
-    pub fn queue_drops(&self) -> u64 {
-        self.clients.iter().map(|c| c.queue.drops).sum()
     }
 
     /// Admission-control counters, if admission is configured.
@@ -413,14 +399,15 @@ impl Proxy {
     }
 
     fn on_srp(&mut self, ctx: &mut Ctx<'_>) {
+        let obs = ctx.obs();
         let demands = self.demand_snapshot(ctx.now());
-        if self.obs.enabled() {
+        if obs.enabled() {
             let mut backlog = 0i64;
             for (d, c) in demands.iter().zip(&self.clients) {
                 backlog += d.total() as i64;
-                self.obs.observe(Hist::QueueDepthBytes, d.total());
-                self.obs.observe(Hist::QueueDepthPkts, c.queue.len() as u64);
-                self.obs.event(
+                obs.observe(Hist::QueueDepthBytes, d.total());
+                obs.observe(Hist::QueueDepthPkts, c.queue.len() as u64);
+                obs.event(
                     ctx.now().as_us(),
                     EventKind::QueueDepth {
                         client: d.client.0,
@@ -429,7 +416,7 @@ impl Proxy {
                     },
                 );
             }
-            self.obs.gauge_set(Gauge::BacklogBytes, backlog);
+            obs.gauge_set(Gauge::BacklogBytes, backlog);
         }
         let bcfg = BuilderConfig {
             schedule_airtime: self.schedule_airtime_estimate(),
@@ -456,7 +443,7 @@ impl Proxy {
                 }
             }
         }
-        self.audit.on_schedule(ctx.now(), &sched, &demands);
+        self.audit.on_schedule(obs, ctx.now(), &sched, &demands);
         // Aggregate demand for the coordinator report (O(cell) work that
         // replaces any O(total clients) coordination).
         let total_demand: u64 = demands.iter().map(|d| d.total()).sum();
@@ -468,7 +455,7 @@ impl Proxy {
         // and never silently wrapped into a bogus tiny slot.
         let (payload, overflows) = sched.encode_checked();
         if overflows > 0 {
-            self.obs.add(Counter::WireOverflows, overflows as u64);
+            obs.add(Counter::WireOverflows, overflows as u64);
             self.audit.log.record_counted(
                 overflows as u64,
                 Violation {
@@ -482,15 +469,15 @@ impl Proxy {
                 },
             );
         }
-        self.obs.incr(Counter::SchedulesBuilt);
+        obs.incr(Counter::SchedulesBuilt);
         if sched.unchanged {
-            self.obs.incr(Counter::SchedulesUnchanged);
+            obs.incr(Counter::SchedulesUnchanged);
         }
         if sched.saturated {
-            self.obs.incr(Counter::SchedulesSaturated);
+            obs.incr(Counter::SchedulesSaturated);
         }
-        self.obs.gauge_set(Gauge::LastScheduleEntries, sched.entries.len() as i64);
-        self.obs.event(
+        obs.gauge_set(Gauge::LastScheduleEntries, sched.entries.len() as i64);
+        obs.event(
             ctx.now().as_us(),
             EventKind::ScheduleBroadcast {
                 seq: sched.seq,
@@ -547,6 +534,7 @@ impl Proxy {
     // ---- burst execution ----------------------------------------------------
 
     fn run_burst(&mut self, ctx: &mut Ctx<'_>, entry_idx: usize) {
+        let obs = ctx.obs();
         let current = self.prev_schedule.as_ref().map(|s| s.entries.as_slice()).unwrap_or(&[]);
         let Some(entry) = current.get(entry_idx).copied() else { return };
         if entry.client.is_broadcast() {
@@ -562,20 +550,20 @@ impl Proxy {
                 entry.duration / self.clients.len() as u64
             };
             let grace = self.burst_grace(self.clients.len());
-            self.audit.begin_burst(ctx.now(), entry.client, entry.duration, grace, false);
+            self.audit.begin_burst(obs, ctx.now(), entry.client, entry.duration, grace, false);
             for ci in 0..self.clients.len() {
                 self.clients[ci].burst_until = ctx.now() + entry.duration;
                 self.bursting = Some(ci);
                 self.burst_tcp(ctx, ci, per_client, false);
                 self.bursting = None;
             }
-            self.audit.end_burst(ctx.now());
+            self.audit.end_burst(obs, ctx.now());
             return;
         }
         let Some(&ci) = self.client_index.get(&entry.client) else { return };
         self.clients[ci].burst_until = ctx.now() + entry.duration;
         let grace = self.burst_grace(1);
-        self.audit.begin_burst(ctx.now(), entry.client, entry.duration, grace, true);
+        self.audit.begin_burst(obs, ctx.now(), entry.client, entry.duration, grace, true);
         self.bursting = Some(ci);
         let slotted = matches!(self.cfg.policy, PolicyKind::SlottedStatic { .. });
         let mut remaining = entry.duration;
@@ -588,7 +576,7 @@ impl Proxy {
             self.burst_tcp(ctx, ci, remaining, true)
         };
         self.bursting = None;
-        self.audit.end_burst(ctx.now());
+        self.audit.end_burst(obs, ctx.now());
         if sent_udp > 0 || sent_tcp > 0 {
             self.stats.bursts += 1;
         }
@@ -605,7 +593,7 @@ impl Proxy {
     fn psm_burst(&mut self, ctx: &mut Ctx<'_>, window: SimDuration) {
         let n = self.clients.len();
         let grace = self.burst_grace(n);
-        self.audit.begin_burst(ctx.now(), HostAddr::BROADCAST, window, grace, false);
+        self.audit.begin_burst(ctx.obs(), ctx.now(), HostAddr::BROADCAST, window, grace, false);
         for ci in 0..n {
             self.clients[ci].burst_until = ctx.now() + window;
         }
@@ -644,7 +632,7 @@ impl Proxy {
         }
         self.psm_out = out;
         self.stats.udp_packets_sent += sent;
-        self.obs.add(Counter::UdpFramesSent, sent);
+        ctx.obs().add(Counter::UdpFramesSent, sent);
         if sent > 0 {
             self.stats.bursts += 1;
         }
@@ -655,13 +643,13 @@ impl Proxy {
             self.burst_tcp(ctx, ci, tcp_share, false);
             self.bursting = None;
         }
-        self.audit.end_burst(ctx.now());
+        self.audit.end_burst(ctx.obs(), ctx.now());
     }
 
     /// Count, audit and send one burst datagram toward the AP.
     fn send_datagram(&mut self, ctx: &mut Ctx<'_>, pkt: Packet) {
         self.stats.udp_bytes_sent += pkt.wire_size() as u64;
-        self.obs.add(Counter::UdpBytesSent, pkt.wire_size() as u64);
+        ctx.obs().add(Counter::UdpBytesSent, pkt.wire_size() as u64);
         self.audit.on_frame(BW.send_time(pkt.wire_size()), pkt.tos_mark);
         ctx.send(PROXY_AP, pkt);
     }
@@ -704,7 +692,7 @@ impl Proxy {
             sent += 1;
         }
         self.stats.udp_packets_sent += sent;
-        self.obs.add(Counter::UdpFramesSent, sent);
+        ctx.obs().add(Counter::UdpFramesSent, sent);
         sent
     }
 
@@ -829,13 +817,18 @@ impl Proxy {
         self.burst_splices = splice_ids;
         self.burst_feeds = feeds;
         self.stats.tcp_bytes_fed += total;
-        self.obs.add(Counter::TcpBytesFed, total);
+        ctx.obs().add(Counter::TcpBytesFed, total);
         total
     }
 
     // ---- splice lifecycle -----------------------------------------------------
 
-    fn create_splice(&mut self, client_sock: SockAddr, server_sock: SockAddr) -> usize {
+    fn create_splice(
+        &mut self,
+        obs: &Recorder,
+        client_sock: SockAddr,
+        server_sock: SockAddr,
+    ) -> usize {
         let ci = self.client_index[&client_sock.host];
         let idx = self.splices.len();
         let tcp = TcpConfig::default();
@@ -855,7 +848,7 @@ impl Proxy {
         self.splice_index.insert((client_sock, server_sock), idx);
         self.clients[ci].splices.push(idx);
         self.stats.splices_created += 1;
-        self.obs.gauge_add(Gauge::ActiveSplices, 1);
+        obs.gauge_add(Gauge::ActiveSplices, 1);
         idx
     }
 
@@ -891,7 +884,7 @@ impl Proxy {
             // handed to (and accepted by) the client side.
             if s.server_fin && !s.closed && s.pending_bytes == 0 && s.client_side.unsent() == 0 {
                 s.closed = true;
-                self.obs.gauge_add(Gauge::ActiveSplices, -1);
+                ctx.obs().gauge_add(Gauge::ActiveSplices, -1);
                 s.client_side.close(now);
             }
         }
@@ -985,7 +978,7 @@ impl Proxy {
             let ci = self.client_index[&pkt.dst.host];
             if !self.clients[ci].queue.push(pkt) {
                 self.stats.queue_drops += 1;
-                self.obs.incr(Counter::ProxyQueueDrops);
+                ctx.obs().incr(Counter::ProxyQueueDrops);
             }
         } else if iface == PROXY_AP {
             // Uplink (stream feedback etc.): snoop, then forward toward
@@ -1017,7 +1010,7 @@ impl Proxy {
                 if has_payload {
                     if !self.clients[ci].queue.push(pkt) {
                         self.stats.queue_drops += 1;
-                        self.obs.incr(Counter::ProxyQueueDrops);
+                        ctx.obs().incr(Counter::ProxyQueueDrops);
                     }
                 } else {
                     // Control segments (SYN-ACK, bare ACKs, FIN) bypass the
@@ -1068,7 +1061,7 @@ impl Proxy {
                             return;
                         }
                     }
-                    self.create_splice(pkt.src, pkt.dst)
+                    self.create_splice(ctx.obs(), pkt.src, pkt.dst)
                 }
             };
             let now = ctx.now();

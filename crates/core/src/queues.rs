@@ -17,16 +17,12 @@ pub struct PacketQueue {
     q: VecDeque<Packet>,
     bytes: usize,
     cap_bytes: usize,
-    /// Packets dropped because the queue was full.
-    pub drops: u64,
-    /// Total packets ever enqueued (accepted).
-    pub enqueued: u64,
 }
 
 impl PacketQueue {
     /// New queue holding at most `cap_bytes` of wire bytes.
     pub fn new(cap_bytes: usize) -> PacketQueue {
-        PacketQueue { q: VecDeque::new(), bytes: 0, cap_bytes, drops: 0, enqueued: 0 }
+        PacketQueue { q: VecDeque::new(), bytes: 0, cap_bytes }
     }
 
     /// Current queued wire bytes.
@@ -45,15 +41,13 @@ impl PacketQueue {
     }
 
     /// Enqueue, dropping at the tail when over capacity. Returns whether
-    /// the packet was accepted.
+    /// the packet was accepted (the caller counts the drops).
     pub fn push(&mut self, pkt: Packet) -> bool {
         let sz = pkt.wire_size();
         if self.bytes + sz > self.cap_bytes {
-            self.drops += 1;
             return false;
         }
         self.bytes += sz;
-        self.enqueued += 1;
         self.q.push_back(pkt);
         true
     }
@@ -68,12 +62,6 @@ impl PacketQueue {
     /// Wire size of the packet at the head, if any.
     pub fn peek_size(&self) -> Option<usize> {
         self.q.front().map(|p| p.wire_size())
-    }
-
-    /// Put a packet back at the head (burst budget ran out mid-queue).
-    pub fn push_front(&mut self, pkt: Packet) {
-        self.bytes += pkt.wire_size();
-        self.q.push_front(pkt);
     }
 }
 
@@ -120,20 +108,7 @@ mod tests {
         let mut q = PacketQueue::new(300);
         assert!(q.push(pkt(200))); // 228 wire bytes
         assert!(!q.push(pkt(200)));
-        assert_eq!(q.drops, 1);
         assert_eq!(q.len(), 1);
-        assert_eq!(q.enqueued, 1);
-    }
-
-    #[test]
-    fn push_front_restores_budget_leftover() {
-        let mut q = PacketQueue::new(1 << 20);
-        q.push(pkt(10));
-        q.push(pkt(20));
-        let first = q.pop().unwrap();
-        q.push_front(first);
-        assert_eq!(q.pop().unwrap().payload.len(), 10);
-        assert_eq!(q.pop().unwrap().payload.len(), 20);
     }
 
     #[test]

@@ -236,7 +236,7 @@ fn queue_overflow_drops_are_counted() {
     let mut tw = build(fixed(500), ProxyMode::Split, src);
     tw.world.run_until(SimTime::from_secs(3));
     let proxy = tw.world.node_mut::<Proxy>(tw.proxy);
-    assert!(proxy.queue_drops() > 0, "expected tail drops under overload");
+    assert!(proxy.stats.queue_drops > 0, "expected tail drops under overload");
 }
 
 #[test]

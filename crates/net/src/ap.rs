@@ -17,7 +17,7 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use powerburst_obs::{Counter, Recorder};
+use powerburst_obs::Counter;
 use powerburst_sim::{SimDuration, SimTime};
 use rand::Rng;
 
@@ -140,16 +140,10 @@ pub struct AccessPoint {
     /// direction. The FIFO guard should keep this at zero; a nonzero count
     /// is surfaced as an `ApOrdering` invariant violation in run reports.
     pub fifo_violations: u64,
-    /// Downlink frames forwarded (diagnostics).
-    pub forwarded_down: u64,
-    /// Uplink frames forwarded (diagnostics).
-    pub forwarded_up: u64,
     /// Injected extra jitter spikes, when a fault plan asks for them.
     /// Sampled from the dedicated fault stream, never from the node's own
     /// RNG, so baseline runs are unaffected.
     fault_jitter: Option<ApJitterFault>,
-    /// Observability handle; disabled by default.
-    obs: Recorder,
 }
 
 impl AccessPoint {
@@ -162,10 +156,7 @@ impl AccessPoint {
             last_out: [SimTime::ZERO; 2],
             last_sent: [SimTime::ZERO; 2],
             fifo_violations: 0,
-            forwarded_down: 0,
-            forwarded_up: 0,
             fault_jitter: None,
-            obs: Recorder::disabled(),
         }
     }
 
@@ -173,11 +164,6 @@ impl AccessPoint {
     pub fn with_fault_jitter(mut self, fault: ApJitterFault) -> AccessPoint {
         self.fault_jitter = Some(fault);
         self
-    }
-
-    /// Attach an observability recorder.
-    pub fn set_recorder(&mut self, rec: Recorder) {
-        self.obs = rec;
     }
 
     /// Injected jitter spikes applied so far.
@@ -201,16 +187,14 @@ impl AccessPoint {
 impl Node for AccessPoint {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Packet) {
         if iface == AP_WIRED {
-            self.forwarded_down += 1;
-            self.obs.incr(Counter::ApForwardedDown);
+            ctx.obs().incr(Counter::ApForwardedDown);
             let mut d = self.delay.sample(ctx.rng());
             if let Some(f) = self.fault_jitter.as_mut() {
                 d += f.sample();
             }
             self.defer(ctx, AP_RADIO, pkt, d);
         } else {
-            self.forwarded_up += 1;
-            self.obs.incr(Counter::ApForwardedUp);
+            ctx.obs().incr(Counter::ApForwardedUp);
             let d = self.uplink_delay;
             self.defer(ctx, AP_WIRED, pkt, d);
         }
@@ -223,7 +207,7 @@ impl Node for AccessPoint {
             let now = ctx.now();
             if now < self.last_sent[dir] {
                 self.fifo_violations += 1;
-                self.obs.incr(Counter::ApFifoViolations);
+                ctx.obs().incr(Counter::ApFifoViolations);
             }
             self.last_sent[dir] = now.max(self.last_sent[dir]);
             ctx.send(out, pkt);

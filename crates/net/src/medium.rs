@@ -90,20 +90,12 @@ pub struct Medium {
     max_backlog: SimDuration,
     /// Count of frames dropped due to backlog overflow.
     pub drops: u64,
-    /// Total airtime carried, for utilization reporting.
-    pub carried_airtime: SimDuration,
 }
 
 impl Medium {
     /// New idle medium.
     pub fn new(airtime: AirtimeModel, max_backlog: SimDuration) -> Medium {
-        Medium {
-            airtime,
-            busy_until: SimTime::ZERO,
-            max_backlog,
-            drops: 0,
-            carried_airtime: SimDuration::ZERO,
-        }
+        Medium { airtime, busy_until: SimTime::ZERO, max_backlog, drops: 0 }
     }
 
     /// The airtime model in force.
@@ -126,7 +118,6 @@ impl Medium {
         let airtime = self.airtime.airtime_jittered(bytes, rng);
         let finish = start + airtime;
         self.busy_until = finish;
-        self.carried_airtime += airtime;
         TxOutcome::Sent { finish, airtime }
     }
 

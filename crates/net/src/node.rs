@@ -13,6 +13,7 @@
 
 use std::any::Any;
 
+use powerburst_obs::Recorder;
 use powerburst_sim::{ClockModel, EventId, EventQueue, LocalTime, SimDuration, SimTime};
 use rand::rngs::StdRng;
 
@@ -94,9 +95,10 @@ pub struct Ctx<'a> {
     pub(crate) queue: &'a mut EventQueue<Ev>,
     pub(crate) sends: &'a mut Vec<(IfaceId, Packet)>,
     pub(crate) packet_seq: &'a mut u64,
+    pub(crate) obs: &'a Recorder,
 }
 
-impl Ctx<'_> {
+impl<'a> Ctx<'a> {
     /// Current true simulation time.
     #[inline]
     pub fn now(&self) -> SimTime {
@@ -196,5 +198,15 @@ impl Ctx<'_> {
     #[inline]
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
+    }
+
+    /// The observability recorder lane of the shard running this node
+    /// (disabled unless the world was given a recorder). Every node of a
+    /// shard records on its lane, so each lane has exactly one writer.
+    /// The reference outlives this borrow of the context, so a handler
+    /// can keep it across sends and timer calls.
+    #[inline]
+    pub fn obs(&self) -> &'a Recorder {
+        self.obs
     }
 }

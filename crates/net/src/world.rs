@@ -9,14 +9,19 @@
 //!
 //! ## Sharded execution (DESIGN.md §17)
 //!
-//! A multi-cell world is partitioned into **shards** when it first runs:
+//! A multi-cell world is partitioned into **shards** once its topology
+//! is frozen (at the first run, or by `presize_from_topology` or
+//! `set_recorder`):
 //! one shard per radio cell (cell `c` → shard `c + 1`) plus shard 0 for
 //! the wired backbone (servers, switch, coordinator). Each shard owns its
 //! nodes, cells, outbound link halves, event queue (whose handles are its
 //! nodes' timer handles), packet-id space, and sniffer; cross-shard frames
 //! go into the sending shard's outbox and are applied to their receivers
 //! at the conservative-lookahead epoch barrier ([`powerburst_sim::shard`]),
-//! in (sender rank, send order). Single-cell worlds — every golden
+//! in (sender rank, send order). `World::finalize` is the one place
+//! that decides which shard runs a node, and shard *k* records on
+//! observability lane *k*, which its nodes reach through [`Ctx::obs`], so
+//! every lane has exactly one writer. Single-cell worlds — every golden
 //! scenario — stay one shard and run the exact sequential loop they always
 //! did, so their traces are byte-identical by construction; multi-shard
 //! worlds are deterministic for any thread count because shard execution
@@ -44,29 +49,20 @@ use crate::sniffer::{Delivery, Sniffer, SnifferRecord};
 /// `0, 1, 2, …` — exactly the legacy single-counter sequence.
 const PACKET_SHARD_SHIFT: u64 = 40;
 
-/// Per-node frame counters maintained by the engine.
+/// Per-node radio counters maintained by the engine: what a live
+/// radio's naive energy baseline and its run summary are computed from.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeStats {
     /// Frames delivered to this node over the radio.
     pub rx_frames: u64,
-    /// Bytes delivered to this node over the radio.
-    pub rx_bytes: u64,
     /// Airtime of frames delivered to this node.
     pub rx_airtime: SimDuration,
     /// Unicast frames addressed to this node that it slept through.
     pub missed_frames: u64,
-    /// Bytes it slept through.
-    pub missed_bytes: u64,
     /// Airtime of frames it slept through.
     pub missed_airtime: SimDuration,
-    /// Broadcast frames this node slept through.
-    pub missed_broadcasts: u64,
-    /// Frames this node transmitted over the radio.
-    pub tx_frames: u64,
     /// Airtime of its transmissions.
     pub tx_airtime: SimDuration,
-    /// Frames addressed to this node dropped at the AP transmit queue.
-    pub queue_drops: u64,
 }
 
 /// Per-node configuration at construction time.
@@ -102,9 +98,6 @@ struct NodeSlot {
     host: Option<HostAddr>,
     wnic: Option<Wnic>,
     wireless_iface: Option<IfaceId>,
-    /// The radio cell this node's wireless interface belongs to, set at
-    /// `attach_wireless_cell` time. `None` for wired-only nodes.
-    cell: Option<u32>,
     /// Dense per-interface attachment table, indexed by `IfaceId`. Built
     /// at wiring time; interface ids are tiny (0..=2 in practice), so the
     /// per-hop routing lookup is one bounds-checked array load instead of
@@ -163,23 +156,9 @@ struct WireHalf {
     peer_shard: u32,
 }
 
-/// A cross-shard message, produced while a shard steps through an epoch
-/// and applied to its receiver when the epoch ends (or synchronously, on
-/// sequential paths). Everything here is commutative-or-ordered: `Arrive`
-/// lands in the destination queue ordered by `(time, seq)`, with mail
-/// applied in fixed (sender rank, send order), and `QueueDrop` is a
-/// counter increment.
-enum Mail {
-    /// Schedule an event (a wire arrival) in the destination shard.
-    Arrive(SimTime, Ev),
-    /// The transmit-side medium dropped a frame addressed to this remote
-    /// node: bump its AP queue-drop counter.
-    QueueDrop(NodeId),
-}
-
-/// The per-shard mutable simulation state. Before the world is finalized
-/// (lazily, at first run), everything lives in a single staging shard 0;
-/// finalization redistributes it per the cell map.
+/// The per-shard mutable simulation state. Before the world is finalized,
+/// everything lives in a single staging shard 0; finalization
+/// redistributes it by cell.
 struct ShardState {
     rank: u32,
     now: SimTime,
@@ -197,6 +176,8 @@ struct ShardState {
     /// Events dispatched by this shard so far (always counted — it feeds
     /// the events/sec profiling figure even when observability is off).
     events_processed: u64,
+    /// This shard's recorder lane, the one its nodes see as [`Ctx::obs`].
+    obs: Recorder,
 }
 
 impl ShardState {
@@ -213,20 +194,7 @@ impl ShardState {
             batch_buf: Vec::new(),
             sniffer: Sniffer::new(),
             events_processed: 0,
-        }
-    }
-
-    /// Apply one inbound cross-shard message.
-    fn apply(&mut self, topo: &Topo, m: Mail) {
-        match m {
-            Mail::Arrive(t, ev) => {
-                self.queue.push(t, ev);
-            }
-            Mail::QueueDrop(id) => {
-                let (sh, ix) = topo.loc(id);
-                debug_assert_eq!(sh, self.rank as usize);
-                self.nodes[ix].stats.queue_drops += 1;
-            }
+            obs: Recorder::disabled(),
         }
     }
 }
@@ -278,16 +246,17 @@ pub struct World {
     topo: Topo,
     /// Staging: exactly one shard holding everything until `finalize`.
     shards: Vec<ShardState>,
-    /// Cross-shard outboxes, one per sending shard, sized at finalize.
-    mail: Outboxes<Mail>,
+    /// Cross-shard outboxes, one per sending shard, sized at finalize:
+    /// each message is a wire arrival `(time, event)` for the receiving
+    /// shard's queue, pushed at the epoch barrier in (sender rank, send
+    /// order).
+    mail: Outboxes<(SimTime, Ev)>,
     /// Staged link halves, each with the endpoint that transmits on it;
     /// handed to the sender's shard at finalize.
     links: Vec<(Endpoint, HalfLink)>,
     /// Wired nodes explicitly pinned to a cell's shard (a cell's proxy
     /// front-end), applied at finalize.
     pins: Vec<(NodeId, u32)>,
-    /// Observability handle shared with node radios; disabled by default.
-    obs: Recorder,
 }
 
 impl World {
@@ -310,7 +279,6 @@ impl World {
             mail: Outboxes::new(1),
             links: Vec::new(),
             pins: Vec::new(),
-            obs: Recorder::disabled(),
         }
     }
 
@@ -331,27 +299,34 @@ impl World {
         self.shards.len()
     }
 
-    /// Attach an observability recorder. Forwards it to every live radio
-    /// already added (labelled by the node's host address), so call this
-    /// after the topology is assembled. Each radio gets the recorder
-    /// *lane* of the shard its node will run on, so event/gauge recording
-    /// stays single-writer-per-lane under multi-threaded runs; lane 0 (the
-    /// only lane in single-cell worlds) is the recorder itself.
+    /// Attach an observability recorder. Freezes the topology, then gives
+    /// shard *k* lane *k*: its nodes record through [`Ctx::obs`], and each
+    /// live radio on it (labelled by its node's host address) records on
+    /// the same lane. Every lane thus has exactly one writer, at any
+    /// thread count; a one-shard world records on the recorder itself.
+    ///
+    /// # Panics
+    /// If `rec` is enabled with a lane count other than
+    /// [`World::shard_count`].
     pub fn set_recorder(&mut self, rec: Recorder) {
-        let multi = self.topo.cell_loc.len() >= 2;
+        self.finalize();
+        assert!(
+            !rec.enabled() || rec.lane_count() == self.shards.len(),
+            "a recorder for this world needs one lane per shard: {} lanes, {} shards",
+            rec.lane_count(),
+            self.shards.len()
+        );
+        for s in &mut self.shards {
+            s.obs = rec.lane(s.rank as usize);
+        }
         for i in 0..self.topo.node_loc.len() {
-            let lane = match self.topo.node_cell[i] {
-                Some(c) if multi => c as usize + 1,
-                _ => 0,
-            };
             let (sh, ix) = self.topo.loc(NodeId(i as u32));
-            let slot = &mut self.shards[sh].nodes[ix];
+            let s = &mut self.shards[sh];
+            let slot = &mut s.nodes[ix];
             if let Some(w) = slot.wnic.as_mut() {
-                let label = slot.host.map(|h| h.0).unwrap_or(i as u32);
-                w.set_recorder(rec.lane(lane), label);
+                w.set_recorder(s.obs.clone(), slot.host.map_or(i as u32, |h| h.0));
             }
         }
-        self.obs = rec;
     }
 
     /// Events dispatched by the event loop so far, summed over shards.
@@ -389,7 +364,6 @@ impl World {
             host: cfg.host,
             wnic: cfg.wnic.map(Wnic::new),
             wireless_iface: None,
-            cell: None,
             attachments: Vec::new(),
             stats: NodeStats::default(),
         });
@@ -524,7 +498,6 @@ impl World {
         let slot = self.slot_mut(node);
         slot.attach(iface, Attachment::Wireless);
         slot.wireless_iface = Some(iface);
-        slot.cell = Some(cell as u32);
         let (sh, ix) = self.topo.cell_loc[cell];
         self.shards[sh as usize].cells[ix as usize].members.push(node);
     }
@@ -686,16 +659,15 @@ impl World {
         // the caller's thread, the pre-shard event loop exactly.
         let plan = EpochPlan { threads: self.threads, target: t, lookahead: self.topo.lookahead };
         let topo = &self.topo;
-        let obs = &self.obs;
         run_epochs(
             &mut self.shards,
             &mut self.mail,
             plan,
             |s: &ShardState| s.queue.peek_time(),
-            |r, s, wend, tx| {
-                Exec { rank: r as u32, topo, obs, s, tx }.run_window(wend);
+            |_, s, wend, tx| Exec { topo, s, tx }.run_window(wend),
+            |s, (at, ev)| {
+                s.queue.push(at, ev);
             },
-            |s, m| s.apply(topo, m),
         );
         for s in &mut self.shards {
             s.now = t;
@@ -710,20 +682,13 @@ impl World {
     fn with_node<F: FnOnce(&mut dyn Node, &mut Ctx<'_>)>(&mut self, id: NodeId, f: F) {
         self.finalize();
         let (sh, _) = self.topo.loc(id);
-        {
-            let tx = self.mail.sender(sh);
-            let mut ex = Exec {
-                rank: sh as u32,
-                topo: &self.topo,
-                obs: &self.obs,
-                s: &mut self.shards[sh],
-                tx,
-            };
-            ex.with_node(id, f);
-        }
+        let tx = self.mail.sender(sh);
+        Exec { topo: &self.topo, s: &mut self.shards[sh], tx }.with_node(id, f);
         if self.shards.len() > 1 {
-            let World { shards, mail, topo, .. } = self;
-            mail.drain_row(sh, |to, m| shards[to].apply(topo, m));
+            let World { shards, mail, .. } = self;
+            mail.drain_row(sh, |to, (at, ev)| {
+                shards[to].queue.push(at, ev);
+            });
         }
     }
 }
@@ -733,11 +698,9 @@ impl World {
 /// dispatch — timers, wire arrivals, radio delivery — happens through
 /// this; the only cross-shard effects are `tx` sends.
 struct Exec<'a> {
-    rank: u32,
     topo: &'a Topo,
-    obs: &'a Recorder,
     s: &'a mut ShardState,
-    tx: MailSender<'a, Mail>,
+    tx: MailSender<'a, (SimTime, Ev)>,
 }
 
 impl Exec<'_> {
@@ -745,7 +708,7 @@ impl Exec<'_> {
     #[inline]
     fn local_slot(&mut self, id: NodeId) -> &mut NodeSlot {
         let (sh, ix) = self.topo.loc(id);
-        debug_assert_eq!(sh, self.rank as usize, "node {id:?} dispatched on the wrong shard");
+        debug_assert_eq!(sh, self.s.rank as usize, "node {id:?} dispatched on the wrong shard");
         &mut self.s.nodes[ix]
     }
 
@@ -753,7 +716,7 @@ impl Exec<'_> {
     #[inline]
     fn local_cell(&self, cell: u32) -> usize {
         let (sh, ix) = self.topo.cell_loc[cell as usize];
-        debug_assert_eq!(sh, self.rank, "cell {cell} touched from the wrong shard");
+        debug_assert_eq!(sh, self.s.rank, "cell {cell} touched from the wrong shard");
         ix as usize
     }
 
@@ -764,16 +727,19 @@ impl Exec<'_> {
     /// Same-time events pushed *during* the batch always carry higher
     /// sequence numbers than anything drained, so they form the next
     /// batch at the same timestamp and overall dispatch order is
-    /// byte-identical to popping one event at a time.
+    /// byte-identical to popping one event at a time. The window's event
+    /// count reaches the recorder in one add.
     fn run_window(&mut self, wend: SimTime) {
         let mut batch = std::mem::take(&mut self.s.batch_buf);
         debug_assert!(batch.is_empty());
+        let before = self.s.events_processed;
         loop {
             match self.s.queue.peek_time() {
                 Some(ev_t) if ev_t < wend => {
                     debug_assert!(ev_t >= self.s.now, "event from the past");
                     self.s.now = ev_t;
                     self.s.queue.pop_batch_at(ev_t, &mut batch);
+                    self.s.events_processed += batch.len() as u64;
                     for ev in batch.drain(..) {
                         self.dispatch(ev);
                     }
@@ -782,11 +748,10 @@ impl Exec<'_> {
             }
         }
         self.s.batch_buf = batch;
+        self.s.obs.add(Counter::WorldEvents, self.s.events_processed - before);
     }
 
     fn dispatch(&mut self, ev: Ev) {
-        self.s.events_processed += 1;
-        self.obs.incr(Counter::WorldEvents);
         match ev {
             Ev::Timer { node, token } => {
                 self.with_node(node, |n, ctx| n.on_timer(ctx, token));
@@ -817,6 +782,7 @@ impl Exec<'_> {
                 queue: &mut self.s.queue,
                 sends: &mut sends,
                 packet_seq: &mut self.s.packet_seq,
+                obs: &self.s.obs,
             };
             f(&mut *slot.node, &mut ctx);
         }
@@ -844,13 +810,13 @@ impl Exec<'_> {
                         let peer = w.half.peer;
                         let peer_shard = w.peer_shard;
                         let ev = Ev::WireArrive { node: peer.node, iface: peer.iface, pkt };
-                        if peer_shard == self.rank {
+                        if peer_shard == self.s.rank {
                             self.s.queue.push(arrive, ev);
                         } else {
                             // Arrives ≥ one lookahead away — at or past the
                             // epoch window's end — so applying it when the
                             // epoch ends is causally safe.
-                            self.tx.send(peer_shard as usize, Mail::Arrive(arrive, ev));
+                            self.tx.send(peer_shard as usize, (arrive, ev));
                         }
                     }
                     WireOutcome::Dropped => { /* counted on the link */ }
@@ -895,16 +861,6 @@ impl Exec<'_> {
                             SimDuration::ZERO,
                             Delivery::QueueDrop,
                         ));
-                        if let Some(dst) = self.topo.host_lookup(pkt.dst.host) {
-                            let (dsh, dix) = self.topo.loc(dst);
-                            if dsh == self.rank as usize {
-                                self.s.nodes[dix].stats.queue_drops += 1;
-                            } else {
-                                // A commutative counter bump; barrier-phase
-                                // application cannot reorder anything.
-                                self.tx.send(dsh, Mail::QueueDrop(dst));
-                            }
-                        }
                     }
                 }
             }
@@ -953,11 +909,9 @@ impl Exec<'_> {
                 let slot = self.local_slot(id);
                 let wiface =
                     slot.wireless_iface.expect("invariant: cell members always have a radio iface");
-                if receive_if_listening(slot, now, pkt.wire_size(), airtime) {
+                if receive_if_listening(slot, now, airtime) {
                     let cloned = pkt.clone();
                     self.with_node(id, |n, ctx| n.on_packet(ctx, wiface, cloned));
-                } else {
-                    slot.stats.missed_broadcasts += 1;
                 }
             }
             return;
@@ -973,7 +927,7 @@ impl Exec<'_> {
                 let slot = self.local_slot(id);
                 let wiface =
                     slot.wireless_iface.expect("invariant: match arm checked wireless_iface");
-                if receive_if_listening(slot, now, pkt.wire_size(), airtime) {
+                if receive_if_listening(slot, now, airtime) {
                     self.s.sniffer.record(SnifferRecord::of(
                         now,
                         &pkt,
@@ -983,7 +937,6 @@ impl Exec<'_> {
                     self.with_node(id, |n, ctx| n.on_packet(ctx, wiface, pkt));
                 } else {
                     slot.stats.missed_frames += 1;
-                    slot.stats.missed_bytes += pkt.wire_size() as u64;
                     slot.stats.missed_airtime += airtime;
                     self.s.sniffer.record(SnifferRecord::of(
                         now,
@@ -1024,7 +977,6 @@ impl Exec<'_> {
 /// Bill a transmitter for a frame's airtime.
 #[inline]
 fn bill_transmit(slot: &mut NodeSlot, now: SimTime, airtime: SimDuration) {
-    slot.stats.tx_frames += 1;
     slot.stats.tx_airtime += airtime;
     if let Some(w) = slot.wnic.as_mut() {
         w.on_transmit(now, airtime);
@@ -1034,19 +986,13 @@ fn bill_transmit(slot: &mut NodeSlot, now: SimTime, airtime: SimDuration) {
 /// If the node's radio is listening (wired-only nodes always are), bill
 /// it for receiving a frame and return `true`.
 #[inline]
-fn receive_if_listening(
-    slot: &mut NodeSlot,
-    now: SimTime,
-    wire_size: usize,
-    airtime: SimDuration,
-) -> bool {
+fn receive_if_listening(slot: &mut NodeSlot, now: SimTime, airtime: SimDuration) -> bool {
     let listening = match slot.wnic.as_mut() {
         Some(w) => w.is_listening(now),
         None => true,
     };
     if listening {
         slot.stats.rx_frames += 1;
-        slot.stats.rx_bytes += wire_size as u64;
         slot.stats.rx_airtime += airtime;
         if let Some(w) = slot.wnic.as_mut() {
             w.on_receive(now, airtime);
@@ -1059,7 +1005,8 @@ fn receive_if_listening(
 mod tests {
     use super::*;
     use crate::addr::SockAddr;
-    use crate::node::{Ctx, Node};
+    use crate::node::{Ctx, Node, TimerToken};
+    use powerburst_obs::{EventKind, RecorderConfig};
     use std::any::Any;
 
     /// Sends one UDP packet to a peer at start, counts what it receives.
@@ -1251,7 +1198,6 @@ mod tests {
         w.run_until(SimTime::from_ms(50));
         assert_eq!(w.node_mut::<Chatter>(server).received.len(), 1);
         // Client paid transmit energy.
-        assert!(w.stats(client).tx_frames == 1);
         let rep = w.wnic_report(client).unwrap();
         assert!(rep.tx > SimDuration::ZERO);
     }
@@ -1349,6 +1295,75 @@ mod tests {
         w.run_until(SimTime::from_ms(60));
         let got = &w.node_mut::<Chatter>(client1).received;
         assert!(got.iter().any(|(_, id)| *id == 999), "cross-cell unicast must arrive: {got:?}");
+    }
+
+    /// Records an event tagged with its cell through `ctx.obs()` at start
+    /// and again when its 1 ms timer fires.
+    struct Probe(u32);
+    impl Probe {
+        fn record(&self, ctx: &mut Ctx<'_>) {
+            let kind = EventKind::BurstStart { client: self.0, budget_us: 0 };
+            ctx.obs().event(ctx.now().as_us(), kind);
+        }
+    }
+    impl Node for Probe {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.record(ctx);
+            ctx.set_timer(SimDuration::from_ms(1), 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
+            self.record(ctx);
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Two cells whose only radio is a probe, cell 1's probe added first:
+    /// three shards (an empty wired backbone and one per cell), and node
+    /// order opposite to cell order.
+    fn probe_world() -> World {
+        let mut w = World::new(5);
+        let p1 = w.add_node(Box::new(Probe(1)), NodeConfig::infrastructure());
+        let p0 = w.add_node(Box::new(Probe(0)), NodeConfig::infrastructure());
+        for (c, p) in [p0, p1].into_iter().enumerate() {
+            assert_eq!(w.add_cell(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(500), p), c);
+            w.attach_wireless_cell(p, IfaceId(0), c);
+        }
+        w
+    }
+
+    #[test]
+    fn nodes_record_on_their_shards_lane() {
+        // Starts run in node order, so cell 1's probe records first at
+        // t = 0; at 1 ms the cells' shards may run on different threads.
+        // Lane order, which is shard order, decides both ties.
+        for threads in [1, 2] {
+            let mut w = probe_world();
+            w.set_threads(threads);
+            let rec = Recorder::new(RecorderConfig { events: true, lanes: 3 });
+            w.set_recorder(rec.clone());
+            assert_eq!(w.shard_count(), 3);
+            w.run_until(SimTime::from_ms(2));
+            let got: Vec<(u64, u32)> = rec
+                .export()
+                .expect("enabled recorder")
+                .events
+                .iter()
+                .map(|e| match e.kind {
+                    EventKind::BurstStart { client, .. } => (e.t_us, client),
+                    other => panic!("unexpected event {other:?}"),
+                })
+                .collect();
+            assert_eq!(got, [(0, 0), (0, 1), (1_000, 0), (1_000, 1)], "threads={threads}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one lane per shard")]
+    fn recorder_needs_one_lane_per_shard() {
+        probe_world().set_recorder(Recorder::new(RecorderConfig { events: true, lanes: 1 }));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod hosts {
     /// The web/ftp byte server.
     pub const BYTE_SERVER: HostAddr = HostAddr(2);
     /// The proxy itself (source of schedule broadcasts); in multi-cell
-    /// worlds, the shard serving the first occupied cell.
+    /// worlds, the shard serving cell 0.
     pub const PROXY: HostAddr = HostAddr(3);
     /// The coordinator tier (instantiated in multi-cell worlds only).
     pub const COORDINATOR: HostAddr = HostAddr(4);
@@ -81,7 +81,8 @@ const MEDIUM_BACKLOG: SimDuration = SimDuration::from_ms(150);
 /// Max client clock offset, microseconds (uniform ±).
 const CLOCK_OFFSET_US: i64 = 5_000;
 
-/// One proxy shard + access point serving one radio cell.
+/// One proxy shard + access point serving one radio cell; `shards[c]`
+/// serves cell `c`.
 pub struct Shard {
     /// The shard proxy's node id.
     pub proxy: NodeId,
@@ -89,9 +90,6 @@ pub struct Shard {
     pub ap: NodeId,
     /// The shard proxy's host address.
     pub host: HostAddr,
-    /// The *configured* cell index this shard serves (empty cells are
-    /// elided, so this can exceed the shard's position in `shards`).
-    pub cell: u32,
     /// Indices (into `ScenarioConfig::clients`) of this cell's clients.
     pub clients: Vec<usize>,
 }
@@ -110,7 +108,7 @@ pub struct Assembled {
     /// The coordinator's node id, in multi-cell worlds.
     pub coordinator: Option<NodeId>,
     /// The run's observability recorder (disabled unless the scenario
-    /// enables collection). Every instrumented layer holds a clone.
+    /// enables collection), with one lane per world shard.
     pub obs: Recorder,
 }
 
@@ -120,48 +118,18 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     let n = cfg.clients.len();
 
     // --- cell partition ------------------------------------------------------
-    // Clients map onto cells round-robin; only occupied cells get an AP +
-    // proxy shard, so one client in `cells: 16` assembles the identical
-    // 1-cell world.
-    let mut cell_clients: Vec<Vec<usize>> = vec![Vec::new(); cfg.cells.max(1)];
+    // Clients map onto cells round-robin, so the occupied cells are
+    // `0..occupied_cells()` and each gets an AP + proxy shard: one client
+    // in `cells: 16` assembles the identical 1-cell world.
+    let cells = cfg.occupied_cells();
+    // Switch ifaces: 0 video, 1 byte, 2+c per cell, one more for the
+    // coordinator.
+    assert!(cells <= MAX_CELLS, "too many occupied cells for the switch's u8 iface space: {cells}");
+    let multi = cells > 1;
+    let mut cell_clients: Vec<Vec<usize>> = vec![Vec::new(); cells];
     for i in 0..n {
         cell_clients[cfg.cell_of(i)].push(i);
     }
-    let mut realized: Vec<usize> =
-        (0..cell_clients.len()).filter(|&c| !cell_clients[c].is_empty()).collect();
-    if realized.is_empty() {
-        realized.push(0); // zero clients still gets the paper's single-AP world
-    }
-    let multi = realized.len() > 1;
-    let mut rank_of_cell = vec![usize::MAX; cell_clients.len()];
-    for (r, &c) in realized.iter().enumerate() {
-        rank_of_cell[c] = r;
-    }
-    // Switch ifaces: 0 video, 1 byte, 2+r per shard, one more for the
-    // coordinator.
-    assert!(
-        realized.len() <= MAX_CELLS,
-        "too many occupied cells for the switch's u8 iface space: {}",
-        realized.len()
-    );
-
-    // One recorder per run: sweep jobs never share observability state, so
-    // exports are deterministic regardless of how runs are parallelized.
-    // Multi-cell worlds get one recording lane per world shard (backbone
-    // lane 0 + one per cell) so shards never contend on the event channel
-    // and exports stay deterministic at any thread count; the 1-cell world
-    // keeps the single-lane recorder, byte-identical to before.
-    let obs = if cfg.obs.metrics {
-        Recorder::new(RecorderConfig {
-            events: cfg.obs.events,
-            lanes: if multi { realized.len() + 1 } else { 1 },
-        })
-    } else {
-        Recorder::disabled()
-    };
-    // Lane for components living on cell-rank `r`'s shard (see
-    // `World::finalize`: cell r is world shard r + 1).
-    let lane_of = |r: usize| if multi { obs.lane(r + 1) } else { obs.clone() };
 
     // --- traffic provisioning ------------------------------------------------
     // §4.1: requests are spaced "roughly one second apart in order to
@@ -209,16 +177,16 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         // Each client's downstream traffic goes down its own cell's link;
         // later shard hosts and the coordinator get dedicated ifaces.
         // Shard 0 keeps riding the default route, exactly as before.
-        for (r, &c) in realized.iter().enumerate() {
-            let iface = IfaceId((2 + r) as u8);
-            for &i in &cell_clients[c] {
+        for (c, clients) in cell_clients.iter().enumerate() {
+            let iface = IfaceId((2 + c) as u8);
+            for &i in clients {
                 router.add_route(hosts::client(i), iface);
             }
-            if r > 0 {
-                router.add_route(hosts::proxy_shard(r, n), iface);
+            if c > 0 {
+                router.add_route(hosts::proxy_shard(c, n), iface);
             }
         }
-        router.add_route(hosts::COORDINATOR, IfaceId((2 + realized.len()) as u8));
+        router.add_route(hosts::COORDINATOR, IfaceId((2 + cells) as u8));
     }
     let switch = world.add_node(Box::new(Switch::new(router)), NodeConfig::infrastructure());
 
@@ -238,10 +206,9 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     // Creation order preserves the legacy 1-cell node-id layout exactly:
     // proxy(3), ap(4), pipe(5, when configured), then clients.
     let coord_addr = SockAddr::new(hosts::COORDINATOR, ports::COORD);
-    let mut shards = Vec::with_capacity(realized.len());
-    for (r, &c) in realized.iter().enumerate() {
-        let shard_clients = cell_clients[c].clone();
-        let shard_host = hosts::proxy_shard(r, n);
+    let mut shards = Vec::with_capacity(cells);
+    for (c, shard_clients) in cell_clients.into_iter().enumerate() {
+        let shard_host = hosts::proxy_shard(c, n);
         let shard_client_hosts: Vec<HostAddr> =
             shard_clients.iter().map(|&i| hosts::client(i)).collect();
         let mut pcfg = ProxyConfig::new(
@@ -252,7 +219,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         pcfg.mode = cfg.proxy_mode;
         pcfg.flag_unchanged = cfg.flag_unchanged;
         pcfg.admission = cfg.admission;
-        pcfg.cell = r as u32;
+        pcfg.cell = c as u32;
         if multi {
             pcfg.coord = Some(coord_addr);
         }
@@ -265,10 +232,9 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         if matches!(cfg.policy, PolicyKind::ChannelAware { .. }) {
             proxy_node.set_channel_model(ChannelModel::new(
                 shard_clients.len(),
-                derive_rng(cfg.seed, streams::CHANNEL + r as u64),
+                derive_rng(cfg.seed, streams::CHANNEL + c as u64),
             ));
         }
-        proxy_node.set_recorder(lane_of(r));
         let proxy = world.add_node(
             Box::new(proxy_node),
             NodeConfig { host: Some(shard_host), clock: ClockModel::perfect(), wnic: None },
@@ -281,10 +247,9 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
                 cfg.faults.ap_jitter_max,
                 // Cell 0 keeps the legacy AP fault stream; further cells
                 // fan out far above every other fault-stream index.
-                derive_rng(cfg.seed, fault_stream(fault_streams::AP) + 256 * r as u64),
+                derive_rng(cfg.seed, fault_stream(fault_streams::AP) + 256 * c as u64),
             ));
         }
-        ap_node.set_recorder(lane_of(r));
         let ap = world.add_node(Box::new(ap_node), NodeConfig::infrastructure());
 
         // In multi-cell worlds the switch → shard hop is the metro
@@ -294,7 +259,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         // engine's conservative lookahead. 1-cell worlds keep the paper's
         // all-Fast-Ethernet LAN on the single sequential shard.
         let uplink_spec = if multi { LinkSpec::METRO_BACKHAUL } else { LinkSpec::FAST_ETHERNET };
-        let uplink = Endpoint { node: switch, iface: IfaceId((2 + r) as u8) };
+        let uplink = Endpoint { node: switch, iface: IfaceId((2 + c) as u8) };
         let pipe =
             cfg.pipe.then(|| world.add_node(Box::<Pipe>::default(), NodeConfig::infrastructure()));
         match pipe {
@@ -316,16 +281,16 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
             LinkSpec::FAST_ETHERNET,
         );
         let cell_idx = world.add_cell(cfg.net.airtime, MEDIUM_BACKLOG, ap);
-        debug_assert_eq!(cell_idx, r);
-        world.attach_wireless_cell(ap, powerburst_net::AP_RADIO, r);
+        debug_assert_eq!(cell_idx, c);
+        world.attach_wireless_cell(ap, powerburst_net::AP_RADIO, c);
         if multi {
-            world.pin_to_cell(proxy, r);
+            world.pin_to_cell(proxy, c);
             if let Some(pipe) = pipe {
-                world.pin_to_cell(pipe, r);
+                world.pin_to_cell(pipe, c);
             }
         }
 
-        shards.push(Shard { proxy, ap, host: shard_host, cell: c as u32, clients: shard_clients });
+        shards.push(Shard { proxy, ap, host: shard_host, clients: shard_clients });
     }
     world.set_faults(cfg.faults);
 
@@ -374,10 +339,8 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         // Fault plan: pile an extra frequency error on top, so the
         // client↔proxy skew ramps linearly over the run.
         clock.drift_ppm += clock_skew_ramp(&cfg.faults, &mut skew_rng);
-        let mut daemon = PowerClient::new(host, spec.policy_params(), app);
-        daemon.set_recorder(lane_of(rank_of_cell[cfg.cell_of(i)]));
         let node = world.add_node(
-            Box::new(daemon),
+            Box::new(PowerClient::new(host, spec.policy_params(), app)),
             NodeConfig {
                 host: Some(host),
                 clock,
@@ -387,7 +350,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
                 },
             },
         );
-        world.attach_wireless_cell(node, IfaceId(0), rank_of_cell[cfg.cell_of(i)]);
+        world.attach_wireless_cell(node, IfaceId(0), cfg.cell_of(i));
         client_ids.push(node);
     }
 
@@ -410,11 +373,18 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         None
     };
 
-    // Last: the world forwards the recorder to every live radio added
-    // above (lane-aware — each radio records on its cell's lane).
-    world.set_recorder(obs.clone());
     world.set_threads(cfg.threads);
     world.presize_from_topology();
+    // One recorder per run: sweep jobs never share observability state, so
+    // exports are deterministic regardless of how runs are parallelized.
+    // It has one lane per world shard; the world gives each shard its own
+    // lane, so no two shards write one lane at any thread count.
+    let obs = if cfg.obs.metrics {
+        Recorder::new(RecorderConfig { events: cfg.obs.events, lanes: world.shard_count() })
+    } else {
+        Recorder::disabled()
+    };
+    world.set_recorder(obs.clone());
 
     Assembled { world, clients: client_ids, video_server, shards, coordinator, obs }
 }
@@ -663,9 +633,9 @@ mod tests {
             let a = assemble(&cfg);
 
             let mut seen = vec![0u32; n];
-            for s in &a.shards {
+            for (r, s) in a.shards.iter().enumerate() {
                 for &i in &s.clients {
-                    proptest::prop_assert_eq!(i % cells, s.cell as usize, "client {} misplaced", i);
+                    proptest::prop_assert_eq!(i % cells, r, "client {} misplaced", i);
                     seen[i] += 1;
                 }
             }

@@ -272,6 +272,15 @@ impl ScenarioConfig {
     pub fn cell_of(&self, i: usize) -> usize {
         i % self.cells.max(1)
     }
+
+    /// How many cells hold a client: `min(cells, clients)`, and at least
+    /// one (a world without clients is still the paper's single-AP world).
+    /// Round-robin fills cells in order, so the occupied cells are exactly
+    /// `0..occupied_cells()`; `assemble` builds one AP and proxy shard for
+    /// each.
+    pub fn occupied_cells(&self) -> usize {
+        self.cells.min(self.clients.len()).max(1)
+    }
 }
 
 /// The paper's five Figure-4 access patterns for ten video clients.

@@ -1,11 +1,12 @@
 //! Parallel parameter-sweep runner.
 //!
-//! Each simulation run is deterministic and single-threaded (a discrete-
-//! event simulation must process events in global time order), so the
-//! parallelism in this workspace is **across runs**: the experiment
-//! harnesses fan configurations out over scoped worker threads that pull
-//! jobs from a shared atomic cursor. Results come back in input order
-//! regardless of completion order, so tables are reproducible.
+//! Parallelism **across runs**: the experiment harnesses fan
+//! configurations out over scoped worker threads that pull jobs from a
+//! shared atomic cursor. (Within one run, a multi-cell world may also
+//! step its shards on several threads, see [`crate::shard`]; every run
+//! is deterministic, so neither thread count changes a result.) Results
+//! come back in input order regardless of completion order, so tables
+//! are reproducible.
 //!
 //! Result collection takes no lock and no shared slot: each worker keeps
 //! the `(index, result)` pairs of the jobs the cursor handed it and

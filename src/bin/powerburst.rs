@@ -237,14 +237,14 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
     // proxy shard per occupied cell, coordinator tier when more than one
     // cell is occupied.
     if let Some(cells) = f.opt::<NonZeroUsize>("--cells")? {
-        let occupied = cells.get().min(cfg.clients.len());
+        cfg = cfg.with_cells(cells.get());
+        let occupied = cfg.occupied_cells();
         if occupied > MAX_CELLS {
             return Err(Usage(format!(
                 "--cells {cells} puts {} clients in {occupied} cells; at most {MAX_CELLS} fit",
                 cfg.clients.len()
             )));
         }
-        cfg = cfg.with_cells(cells.get());
     }
     // Worker threads for the sharded event core. Outputs are
     // byte-identical at every value; single-cell worlds always run
