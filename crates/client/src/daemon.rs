@@ -1,13 +1,19 @@
 //! The client power daemon: the client power policy, run on a live radio.
 //!
 //! The wake/sleep rules live in [`powerburst_core::client_policy`], the
-//! sans-IO state machine the postmortem replay drives too. The daemon
-//! feeds it the schedules and frames its radio hears and the timers it
-//! armed, and carries out its actions on the node context: radio wake
-//! and sleep, and timers measured on the client's own (drifting) clock.
-//! It owns the policy's counters, and reports the ones that move, and
-//! every `WakeLead` the policy notes, to its shard's recorder lane
-//! (`Ctx::obs`).
+//! sans-IO state machine the postmortem replay drives too. A live-radio
+//! daemon ([`PowerClient::live`]) feeds it the schedules and frames its
+//! radio hears and the timers it armed, and carries out its actions on
+//! the node context: radio wake and sleep, and timers measured on the
+//! client's own (drifting) clock. It owns the policy's counters, and
+//! reports the ones that move, and every `WakeLead` the policy notes, to
+//! its shard's recorder lane (`Ctx::obs`).
+//!
+//! In Monitor mode the radio never sleeps and the replay is the policy
+//! run, so a Monitor-mode daemon ([`PowerClient::monitor`]) runs no
+//! policy: it drops schedule broadcasts undecoded, passes every other
+//! frame to its app, arms no timer of its own, records nothing, and its
+//! [`PowerClient::stats`] stay zero.
 
 use std::any::Any;
 
@@ -19,9 +25,17 @@ use powerburst_traffic::{App, APP_TOKEN};
 
 /// The power-daemon node hosting an [`App`].
 pub struct PowerClient {
+    app: Box<dyn App>,
+    /// The policy a live radio runs on; `None` in Monitor mode.
+    live: Option<LivePolicy>,
+    /// The policy's counters (all zero in Monitor mode).
+    pub stats: PolicyStats,
+}
+
+/// The client power policy with what driving it through a [`Ctx`] needs.
+struct LivePolicy {
     me: HostAddr,
     policy: ClientPolicy,
-    app: Box<dyn App>,
     /// Timers of the plan in force, with what each one is for; a timer's
     /// token is its index here. A new plan cancels them all.
     plan: Vec<(TimerId, PolicyTimer)>,
@@ -29,31 +43,36 @@ pub struct PowerClient {
     /// ([`Schedule::decode_into`]), so the once-per-interval decode reuses
     /// one entries allocation.
     decode_buf: Schedule,
-    /// The policy's counters.
-    pub stats: PolicyStats,
 }
 
 impl PowerClient {
-    /// Build the daemon of host `me`, hosting `app`.
-    pub fn new(me: HostAddr, params: PolicyParams, app: Box<dyn App>) -> PowerClient {
-        PowerClient {
+    /// The daemon of a live-radio host `me`, hosting `app` and running the
+    /// client power policy with `params`.
+    pub fn live(me: HostAddr, params: PolicyParams, app: Box<dyn App>) -> PowerClient {
+        let live = LivePolicy {
             me,
             policy: ClientPolicy::new(me, params),
-            app,
             plan: Vec::new(),
             decode_buf: Schedule::default(),
-            stats: PolicyStats::default(),
-        }
+        };
+        PowerClient { app, live: Some(live), stats: PolicyStats::default() }
+    }
+
+    /// The daemon of a Monitor-mode host: it only hosts `app`.
+    pub fn monitor(app: Box<dyn App>) -> PowerClient {
+        PowerClient { app, live: None, stats: PolicyStats::default() }
     }
 
     /// Access the hosted application.
     pub fn app_mut<T: App>(&mut self) -> &mut T {
         self.app.as_any_mut().downcast_mut().expect("app type")
     }
+}
 
+impl LivePolicy {
     /// Carry out the policy's actions, then report the counters that moved
-    /// since they read `old`.
-    fn drive(&mut self, ctx: &mut Ctx<'_>, old: PolicyStats) {
+    /// from `old` to `new`.
+    fn drive(&mut self, ctx: &mut Ctx<'_>, old: PolicyStats, new: PolicyStats) {
         let (now, obs) = (ctx.now(), ctx.obs());
         for a in self.policy.actions() {
             match a {
@@ -81,7 +100,6 @@ impl PowerClient {
                 }
             }
         }
-        let new = self.stats;
         for (c, d) in [
             (Counter::ClientSchedulesApplied, new.schedules_applied - old.schedules_applied),
             (Counter::ClientSchedulesMissed, new.schedules_missed - old.schedules_missed),
@@ -102,21 +120,28 @@ impl Node for PowerClient {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _iface: IfaceId, pkt: Packet) {
+        let schedule = pkt.proto == Proto::Udp && pkt.dst.port == ports::SCHEDULE;
+        let Some(live) = &mut self.live else {
+            if !schedule {
+                self.app.on_packet(ctx, pkt);
+            }
+            return;
+        };
         let (now, old) = (ctx.now(), self.stats);
-        if pkt.proto == Proto::Udp && pkt.dst.port == ports::SCHEDULE {
-            if !Schedule::decode_into(&pkt.payload, &mut self.decode_buf) {
+        if schedule {
+            if !Schedule::decode_into(&pkt.payload, &mut live.decode_buf) {
                 return;
             }
-            self.policy.on_schedule(now, ctx.local_now().0, &self.decode_buf, &mut self.stats);
+            live.policy.on_schedule(now, ctx.local_now().0, &live.decode_buf, &mut self.stats);
         } else {
             let (marked, unicast) = (pkt.tos_mark, !pkt.is_broadcast());
             self.app.on_packet(ctx, pkt);
             if !unicast {
                 return;
             }
-            self.policy.on_frame(now, marked, &mut self.stats);
+            live.policy.on_frame(now, marked, &mut self.stats);
         }
-        self.drive(ctx, old);
+        live.drive(ctx, old, self.stats);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
@@ -124,10 +149,11 @@ impl Node for PowerClient {
             self.app.on_timer(ctx, token);
             return;
         }
-        let Some(&(_, timer)) = self.plan.get(token as usize) else { return };
+        let Some(live) = &mut self.live else { return };
+        let Some(&(_, timer)) = live.plan.get(token as usize) else { return };
         let old = self.stats;
-        self.policy.on_timer(ctx.now(), timer, &mut self.stats);
-        self.drive(ctx, old);
+        live.policy.on_timer(ctx.now(), timer, &mut self.stats);
+        live.drive(ctx, old, self.stats);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

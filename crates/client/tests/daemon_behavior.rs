@@ -1,16 +1,18 @@
 //! Behavioral tests for the client power daemon, driven by a scripted
 //! proxy stand-in over a real radio world: wake/sleep discipline, miss
-//! recovery, the packet-ordering rules, and the §5 optimization.
+//! recovery, the packet-ordering rules, the §5 optimization, and the
+//! Monitor-mode daemon that runs no policy.
 
 use std::any::Any;
 
 use powerburst_client::PowerClient;
-use powerburst_core::{PolicyParams, Schedule, ScheduleEntry};
+use powerburst_core::{PolicyParams, PolicyStats, Schedule, ScheduleEntry};
 use powerburst_energy::CardSpec;
 use powerburst_net::{
     ports, AccessPoint, AirtimeModel, ApDelayParams, Ctx, Endpoint, HostAddr, IfaceId, LinkSpec,
-    Node, NodeConfig, Packet, SockAddr, TimerToken, World, AP_RADIO, AP_WIRED,
+    Node, NodeConfig, NodeId, Packet, SockAddr, TimerToken, World, AP_RADIO, AP_WIRED,
 };
+use powerburst_obs::{Counter, EventKind, Hist, ObsReport, Recorder, RecorderConfig};
 use powerburst_sim::{ClockModel, SimDuration, SimTime};
 use powerburst_traffic::{App, CountingSink};
 use powerburst_transport::StreamPayload;
@@ -115,9 +117,14 @@ impl Node for ScriptedProxy {
     }
 }
 
-/// Sink that panics if the daemon delivers while the radio is deaf —
-/// regular CountingSink plus schedule filtering is handled by the daemon.
-fn build_world(proxy: ScriptedProxy, params: PolicyParams) -> (World, powerburst_net::NodeId) {
+fn sink() -> Box<dyn App> {
+    Box::new(CountingSink::new())
+}
+
+/// The scripted proxy, an access point and `client` in one radio cell;
+/// the client has a WaveLAN card exactly when `wnic`. Returns the world
+/// and the proxy's and the client's node ids.
+fn build_world(proxy: ScriptedProxy, client: PowerClient, wnic: bool) -> (World, NodeId, NodeId) {
     let mut world = World::new(5);
     let p = world.add_node(Box::new(proxy), NodeConfig::wired(PROXY));
     let ap = world.add_node(
@@ -125,11 +132,11 @@ fn build_world(proxy: ScriptedProxy, params: PolicyParams) -> (World, powerburst
         NodeConfig::infrastructure(),
     );
     let c = world.add_node(
-        Box::new(PowerClient::new(CLIENT, params, Box::new(CountingSink::new()) as Box<dyn App>)),
+        Box::new(client),
         NodeConfig {
             host: Some(CLIENT),
             clock: ClockModel::perfect(),
-            wnic: Some(CardSpec::WAVELAN_DSSS),
+            wnic: wnic.then_some(CardSpec::WAVELAN_DSSS),
         },
     );
     world.add_link(
@@ -140,11 +147,12 @@ fn build_world(proxy: ScriptedProxy, params: PolicyParams) -> (World, powerburst
     world.add_cell(AirtimeModel::DSSS_11MBPS, SimDuration::from_ms(150), ap);
     world.attach_wireless_cell(ap, AP_RADIO, 0);
     world.attach_wireless_cell(c, IfaceId(0), 0);
-    (world, c)
+    (world, p, c)
 }
 
-fn run(proxy: ScriptedProxy, cfg: PolicyParams, secs: u64) -> (World, powerburst_net::NodeId) {
-    let (mut world, c) = build_world(proxy, cfg);
+/// Run a live-radio client with policy `cfg` against `proxy` for `secs`.
+fn run(proxy: ScriptedProxy, cfg: PolicyParams, secs: u64) -> (World, NodeId) {
+    let (mut world, _, c) = build_world(proxy, PowerClient::live(CLIENT, cfg, sink()), true);
     world.run_until(SimTime::from_secs(secs));
     (world, c)
 }
@@ -257,4 +265,50 @@ fn larger_early_transition_wakes_earlier_and_wastes_more() {
     let (e10, w10) = mk(10);
     assert!(w10 > w2, "early wait {w10} !> {w2}");
     assert!(e10 > e2, "energy {e10} !> {e2}");
+}
+
+/// Run `client` (on a WaveLAN card exactly when `wnic`) for 5 s against a
+/// proxy that skips two broadcasts, recording counters and events on one
+/// lane. Returns the world, the proxy's bursts and the export.
+fn recorded_run(client: PowerClient, wnic: bool) -> (World, NodeId, u64, ObsReport) {
+    let mut proxy = ScriptedProxy::new();
+    proxy.skip_broadcasts = vec![20, 21];
+    let (mut world, p, c) = build_world(proxy, client, wnic);
+    let obs = Recorder::new(RecorderConfig { events: true, lanes: 1 });
+    world.set_recorder(obs.clone());
+    world.run_until(SimTime::from_secs(5));
+    let bursts = world.node_mut::<ScriptedProxy>(p).bursts_sent;
+    (world, c, bursts, obs.export().expect("recorder enabled"))
+}
+
+const CLIENT_COUNTERS: [Counter; 3] =
+    [Counter::ClientSchedulesApplied, Counter::ClientSchedulesMissed, Counter::ClientMarksSeen];
+
+fn wake_leads(obs: &ObsReport) -> usize {
+    obs.events.iter().filter(|e| matches!(e.kind, EventKind::WakeLead { .. })).count()
+}
+
+#[test]
+fn monitor_mode_daemon_only_hosts_its_app() {
+    let (mut world, c, bursts, obs) = recorded_run(PowerClient::monitor(sink()), false);
+    assert!(bursts >= 49, "bursts {bursts}");
+    let pc = world.node_mut::<PowerClient>(c);
+    assert_eq!(pc.stats, PolicyStats::default(), "no policy ran");
+    // Every burst frame reached the app.
+    assert_eq!(pc.app_mut::<CountingSink>().packets, 2 * bursts);
+    for counter in CLIENT_COUNTERS {
+        assert_eq!(obs.counter(counter), 0, "{}", counter.name());
+    }
+    assert_eq!(obs.hist(Hist::WakeLeadUs).count, 0);
+    assert_eq!(wake_leads(&obs), 0);
+
+    // The same world with a live-radio client records all of them.
+    let live = PowerClient::live(CLIENT, PolicyParams::default(), sink());
+    let (mut world, c, _, obs) = recorded_run(live, true);
+    assert_ne!(world.node_mut::<PowerClient>(c).stats, PolicyStats::default());
+    for counter in CLIENT_COUNTERS {
+        assert!(obs.counter(counter) > 0, "{}", counter.name());
+    }
+    assert!(obs.hist(Hist::WakeLeadUs).count > 0);
+    assert!(wake_leads(&obs) > 0);
 }

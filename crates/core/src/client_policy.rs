@@ -84,7 +84,7 @@ const MISS_SLACK: SimDuration = SimDuration::from_ms(15);
 const MIN_SLEEP: SimDuration = SimDuration::from_ms(5);
 
 /// Counters for the energy-waste analysis (Figure 6) and diagnostics.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PolicyStats {
     /// Schedule broadcasts heard.
     pub schedules_received: u64,

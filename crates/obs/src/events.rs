@@ -43,6 +43,7 @@ pub enum EventKind {
     },
     /// A client finished waiting for scheduled traffic: how long it was
     /// awake-but-idle before the first frame (or the miss timer) arrived.
+    /// Recorded by live-radio daemons only.
     WakeLead {
         /// Client host id.
         client: u32,

@@ -53,13 +53,17 @@ pub enum Counter {
     ApForwardedUp,
     /// AP FIFO-ordering violations detected by the delay guard.
     ApFifoViolations,
-    /// Schedule broadcasts a client received and applied.
+    /// Schedule broadcasts a client received and applied. Like every
+    /// `Client*` counter, recorded by live-radio daemons only: in Monitor
+    /// mode the client policy runs in the postmortem replay.
     ClientSchedulesApplied,
-    /// SRPs a client woke for but no schedule arrived (miss timer fired).
+    /// SRPs a client woke for but no schedule arrived (miss timer fired);
+    /// live radios only.
     ClientSchedulesMissed,
-    /// Marked (end-of-burst) frames clients observed.
+    /// Marked (end-of-burst) frames clients observed; live radios only.
     ClientMarksSeen,
-    /// SRP wake-ups clients skipped thanks to the `unchanged` flag.
+    /// SRP wake-ups clients skipped thanks to the `unchanged` flag; live
+    /// radios only.
     ClientSkippedWakes,
     /// WNIC transitions into high-power (wake) mode.
     WnicWakes,
@@ -184,6 +188,7 @@ pub enum Hist {
     /// Overshoot past the slot budget when a burst overran, µs.
     SlotOverrunUs,
     /// Client wake-up lead error: awake-but-idle time before traffic, µs.
+    /// Recorded by live-radio daemons only.
     WakeLeadUs,
     /// Per-client queue depth in bytes, sampled at each SRP snapshot.
     QueueDepthBytes,

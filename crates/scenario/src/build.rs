@@ -339,17 +339,15 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         // Fault plan: pile an extra frequency error on top, so the
         // client↔proxy skew ramps linearly over the run.
         clock.drift_ppm += clock_skew_ramp(&cfg.faults, &mut skew_rng);
-        let node = world.add_node(
-            Box::new(PowerClient::new(host, spec.policy_params(), app)),
-            NodeConfig {
-                host: Some(host),
-                clock,
-                wnic: match cfg.radio {
-                    RadioMode::Monitor => None,
-                    RadioMode::Live => Some(CardSpec::WAVELAN_DSSS),
-                },
-            },
-        );
+        // A Monitor-mode radio never sleeps and `postmortem` runs the
+        // client policy, so the daemon there only hosts the app.
+        let (daemon, wnic) = match cfg.radio {
+            RadioMode::Monitor => (PowerClient::monitor(app), None),
+            RadioMode::Live => {
+                (PowerClient::live(host, spec.policy_params(), app), Some(CardSpec::WAVELAN_DSSS))
+            }
+        };
+        let node = world.add_node(Box::new(daemon), NodeConfig { host: Some(host), clock, wnic });
         world.attach_wireless_cell(node, IfaceId(0), cfg.cell_of(i));
         client_ids.push(node);
     }

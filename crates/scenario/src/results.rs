@@ -72,7 +72,8 @@ pub struct ClientResult {
     pub post: PostmortemReport,
     /// Live-radio measurement, when radios actually slept.
     pub live: Option<LiveSummary>,
-    /// The live daemon's policy counters.
+    /// The live daemon's policy counters: all zero in Monitor mode; the
+    /// replay in `post` is the policy run.
     pub daemon: PolicyStats,
     /// Application-level outcome.
     pub app: AppMetrics,

@@ -13,8 +13,9 @@
 //!
 //! Argument parsing is hand-rolled (the workspace's dependency budget is
 //! deliberately small); every flag has a sane paper-default. A usage
-//! error — an unknown flag, a missing or malformed value — prints a
-//! message naming the flag and exits with code 2.
+//! error — an unknown flag, a missing or malformed value (a fault
+//! probability outside [0, 1] is malformed) — prints a message naming the
+//! flag and exits with code 2.
 
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
@@ -114,14 +115,27 @@ impl<'a> Flags<'a> {
 
     /// The value of `key`, parsed, if the flag was given.
     fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, Usage> {
-        self.get(key)
-            .map(|v| v.parse().map_err(|_| Usage(format!("invalid value `{v}` for {key}"))))
-            .transpose()
+        self.get(key).map(|v| v.parse().map_err(|_| invalid(v, key))).transpose()
     }
 
     fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Usage> {
         Ok(self.opt(key)?.unwrap_or(default))
     }
+
+    /// The value of probability flag `key`, which must lie in [0, 1].
+    fn prob(&self, key: &str, default: f64) -> Result<f64, Usage> {
+        match self.get(key) {
+            None => Ok(default),
+            Some(v) => {
+                v.parse().ok().filter(|p| (0.0..=1.0).contains(p)).ok_or_else(|| invalid(v, key))
+            }
+        }
+    }
+}
+
+/// The usage error for a malformed `value` of flag `key`.
+fn invalid(value: &str, key: &str) -> Usage {
+    Usage(format!("invalid value `{value}` for {key}"))
 }
 
 /// The valued flags of `run`.
@@ -264,12 +278,12 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
         cfg.admission = true;
     }
     cfg.faults = FaultPlan {
-        loss_prob: f.parse("--fault-loss", 0.0)?,
-        dup_prob: f.parse("--fault-dup", 0.0)?,
-        reorder_prob: f.parse("--fault-reorder", 0.0)?,
+        loss_prob: f.prob("--fault-loss", 0.0)?,
+        dup_prob: f.prob("--fault-dup", 0.0)?,
+        reorder_prob: f.prob("--fault-reorder", 0.0)?,
         reorder_max: SimDuration::from_ms(f.parse("--fault-reorder-ms", 5)?),
-        sched_drop_prob: f.parse("--fault-sched-drop", 0.0)?,
-        ap_jitter_prob: f.parse(
+        sched_drop_prob: f.prob("--fault-sched-drop", 0.0)?,
+        ap_jitter_prob: f.prob(
             "--fault-jitter-prob",
             if f.get("--fault-jitter-ms").is_some() { 0.2 } else { 0.0 },
         )?,

@@ -30,6 +30,18 @@ fn malformed_values_are_rejected_naming_the_flag() {
         (&["run", "--coord-pool", "-1"], "--coord-pool", "-1"),
         (&["run", "--stagger-ms", "1e3"], "--stagger-ms", "1e3"),
         (&["run", "--fault-loss", "half"], "--fault-loss", "half"),
+        // Fault probabilities lie in [0, 1]; NaN is not one.
+        (&["run", "--fault-loss", "1.5"], "--fault-loss", "1.5"),
+        (&["run", "--fault-loss", "-0.2"], "--fault-loss", "-0.2"),
+        (&["run", "--fault-loss", "nan"], "--fault-loss", "nan"),
+        (&["run", "--fault-dup", "3"], "--fault-dup", "3"),
+        (&["run", "--fault-reorder", "1.01"], "--fault-reorder", "1.01"),
+        (&["run", "--fault-sched-drop", "-1"], "--fault-sched-drop", "-1"),
+        (
+            &["run", "--fault-jitter-prob", "2", "--fault-jitter-ms", "5"],
+            "--fault-jitter-prob",
+            "2",
+        ),
         (&["experiment", "all", "--secs", "ten"], "--secs", "ten"),
         (&["calibrate", "--seed", "x"], "--seed", "x"),
     ] {

@@ -10,10 +10,15 @@
 //!
 //! Frame-loss faults stay out: the replay counts a corrupted unicast
 //! frame addressed to the client as received, which no radio does.
+//!
+//! In Monitor mode the replay is the only policy run: no radio sleeps, so
+//! the world itself, capture and event count alike, must not depend on
+//! the client policy's parameters.
 
 use powerburst::prelude::*;
 use powerburst::scenario::experiments::INTERVALS;
 use powerburst::sim::parallel_sweep;
+use powerburst::trace::to_jsonl;
 
 const SECS: u64 = 20;
 /// Largest tolerated |postmortem − live| energy saved, in points.
@@ -41,6 +46,20 @@ fn blend(seed: u64) -> ScenarioConfig {
         (0..3).map(|_| ClientSpec::new(ClientKind::Web { script: WebScriptConfig::default() })),
     );
     live(seed, PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) }, clients)
+}
+
+/// The fault plan of the faulted golden snapshots.
+fn golden_faults() -> FaultPlan {
+    FaultPlan {
+        loss_prob: 0.05,
+        dup_prob: 0.01,
+        reorder_prob: 0.02,
+        reorder_max: SimDuration::from_ms(5),
+        sched_drop_prob: 0.02,
+        ap_jitter_prob: 0.2,
+        ap_jitter_max: SimDuration::from_ms(10),
+        clock_skew_ppm: 40.0,
+    }
 }
 
 /// Every disagreement between the daemon and the replay in `cfg`'s run,
@@ -107,17 +126,32 @@ fn faulted_blend_without_frame_loss_live_matches_postmortem() {
         let mut cfg = blend(seed);
         // The golden fault plan minus frame loss: duplication, reordering,
         // SRP drops, AP jitter and clock skew all stay on.
-        cfg.faults = FaultPlan {
-            loss_prob: 0.0,
-            dup_prob: 0.01,
-            reorder_prob: 0.02,
-            reorder_max: SimDuration::from_ms(5),
-            sched_drop_prob: 0.02,
-            ap_jitter_prob: 0.2,
-            ap_jitter_max: SimDuration::from_ms(10),
-            clock_skew_ppm: 40.0,
-        };
+        cfg.faults = FaultPlan { loss_prob: 0.0, ..golden_faults() };
         (format!("faulted blend seed {seed}"), cfg)
     });
     assert_agree(runs.to_vec());
+}
+
+#[test]
+fn monitor_mode_world_does_not_depend_on_the_client_policy() {
+    // The faulted blend in Monitor mode, with `unchanged` flags on the
+    // air so `skip_unchanged` has something to skip.
+    let capture = |set: fn(&mut ClientSpec)| {
+        let mut cfg = blend(7);
+        cfg.radio = RadioMode::Monitor;
+        cfg.flag_unchanged = true;
+        cfg.faults = golden_faults();
+        cfg.clients.iter_mut().for_each(set);
+        let mut a = assemble(&cfg);
+        a.world.run_until(SimTime::ZERO + cfg.duration);
+        (to_jsonl(&a.world.take_trace()), a.world.events_processed())
+    };
+    let (trace, events) = capture(|_| {});
+    let (other_trace, other_events) = capture(|c| {
+        c.early_transition = SimDuration::ZERO;
+        c.skip_unchanged = true;
+        c.comp = CompMode::FixedAnchor;
+    });
+    assert!(trace == other_trace, "the capture depends on the client policy");
+    assert_eq!(events, other_events, "the event count depends on the client policy");
 }
