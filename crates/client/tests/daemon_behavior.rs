@@ -12,7 +12,7 @@ use powerburst_net::{
     ports, AccessPoint, AirtimeModel, ApDelayParams, Ctx, Endpoint, HostAddr, IfaceId, LinkSpec,
     Node, NodeConfig, NodeId, Packet, SockAddr, TimerToken, World, AP_RADIO, AP_WIRED,
 };
-use powerburst_obs::{Counter, EventKind, Hist, ObsReport, Recorder, RecorderConfig};
+use powerburst_obs::{Counter, EventKind, Hist, ObsReport};
 use powerburst_sim::{ClockModel, SimDuration, SimTime};
 use powerburst_traffic::{App, CountingSink};
 use powerburst_transport::StreamPayload;
@@ -274,8 +274,7 @@ fn recorded_run(client: PowerClient, wnic: bool) -> (World, NodeId, u64, ObsRepo
     let mut proxy = ScriptedProxy::new();
     proxy.skip_broadcasts = vec![20, 21];
     let (mut world, p, c) = build_world(proxy, client, wnic);
-    let obs = Recorder::new(RecorderConfig { events: true, lanes: 1 });
-    world.set_recorder(obs.clone());
+    let obs = world.install_recorder(true, true);
     world.run_until(SimTime::from_secs(5));
     let bursts = world.node_mut::<ScriptedProxy>(p).bursts_sent;
     (world, c, bursts, obs.export().expect("recorder enabled"))

@@ -40,13 +40,6 @@ pub struct CoordinatorConfig {
     pub pool_permille: Option<u32>,
 }
 
-impl CoordinatorConfig {
-    /// A coordinator at `addr` with no shared-airtime constraint.
-    pub fn new(addr: SockAddr) -> CoordinatorConfig {
-        CoordinatorConfig { addr, pool_permille: None }
-    }
-}
-
 /// Counters the experiment harnesses read after a run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CoordStats {
@@ -254,7 +247,7 @@ mod tests {
         let mut w = World::new(5);
         let coord_addr = SockAddr::new(HostAddr(4), ports::COORD);
         let coord = w.add_node(
-            Box::new(Coordinator::new(CoordinatorConfig::new(coord_addr))),
+            Box::new(Coordinator::new(CoordinatorConfig { addr: coord_addr, pool_permille: None })),
             NodeConfig::wired(HostAddr(4)),
         );
         struct Garbage {

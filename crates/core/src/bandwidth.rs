@@ -36,16 +36,10 @@ impl BandwidthModel {
     }
 
     /// How many bytes fit in `budget` if sent as messages of `msg_bytes`?
-    /// Accounts for the per-message overhead of each message.
-    pub fn bytes_in(&self, budget: SimDuration, msg_bytes: usize) -> u64 {
-        let per_msg = self.send_time(msg_bytes).as_us().max(1);
-        let msgs = budget.as_us() / per_msg;
-        msgs * msg_bytes as u64
-    }
-
-    /// Like [`BandwidthModel::bytes_in`], but reserves channel time for the
-    /// receiver's echo traffic: `echo_ratio` echo frames of `echo_bytes`
-    /// per data message (TCP ACK clocking on a shared half-duplex medium).
+    /// Accounts for the per-message overhead of each message, and reserves
+    /// channel time for the receiver's echo traffic: `echo_ratio` echo
+    /// frames of `echo_bytes` per data message (TCP ACK clocking on a
+    /// shared half-duplex medium).
     pub fn bytes_in_with_echo(
         &self,
         budget: SimDuration,
@@ -96,12 +90,15 @@ mod tests {
     }
 
     #[test]
-    fn bytes_in_counts_per_message_overhead() {
+    fn bytes_in_counts_per_message_overhead_and_echoes() {
         let m = BandwidthModel { alpha_us: 1_000.0, beta_us: 1.0 };
+        let budget = SimDuration::from_ms(10);
         // Each 1000-byte message costs 2000us; 10ms fits 5 of them.
-        assert_eq!(m.bytes_in(SimDuration::from_ms(10), 1_000), 5_000);
+        assert_eq!(m.bytes_in_with_echo(budget, 1_000, 40, 0.0), 5_000);
         // Smaller messages waste budget on overhead.
-        assert!(m.bytes_in(SimDuration::from_ms(10), 100) < 5_000);
+        assert!(m.bytes_in_with_echo(budget, 100, 40, 0.0) < 5_000);
+        // One 40-byte echo (1040us) per message leaves room for 3.
+        assert_eq!(m.bytes_in_with_echo(budget, 1_000, 40, 1.0), 3_000);
     }
 
     #[test]

@@ -76,12 +76,6 @@ impl MarkCoordinator {
         }
     }
 
-    /// IPQ thread: a retransmission went to the wire. Per the paper, `f`
-    /// is *not* incremented and no mark is produced.
-    pub fn on_retransmit(&self, _n: u64) -> bool {
-        false
-    }
-
     /// Current `(sent, forwarded, mark)` snapshot, for assertions/telemetry.
     pub fn snapshot(&self) -> (u64, u64, u64) {
         (self.sent, self.forwarded, self.mark)
@@ -114,19 +108,6 @@ mod tests {
     fn empty_burst_requests_no_mark() {
         let mut mc = MarkCoordinator::new();
         assert_eq!(mc.end_burst(), None);
-    }
-
-    #[test]
-    fn retransmissions_never_mark_and_dont_advance_f() {
-        let mut mc = MarkCoordinator::new();
-        mc.on_burst_bytes(1_000);
-        mc.end_burst();
-        assert!(!mc.on_retransmit(1_000));
-        let (_, f, m) = mc.snapshot();
-        assert_eq!(f, 0);
-        assert_eq!(m, 1_000);
-        // The fresh copy still triggers the mark.
-        assert!(mc.on_forward(1_000));
     }
 
     #[test]

@@ -7,23 +7,6 @@
 
 use powerburst_sim::SimDuration;
 
-/// Coarse WNIC operating mode.
-///
-/// Following the paper (§3.1) we refer to `Sleep` as *low-power mode* and
-/// everything else as *high-power mode*: "receive and transmit modes
-/// somewhat larger than that used by idle mode".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WnicMode {
-    /// Deep sleep; cannot receive or transmit.
-    Sleep,
-    /// Powered but not actively moving bits.
-    Idle,
-    /// Actively receiving a frame.
-    Receive,
-    /// Actively transmitting a frame.
-    Transmit,
-}
-
 /// Power draw and transition characteristics of a WNIC.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CardSpec {
@@ -48,16 +31,6 @@ impl CardSpec {
         sleep_mw: 177.0,
         wake_transition: SimDuration::from_ms(2),
     };
-
-    /// Power draw for a mode, milliwatts.
-    pub fn power_mw(&self, mode: WnicMode) -> f64 {
-        match mode {
-            WnicMode::Sleep => self.sleep_mw,
-            WnicMode::Idle => self.idle_mw,
-            WnicMode::Receive => self.recv_mw,
-            WnicMode::Transmit => self.xmit_mw,
-        }
-    }
 
     /// The theoretical ceiling on energy savings for this card: a client
     /// that sleeps 100% of the time saves `1 - sleep/idle` versus a naive
@@ -85,15 +58,6 @@ mod tests {
         assert_eq!(c.xmit_mw, 1675.0);
         assert_eq!(c.sleep_mw, 177.0);
         assert_eq!(c.wake_transition, SimDuration::from_ms(2));
-    }
-
-    #[test]
-    fn mode_power_lookup() {
-        let c = CardSpec::WAVELAN_DSSS;
-        assert_eq!(c.power_mw(WnicMode::Sleep), 177.0);
-        assert_eq!(c.power_mw(WnicMode::Idle), 1319.0);
-        assert_eq!(c.power_mw(WnicMode::Receive), 1425.0);
-        assert_eq!(c.power_mw(WnicMode::Transmit), 1675.0);
     }
 
     #[test]

@@ -18,6 +18,6 @@ pub mod card;
 pub mod meter;
 pub mod optimal;
 
-pub use card::{CardSpec, WnicMode};
+pub use card::CardSpec;
 pub use meter::{naive_energy_mj, EnergyReport, Wnic};
 pub use optimal::{optimal_savings, optimal_savings_for_rate, OptimalInput, OptimalResult};

@@ -191,12 +191,6 @@ impl Wnic {
         self.state == RadioState::Awake
     }
 
-    /// True if the radio is in high-power mode (awake or waking) at `now`.
-    pub fn is_high_power(&mut self, now: SimTime) -> bool {
-        self.bill(now);
-        !matches!(self.state, RadioState::Sleeping)
-    }
-
     /// Bill a received frame whose airtime was `airtime`, ending at `now`.
     /// Accounts the difference between receive and idle power over the
     /// frame (the base idle draw over that span is billed by the timeline).
@@ -275,7 +269,6 @@ mod tests {
         w.wake(SimTime::from_ms(100));
         // Not yet listening during the transition.
         assert!(!w.is_listening(SimTime::from_ms(101)));
-        assert!(w.is_high_power(SimTime::from_ms(101)));
         // Listening once the 2ms transition elapses.
         assert!(w.is_listening(SimTime::from_ms(102)));
         let r = w.finish(SimTime::from_ms(102));

@@ -95,11 +95,6 @@ impl Sniffer {
         self.records.push(rec);
     }
 
-    /// All captured records in time order.
-    pub fn records(&self) -> &[SnifferRecord] {
-        &self.records
-    }
-
     /// Take ownership of the capture, leaving the sniffer empty.
     pub fn take(&mut self) -> Vec<SnifferRecord> {
         std::mem::take(&mut self.records)
@@ -141,7 +136,7 @@ mod tests {
             Delivery::Delivered,
         ));
         assert_eq!(s.len(), 1);
-        let r = &s.records()[0];
+        let r = &s.take()[0];
         assert_eq!(r.pkt_id, 7);
         assert_eq!(r.wire_size, 20 + 8 + 50);
         assert_eq!(r.delivery, Delivery::Delivered);

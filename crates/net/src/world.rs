@@ -10,8 +10,7 @@
 //! ## Sharded execution (DESIGN.md §17)
 //!
 //! A multi-cell world is partitioned into **shards** once its topology
-//! is frozen (at the first run, or by `presize_from_topology` or
-//! `set_recorder`):
+//! is frozen (at the first run, or by [`World::install_recorder`]):
 //! one shard per radio cell (cell `c` → shard `c + 1`) plus shard 0 for
 //! the wired backbone (servers, switch, coordinator). Each shard owns its
 //! nodes, cells, outbound link halves, event queue (whose handles are its
@@ -28,7 +27,7 @@
 //! and the order mail is applied in never depend on which OS thread runs
 //! a shard.
 
-use powerburst_obs::{Counter, Recorder};
+use powerburst_obs::{Counter, Recorder, RecorderConfig};
 use powerburst_sim::rng::streams;
 use powerburst_sim::shard::{run_epochs, EpochPlan, MailSender, Outboxes};
 use powerburst_sim::{derive_rng, ClockModel, EventQueue, SimDuration, SimTime};
@@ -299,23 +298,19 @@ impl World {
         self.shards.len()
     }
 
-    /// Attach an observability recorder. Freezes the topology, then gives
-    /// shard *k* lane *k*: its nodes record through [`Ctx::obs`], and each
-    /// live radio on it (labelled by its node's host address) records on
-    /// the same lane. Every lane thus has exactly one writer, at any
-    /// thread count; a one-shard world records on the recorder itself.
-    ///
-    /// # Panics
-    /// If `rec` is enabled with a lane count other than
-    /// [`World::shard_count`].
-    pub fn set_recorder(&mut self, rec: Recorder) {
+    /// Freeze the topology and build the run's observability recorder:
+    /// the disabled recorder unless `metrics`, otherwise one lane per
+    /// shard, collecting events too when `events`. Shard *k* records on
+    /// lane *k*: its nodes through [`Ctx::obs`], and each live radio on it
+    /// (labelled by its node's host address) on the same lane. Every lane
+    /// thus has exactly one writer, at any thread count. Returns the
+    /// handle to export from.
+    pub fn install_recorder(&mut self, metrics: bool, events: bool) -> Recorder {
         self.finalize();
-        assert!(
-            !rec.enabled() || rec.lane_count() == self.shards.len(),
-            "a recorder for this world needs one lane per shard: {} lanes, {} shards",
-            rec.lane_count(),
-            self.shards.len()
-        );
+        if !metrics {
+            return Recorder::disabled();
+        }
+        let rec = Recorder::new(RecorderConfig { events, lanes: self.shards.len() });
         for s in &mut self.shards {
             s.obs = rec.lane(s.rank as usize);
         }
@@ -327,6 +322,7 @@ impl World {
                 w.set_recorder(s.obs.clone(), slot.host.map_or(i as u32, |h| h.0));
             }
         }
+        rec
     }
 
     /// Events dispatched by the event loop so far, summed over shards.
@@ -502,24 +498,6 @@ impl World {
         self.shards[sh as usize].cells[ix as usize].members.push(node);
     }
 
-    /// Freeze the topology and pre-size every shard's event queue and
-    /// scratch buffers from its own node count, so the steady-state hot
-    /// path never reallocates — on any shard. Purely a capacity hint: it
-    /// cannot change any simulated outcome.
-    pub fn presize_from_topology(&mut self) {
-        self.finalize();
-        for s in &mut self.shards {
-            // Empirically a node keeps a few dozen events in flight at
-            // peak (timers, frames on the wire, schedule fan-outs).
-            s.queue.reserve(s.nodes.len().saturating_mul(64));
-            // `send_buf` is empty between dispatches, so this is an
-            // absolute capacity floor for one handler's burst of sends.
-            s.send_buf.reserve(32);
-            // A same-timestamp batch is at most one burst fan-out wide.
-            s.batch_buf.reserve(64);
-        }
-    }
-
     /// Engine counters for a node.
     pub fn stats(&self, id: NodeId) -> &NodeStats {
         &self.slot(id).stats
@@ -567,11 +545,14 @@ impl World {
     }
 
     /// Freeze the topology: decide every node's shard, redistribute the
-    /// staging state, hand link halves to their senders' shards, and
-    /// derive the conservative lookahead. Idempotent; runs lazily before
-    /// the first event. Worlds with fewer than two radio cells stay one
-    /// shard — the redistribution is then a no-op re-wiring and the event
-    /// loop is the exact sequential loop of the pre-shard engine.
+    /// staging state, hand link halves to their senders' shards, derive
+    /// the conservative lookahead, and pre-size every shard's event queue
+    /// and scratch buffers from its own node count, so the steady-state
+    /// hot path never reallocates (a capacity hint that cannot change any
+    /// simulated outcome). Idempotent; runs lazily before the first event.
+    /// Worlds with fewer than two radio cells stay one shard — the
+    /// redistribution is then a no-op re-wiring and the event loop is the
+    /// exact sequential loop of the pre-shard engine.
     fn finalize(&mut self) {
         if self.finalized {
             return;
@@ -638,6 +619,16 @@ impl World {
             );
         }
         self.topo.lookahead = lookahead;
+        for s in &mut shards {
+            // Empirically a node keeps a few dozen events in flight at
+            // peak (timers, frames on the wire, schedule fan-outs).
+            s.queue.reserve(s.nodes.len().saturating_mul(64));
+            // `send_buf` is empty between dispatches, so this is an
+            // absolute capacity floor for one handler's burst of sends.
+            s.send_buf.reserve(32);
+            // A same-timestamp batch is at most one burst fan-out wide.
+            s.batch_buf.reserve(64);
+        }
         self.mail = Outboxes::new(shard_total);
         self.shards = shards;
     }
@@ -1006,7 +997,7 @@ mod tests {
     use super::*;
     use crate::addr::SockAddr;
     use crate::node::{Ctx, Node, TimerToken};
-    use powerburst_obs::{EventKind, RecorderConfig};
+    use powerburst_obs::EventKind;
     use std::any::Any;
 
     /// Sends one UDP packet to a peer at start, counts what it receives.
@@ -1342,8 +1333,7 @@ mod tests {
         for threads in [1, 2] {
             let mut w = probe_world();
             w.set_threads(threads);
-            let rec = Recorder::new(RecorderConfig { events: true, lanes: 3 });
-            w.set_recorder(rec.clone());
+            let rec = w.install_recorder(true, true);
             assert_eq!(w.shard_count(), 3);
             w.run_until(SimTime::from_ms(2));
             let got: Vec<(u64, u32)> = rec
@@ -1358,12 +1348,6 @@ mod tests {
                 .collect();
             assert_eq!(got, [(0, 0), (0, 1), (1_000, 0), (1_000, 1)], "threads={threads}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "one lane per shard")]
-    fn recorder_needs_one_lane_per_shard() {
-        probe_world().set_recorder(Recorder::new(RecorderConfig { events: true, lanes: 1 }));
     }
 
     #[test]

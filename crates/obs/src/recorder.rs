@@ -18,8 +18,6 @@
 //! by exactly one shard. [`Recorder::export`] merges lanes
 //! deterministically — events concatenated in lane order then stably
 //! sorted by timestamp, set-gauges resolved highest-written-lane-wins.
-//! A single-lane recorder (the default) is byte-identical to the
-//! pre-lane implementation.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,9 +27,9 @@ use crate::metrics::{Counter, Gauge, Hist, BUCKETS};
 use crate::report::{HistSnapshot, ObsReport};
 
 /// Maximum events retained; later events are counted as dropped. The
-/// buffer is pre-allocated to this cap so recording never allocates. With
-/// multiple lanes the cap applies per lane while recording and again to
-/// the merged stream at export.
+/// buffer is pre-allocated to this cap so recording never allocates. The
+/// cap applies per lane while recording and again to the merged stream at
+/// export.
 pub const EVENT_CAP: usize = 65_536;
 
 /// Recorder construction options.
@@ -152,21 +150,10 @@ impl Recorder {
         Recorder { core: self.core.clone(), lane: idx.min(max) as u32 }
     }
 
-    /// Number of configured lanes (1 for the disabled recorder).
-    pub fn lane_count(&self) -> usize {
-        self.core.as_ref().map_or(1, |c| c.lanes.len())
-    }
-
     /// Is this recorder collecting anything at all?
     #[inline]
     pub fn enabled(&self) -> bool {
         self.core.is_some()
-    }
-
-    /// Is the event channel collecting?
-    #[inline]
-    pub fn events_on(&self) -> bool {
-        self.core.as_ref().is_some_and(|c| c.events_on)
     }
 
     /// Add `v` to a counter.
@@ -235,13 +222,14 @@ impl Recorder {
     /// Snapshot everything recorded so far into a plain-data report.
     /// Returns `None` for the disabled recorder.
     ///
-    /// Lane merge: events are concatenated in lane order and stably
-    /// sorted by timestamp (within a lane, recording order is time order,
-    /// so one lane exports its events byte-identically to the pre-lane
-    /// recorder); set-gauges resolve to the highest lane that wrote them,
-    /// falling back to the shared `gauge_add` accumulator. The merge
-    /// depends only on what each single-writer lane recorded — never on
-    /// cross-thread timing.
+    /// Lane merge: events are concatenated in lane order, stably sorted by
+    /// timestamp and cut to [`EVENT_CAP`], for one lane as for many:
+    /// recording order is not always time order even within a lane (a
+    /// live radio logs its `waking → awake` transition, stamped with the
+    /// instant the wake completed, only when it next bills). Set-gauges
+    /// resolve to the highest lane that wrote them, falling back to the
+    /// shared `gauge_add` accumulator. The merge depends only on what each
+    /// single-writer lane recorded — never on cross-thread timing.
     pub fn export(&self) -> Option<ObsReport> {
         let core = self.core.as_ref()?;
         let counters =
@@ -274,12 +262,10 @@ impl Recorder {
             events.extend(lane.events.lock().expect("obs event channel poisoned").iter().cloned());
             events_dropped += lane.events_dropped.load(Ordering::Relaxed);
         }
-        if core.lanes.len() > 1 {
-            events.sort_by_key(|e| e.t_us);
-            if events.len() > EVENT_CAP {
-                events_dropped += (events.len() - EVENT_CAP) as u64;
-                events.truncate(EVENT_CAP);
-            }
+        events.sort_by_key(|e| e.t_us);
+        if events.len() > EVENT_CAP {
+            events_dropped += (events.len() - EVENT_CAP) as u64;
+            events.truncate(EVENT_CAP);
         }
         Some(ObsReport { counters, gauges, hists, events, events_dropped })
     }
@@ -296,7 +282,6 @@ mod tests {
         r.observe(Hist::WakeLeadUs, 7);
         r.event(1, EventKind::BurstStart { client: 1, budget_us: 10 });
         assert!(!r.enabled());
-        assert!(!r.events_on());
         assert!(r.export().is_none());
     }
 
@@ -343,7 +328,6 @@ mod tests {
     fn events_can_be_disabled_independently() {
         let r = Recorder::new(RecorderConfig { events: false, lanes: 1 });
         assert!(r.enabled());
-        assert!(!r.events_on());
         r.event(1, EventKind::BurstStart { client: 1, budget_us: 1 });
         r.incr(Counter::BurstsStarted);
         let rep = r.export().unwrap();
@@ -380,16 +364,23 @@ mod tests {
     }
 
     #[test]
-    fn lane_index_clamps_and_single_lane_matches_legacy() {
+    fn lane_index_clamps() {
         let r = Recorder::new(RecorderConfig::default());
-        assert_eq!(r.lane_count(), 1);
         let clamped = r.lane(7); // only lane 0 exists
         clamped.event(1, EventKind::BurstStart { client: 9, budget_us: 0 });
         clamped.gauge_set(Gauge::BacklogBytes, 42);
         let rep = r.export().unwrap();
         assert_eq!(rep.events.len(), 1);
         assert_eq!(rep.gauge(Gauge::BacklogBytes), 42);
-        assert_eq!(Recorder::disabled().lane(3).lane_count(), 1);
+    }
+
+    #[test]
+    fn one_lane_exports_in_time_order() {
+        let r = Recorder::new(RecorderConfig::default());
+        r.event(5, EventKind::BurstStart { client: 1, budget_us: 0 });
+        r.event(3, EventKind::BurstStart { client: 2, budget_us: 0 });
+        let rep = r.export().unwrap();
+        assert_eq!(rep.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![3, 5]);
     }
 
     #[test]

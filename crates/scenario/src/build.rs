@@ -20,10 +20,11 @@ use powerburst_core::{
 use powerburst_energy::{naive_energy_mj, CardSpec};
 use powerburst_net::faults::{clock_skew_ramp, fault_stream, fault_streams, ApJitterFault};
 use powerburst_net::{
-    ports, AccessPoint, ChannelModel, Endpoint, HostAddr, IfaceId, LinkSpec, NodeConfig, NodeId,
-    Pipe, SnifferRecord, SockAddr, StaticRouter, Switch, World, AP_WIRED,
+    ports, AccessPoint, AirtimeModel, ApDelayParams, ChannelModel, Endpoint, HostAddr, IfaceId,
+    LinkSpec, NodeConfig, NodeId, Pipe, SnifferRecord, SockAddr, StaticRouter, Switch, World,
+    AP_WIRED,
 };
-use powerburst_obs::{Counter, Recorder, RecorderConfig};
+use powerburst_obs::{Counter, Recorder};
 use powerburst_sim::rng::streams;
 use powerburst_sim::{derive_rng, ClockModel, SimDuration, SimTime};
 use powerburst_trace::{analyze_client, utilization, PostmortemReport};
@@ -31,7 +32,6 @@ use powerburst_traffic::{
     generate_script, App, ByteServer, FtpClientApp, StreamSpec, VideoClientApp, VideoServer,
     WebClientApp,
 };
-use powerburst_transport::TcpConfig;
 
 use crate::config::{ClientKind, RadioMode, ScenarioConfig};
 use crate::results::{
@@ -161,10 +161,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         NodeConfig::wired(hosts::VIDEO_SERVER),
     );
     let byte_server = world.add_node(
-        Box::new(ByteServer::new(
-            SockAddr::new(hosts::BYTE_SERVER, ports::HTTP),
-            TcpConfig::default(),
-        )),
+        Box::new(ByteServer::new(SockAddr::new(hosts::BYTE_SERVER, ports::HTTP))),
         NodeConfig::wired(hosts::BYTE_SERVER),
     );
 
@@ -240,7 +237,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
             NodeConfig { host: Some(shard_host), clock: ClockModel::perfect(), wnic: None },
         );
 
-        let mut ap_node = AccessPoint::new(cfg.net.ap_delay);
+        let mut ap_node = AccessPoint::new(ApDelayParams::default());
         if cfg.faults.affects_ap() {
             ap_node = ap_node.with_fault_jitter(ApJitterFault::new(
                 cfg.faults.ap_jitter_prob,
@@ -280,7 +277,8 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
             Endpoint { node: ap, iface: AP_WIRED },
             LinkSpec::FAST_ETHERNET,
         );
-        let cell_idx = world.add_cell(cfg.net.airtime, MEDIUM_BACKLOG, ap);
+        let airtime = AirtimeModel { loss_prob: cfg.radio_loss, ..AirtimeModel::DSSS_11MBPS };
+        let cell_idx = world.add_cell(airtime, MEDIUM_BACKLOG, ap);
         debug_assert_eq!(cell_idx, c);
         world.attach_wireless_cell(ap, powerburst_net::AP_RADIO, c);
         if multi {
@@ -323,19 +321,16 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
                 Box::new(WebClientApp::new(
                     host,
                     SockAddr::new(hosts::BYTE_SERVER, ports::HTTP),
-                    TcpConfig::default(),
                     pages,
                 ))
             }
             ClientKind::Ftp { size } => Box::new(FtpClientApp::new(
                 SockAddr::new(host, 9_000),
                 SockAddr::new(hosts::BYTE_SERVER, ports::HTTP),
-                TcpConfig::default(),
                 *size,
             )),
         };
-        let mut clock =
-            ClockModel::sample(&mut clock_rng, CLOCK_OFFSET_US, cfg.net.clock_drift_ppm);
+        let mut clock = ClockModel::sample(&mut clock_rng, CLOCK_OFFSET_US, cfg.clock_drift_ppm);
         // Fault plan: pile an extra frequency error on top, so the
         // client↔proxy skew ramps linearly over the run.
         clock.drift_ppm += clock_skew_ramp(&cfg.faults, &mut skew_rng);
@@ -372,17 +367,9 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     };
 
     world.set_threads(cfg.threads);
-    world.presize_from_topology();
     // One recorder per run: sweep jobs never share observability state, so
     // exports are deterministic regardless of how runs are parallelized.
-    // It has one lane per world shard; the world gives each shard its own
-    // lane, so no two shards write one lane at any thread count.
-    let obs = if cfg.obs.metrics {
-        Recorder::new(RecorderConfig { events: cfg.obs.events, lanes: world.shard_count() })
-    } else {
-        Recorder::disabled()
-    };
-    world.set_recorder(obs.clone());
+    let obs = world.install_recorder(cfg.obs.metrics, cfg.obs.events);
 
     Assembled { world, clients: client_ids, video_server, shards, coordinator, obs }
 }

@@ -5,23 +5,22 @@
 //! cost function based on the message size."
 //!
 //! [`calibrate`] builds a minimal world (probe host → AP → always-on
-//! client), sends a train of packets at each probe size on an otherwise
-//! idle channel, measures every frame's airtime from the monitoring-station
-//! trace, and least-squares fits the linear model the proxy then uses for
-//! slot budgeting.
+//! client) on the testbed's 11 Mb/s DSSS medium and default AP, sends a
+//! train of packets at each probe size on an otherwise idle channel,
+//! measures every frame's airtime from the monitoring-station trace, and
+//! least-squares fits the linear model the proxy then uses for slot
+//! budgeting.
 
 use std::any::Any;
 
 use bytes::Bytes;
 use powerburst_core::BandwidthModel;
 use powerburst_net::{
-    AccessPoint, Ctx, Endpoint, HostAddr, IfaceId, LinkSpec, Node, NodeConfig, Packet, SockAddr,
-    TimerToken, World, AP_RADIO, AP_WIRED,
+    AccessPoint, AirtimeModel, ApDelayParams, Ctx, Endpoint, HostAddr, IfaceId, LinkSpec, Node,
+    NodeConfig, Packet, SockAddr, TimerToken, World, AP_RADIO, AP_WIRED,
 };
 use powerburst_sim::{SimDuration, SimTime};
 use powerburst_traffic::{CountingSink, NaiveClient};
-
-use crate::config::NetworkConfig;
 
 /// Result of the calibration microbenchmark.
 #[derive(Debug, Clone, Copy)]
@@ -74,7 +73,7 @@ impl Node for ProbeSource {
 
 /// Run the microbenchmark over `sizes` (payload bytes per probe), with
 /// `per_size` packets each.
-pub fn calibrate(net: &NetworkConfig, seed: u64, sizes: &[usize], per_size: usize) -> Calibration {
+pub fn calibrate(seed: u64, sizes: &[usize], per_size: usize) -> Calibration {
     let server = HostAddr(1);
     let client = HostAddr(2);
     let mut world = World::new(seed);
@@ -93,7 +92,10 @@ pub fn calibrate(net: &NetworkConfig, seed: u64, sizes: &[usize], per_size: usiz
         }),
         NodeConfig::wired(server),
     );
-    let ap = world.add_node(Box::new(AccessPoint::new(net.ap_delay)), NodeConfig::infrastructure());
+    let ap = world.add_node(
+        Box::new(AccessPoint::new(ApDelayParams::default())),
+        NodeConfig::infrastructure(),
+    );
     let sink = world.add_node(
         Box::new(NaiveClient::new(Box::new(CountingSink::new()))),
         NodeConfig { host: Some(client), clock: Default::default(), wnic: None },
@@ -103,7 +105,7 @@ pub fn calibrate(net: &NetworkConfig, seed: u64, sizes: &[usize], per_size: usiz
         Endpoint { node: ap, iface: AP_WIRED },
         LinkSpec::FAST_ETHERNET,
     );
-    world.add_cell(net.airtime, SimDuration::from_secs(1), ap);
+    world.add_cell(AirtimeModel::DSSS_11MBPS, SimDuration::from_secs(1), ap);
     world.attach_wireless_cell(ap, AP_RADIO, 0);
     world.attach_wireless_cell(sink, IfaceId(0), 0);
 
@@ -128,19 +130,13 @@ pub const DEFAULT_SIZES: [usize; 8] = [64, 128, 256, 512, 750, 1_000, 1_250, 1_4
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powerburst_net::ApDelayParams;
 
     #[test]
     fn calibration_recovers_medium_model() {
-        // Quiet AP so the fit sees the medium itself.
-        let net = NetworkConfig {
-            ap_delay: ApDelayParams::deterministic(300.0),
-            ..NetworkConfig::default()
-        };
-        let cal = calibrate(&net, 7, &DEFAULT_SIZES, 10);
+        let cal = calibrate(7, &DEFAULT_SIZES, 10);
         assert!(cal.samples >= 70, "samples {}", cal.samples);
         assert!(cal.r2 > 0.98, "r2 {}", cal.r2);
-        let truth = net.airtime;
+        let truth = AirtimeModel::DSSS_11MBPS;
         // Slope within 5% of the true per-byte cost; intercept within the
         // jitter margin of the true fixed cost.
         assert!(
@@ -159,10 +155,9 @@ mod tests {
 
     #[test]
     fn calibrated_model_predicts_airtime() {
-        let net = NetworkConfig::default();
-        let cal = calibrate(&net, 9, &DEFAULT_SIZES, 8);
+        let cal = calibrate(9, &DEFAULT_SIZES, 8);
         let predicted = cal.model.send_time(1_000).as_us() as f64;
-        let truth = net.airtime.airtime(1_000).as_us() as f64;
+        let truth = AirtimeModel::DSSS_11MBPS.airtime(1_000).as_us() as f64;
         assert!((predicted - truth).abs() / truth < 0.08, "{predicted} vs {truth}");
     }
 }

@@ -1,34 +1,10 @@
-//! Experiment configuration: network parameters, client specifications,
-//! and scenario assembly inputs.
+//! Experiment configuration: client specifications, scenario assembly
+//! inputs and the Figure-4 video access patterns.
 
 use powerburst_core::{CompMode, PolicyKind, PolicyParams, ProxyMode};
-use powerburst_net::{AirtimeModel, ApDelayParams, FaultPlan};
+use powerburst_net::FaultPlan;
 use powerburst_sim::SimDuration;
 use powerburst_traffic::{Fidelity, WebScriptConfig};
-
-/// Physical-network parameters the experiments vary (the testbed of
-/// §4.1). The rest of the testbed is fixed in `assemble`: 100 Mbps Fast
-/// Ethernet wiring, the metro backhaul between cells, a 150 ms AP
-/// transmit backlog and ±5 ms client clock offsets.
-#[derive(Debug, Clone, Copy)]
-pub struct NetworkConfig {
-    /// Radio airtime model (11 Mbps DSSS).
-    pub airtime: AirtimeModel,
-    /// AP forwarding-delay process (drives delay compensation).
-    pub ap_delay: ApDelayParams,
-    /// Max client clock drift, ppm (uniform ±).
-    pub clock_drift_ppm: f64,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            airtime: AirtimeModel::DSSS_11MBPS,
-            ap_delay: ApDelayParams::default(),
-            clock_drift_ppm: 50.0,
-        }
-    }
-}
 
 /// What a client does during the run.
 #[derive(Debug, Clone)]
@@ -150,12 +126,20 @@ pub enum RadioMode {
 }
 
 /// A complete experiment scenario.
+///
+/// The testbed of §4.1 is fixed in `assemble`: the 11 Mb/s DSSS medium,
+/// the AP's forwarding-delay process, 100 Mb/s Fast Ethernet wiring, the
+/// metro backhaul between cells, a 150 ms AP transmit backlog and ±5 ms
+/// client clock offsets.
 #[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Master seed (drives every random stream).
     pub seed: u64,
-    /// Network parameters.
-    pub net: NetworkConfig,
+    /// Per-frame corruption probability on the radio hop, drawn from each
+    /// cell's medium stream: the DummyNet lossy channel of §4.3 (E9).
+    pub radio_loss: f64,
+    /// Max client clock drift, ppm (uniform ±).
+    pub clock_drift_ppm: f64,
     /// Proxy scheduling policy. `assemble` gives each policy the inputs
     /// it reads: the seeded Markov channel model for `ChannelAware`,
     /// buffer-extended receiver reports for `BufferAware`.
@@ -211,7 +195,8 @@ impl ScenarioConfig {
     pub fn new(seed: u64, policy: PolicyKind, clients: Vec<ClientSpec>) -> ScenarioConfig {
         ScenarioConfig {
             seed,
-            net: NetworkConfig::default(),
+            radio_loss: 0.0,
+            clock_drift_ppm: 50.0,
             policy,
             proxy_mode: ProxyMode::Split,
             flag_unchanged: false,

@@ -9,14 +9,13 @@
 
 use powerburst_core::{CompMode, PolicyKind, ProxyMode, DEFAULT_TARGET_BUFFER};
 use powerburst_energy::{optimal_savings_for_rate, CardSpec};
+use powerburst_net::AirtimeModel;
 use powerburst_sim::{parallel_sweep, SimDuration};
 use powerburst_traffic::{Fidelity, WebScriptConfig};
 
 use crate::build::run_scenario;
 use crate::calibrate::{calibrate, DEFAULT_SIZES};
-use crate::config::{
-    ClientKind, ClientSpec, NetworkConfig, RadioMode, ScenarioConfig, VideoPattern,
-};
+use crate::config::{ClientKind, ClientSpec, RadioMode, ScenarioConfig, VideoPattern};
 use crate::report::{banner, fmt_summary, Table};
 use crate::results::ClientResult;
 
@@ -343,7 +342,7 @@ fn tab_optimal(opt: &ExpOptions) -> String {
         (Fidelity::K512, VideoPattern::All512, 77.0, 53.0),
     ];
     // Effective single-receiver bandwidth at media packet size.
-    let eff_bps = NetworkConfig::default().airtime.effective_bps(728);
+    let eff_bps = AirtimeModel::DSSS_11MBPS.effective_bps(728);
     let mut configs = Vec::new();
     for (_, pattern, _, _) in fids {
         for (_, ikind) in INTERVALS {
@@ -555,7 +554,7 @@ fn tab_drop_impact(opt: &ExpOptions) -> String {
         let mut cfg = opt.scenario(IntervalKind::Fixed100.policy(), vec![ftp]);
         cfg.radio = radio;
         cfg.pipe = pipe;
-        cfg.net.airtime.loss_prob = radio_loss;
+        cfg.radio_loss = radio_loss;
         cfg
     };
     let configs = vec![
@@ -720,7 +719,7 @@ fn abl_delay_compensation(opt: &ExpOptions) -> String {
         cfg.radio = RadioMode::Live;
         // Stress the clocks (cheap 2004-era crystals): drift accumulates
         // ~24 ms over the two-minute run, past any early-transition margin.
-        cfg.net.clock_drift_ppm = 200.0;
+        cfg.clock_drift_ppm = 200.0;
         let r = run_scenario(&cfg);
         let lost_frames: u64 =
             r.clients.iter().map(|c| c.live.map(|l| l.missed_frames).unwrap_or(0)).sum();
@@ -854,8 +853,8 @@ fn ab_policy_comparison(opt: &ExpOptions) -> String {
 /// M1 — the §3.2.2 bandwidth microbenchmark: calibrate the send-cost
 /// model and compare the fit with the medium's true airtime.
 fn tab_bandwidth_model(opt: &ExpOptions) -> String {
-    let net = NetworkConfig::default();
-    let cal = calibrate(&net, opt.seed, &DEFAULT_SIZES, 20);
+    let truth = AirtimeModel::DSSS_11MBPS;
+    let cal = calibrate(opt.seed, &DEFAULT_SIZES, 20);
     let mut out = banner("M1 — bandwidth microbenchmark and linear fit (§3.2.2)");
     out.push_str(&format!(
         "fitted:  time_us = {:.1} + {:.4} * bytes   (R² = {:.4}, {} samples)\n",
@@ -863,13 +862,13 @@ fn tab_bandwidth_model(opt: &ExpOptions) -> String {
     ));
     out.push_str(&format!(
         "truth:   time_us = {:.1} + {:.4} * bytes   (medium model)\n\n",
-        net.airtime.fixed_us, net.airtime.per_byte_us
+        truth.fixed_us, truth.per_byte_us
     ));
     let rows = [100usize, 500, 1_000, 1_472].map(|b| {
         vec![
             b.to_string(),
             cal.model.send_time(b).as_us().to_string(),
-            net.airtime.airtime(b).as_us().to_string(),
+            truth.airtime(b).as_us().to_string(),
         ]
     });
     out.push_str(&table(&["bytes", "predicted (us)", "true (us)"], rows));

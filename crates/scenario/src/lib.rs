@@ -5,7 +5,7 @@
 //! collects per-client energy/loss results through the paper's postmortem
 //! methodology.
 //!
-//! * [`config`] — scenario/network/client configuration and the Figure-4
+//! * [`config`] — scenario and client configuration and the Figure-4
 //!   video access patterns;
 //! * [`build`] — topology assembly ([`assemble`]) and execution
 //!   ([`run_scenario`], the composition of [`assemble`], the world's run,
@@ -28,8 +28,6 @@ pub mod results;
 
 pub use build::{assemble, collect, hosts, postmortem, run_scenario, Assembled, MAX_CELLS};
 pub use calibrate::{calibrate, Calibration, DEFAULT_SIZES};
-pub use config::{
-    ClientKind, ClientSpec, NetworkConfig, ObsConfig, RadioMode, ScenarioConfig, VideoPattern,
-};
+pub use config::{ClientKind, ClientSpec, ObsConfig, RadioMode, ScenarioConfig, VideoPattern};
 pub use report::{banner, fmt_summary, Table};
 pub use results::{AppMetrics, ClientResult, FtpSummary, LiveSummary, ScenarioResult, WebSummary};

@@ -64,11 +64,6 @@ impl EventId {
     fn generation(self) -> u32 {
         (self.0 >> 32) as u32
     }
-
-    /// The raw packed handle bits, mostly useful in logs.
-    pub fn raw(self) -> u64 {
-        self.0
-    }
 }
 
 /// One slab slot: either a live event plus its current heap position, or

@@ -94,11 +94,6 @@ impl LinearFit {
         let r2 = if ss_tot == 0.0 { 1.0 } else { 1.0 - ss_res / ss_tot };
         Some(LinearFit { alpha, beta, r2 })
     }
-
-    /// Predicted y at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.alpha + self.beta * x
-    }
 }
 
 #[cfg(test)]
@@ -138,7 +133,6 @@ mod tests {
         assert!((f.alpha - 3.0).abs() < 1e-9);
         assert!((f.beta - 2.0).abs() < 1e-9);
         assert!((f.r2 - 1.0).abs() < 1e-9);
-        assert!((f.predict(100.0) - 203.0).abs() < 1e-9);
     }
 
     #[test]

@@ -22,7 +22,6 @@ const FTP_TIMER: TimerToken = APP_TOKEN | 0x2000;
 pub struct FtpClientApp {
     local: SockAddr,
     server: SockAddr,
-    tcp: TcpConfig,
     /// Bytes to request.
     pub size: u64,
     ep: Option<TcpEndpoint>,
@@ -38,11 +37,10 @@ pub struct FtpClientApp {
 
 impl FtpClientApp {
     /// New bulk client that will fetch `size` bytes from `server`.
-    pub fn new(local: SockAddr, server: SockAddr, tcp: TcpConfig, size: u64) -> FtpClientApp {
+    pub fn new(local: SockAddr, server: SockAddr, size: u64) -> FtpClientApp {
         FtpClientApp {
             local,
             server,
-            tcp,
             size,
             ep: None,
             timer: None,
@@ -89,7 +87,7 @@ impl FtpClientApp {
 
 impl App for FtpClientApp {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        let mut ep = TcpEndpoint::active(self.local, self.server, self.tcp);
+        let mut ep = TcpEndpoint::active(self.local, self.server, TcpConfig::default());
         ep.connect(ctx.now());
         self.ep = Some(ep);
         self.service(ctx);
@@ -129,12 +127,8 @@ mod tests {
 
     #[test]
     fn transfer_time_requires_both_ends() {
-        let app = FtpClientApp::new(
-            SockAddr::new(HostAddr(1), 9),
-            SockAddr::new(HostAddr(2), 20),
-            TcpConfig::default(),
-            1_000,
-        );
+        let app =
+            FtpClientApp::new(SockAddr::new(HostAddr(1), 9), SockAddr::new(HostAddr(2), 20), 1_000);
         assert!(app.transfer_time().is_none());
         assert!(!app.done());
     }

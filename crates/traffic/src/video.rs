@@ -37,16 +37,6 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
-    /// Nominal encoding rate, kbps (what the user requested).
-    pub fn nominal_kbps(self) -> u32 {
-        match self {
-            Fidelity::K56 => 56,
-            Fidelity::K128 => 128,
-            Fidelity::K256 => 256,
-            Fidelity::K512 => 512,
-        }
-    }
-
     /// Effective delivered rate, bits/s (§4.1: "the effective bitrates of
     /// these streams are 34kbps, 80kbps, 225kbps, and 450kbps").
     pub fn effective_bps(self) -> f64 {
@@ -489,7 +479,6 @@ mod tests {
         assert_eq!(Fidelity::K512.lower(), Some(Fidelity::K256));
         assert_eq!(Fidelity::K56.lower(), None);
         assert_eq!(Fidelity::K256.label(), "256K");
-        assert_eq!(Fidelity::K128.nominal_kbps(), 128);
     }
 
     #[test]

@@ -48,7 +48,6 @@ struct ServerConn {
 /// Request/response byte server (HTTP and FTP stand-in).
 pub struct ByteServer {
     addr: SockAddr,
-    tcp: TcpConfig,
     conns: Vec<ServerConn>,
     by_remote: FastHashMap<SockAddr, usize>,
     /// Response-body filler templates, owned by this server so payload
@@ -62,10 +61,9 @@ pub struct ByteServer {
 
 impl ByteServer {
     /// New server listening at `addr`.
-    pub fn new(addr: SockAddr, tcp: TcpConfig) -> ByteServer {
+    pub fn new(addr: SockAddr) -> ByteServer {
         ByteServer {
             addr,
-            tcp,
             conns: Vec::new(),
             by_remote: FastHashMap::default(),
             patterns: PatternCache::new(),
@@ -83,7 +81,7 @@ impl ByteServer {
         }
         let idx = self.conns.len();
         self.conns.push(ServerConn {
-            ep: TcpEndpoint::passive(self.addr, remote, self.tcp),
+            ep: TcpEndpoint::passive(self.addr, remote, TcpConfig::default()),
             timer: None,
             reqbuf: Vec::new(),
             closing: false,
@@ -244,7 +242,6 @@ const CONN_TOKEN_BASE: TimerToken = APP_TOKEN | 0x100;
 pub struct WebClientApp {
     me_host: powerburst_net::HostAddr,
     server: SockAddr,
-    tcp: TcpConfig,
     script: Vec<Page>,
     page_idx: usize,
     /// A page is being fetched (guards against double completion from
@@ -265,13 +262,11 @@ impl WebClientApp {
     pub fn new(
         me_host: powerburst_net::HostAddr,
         server: SockAddr,
-        tcp: TcpConfig,
         script: Vec<Page>,
     ) -> WebClientApp {
         WebClientApp {
             me_host,
             server,
-            tcp,
             script,
             page_idx: 0,
             page_open: false,
@@ -307,7 +302,7 @@ impl WebClientApp {
             let port = self.next_port;
             self.next_port += 1;
             let local = SockAddr::new(self.me_host, port);
-            let mut ep = TcpEndpoint::active(local, self.server, self.tcp);
+            let mut ep = TcpEndpoint::active(local, self.server, TcpConfig::default());
             ep.connect(now);
             self.conns.push(BrowserConn {
                 ep,

@@ -10,8 +10,7 @@
 //!   Reno congestion control, RTT estimation (Karn), RTO with backoff,
 //!   fast retransmit, reassembly, FIN teardown, and the proxy's
 //!   end-of-burst ToS marking hook;
-//! * [`udp`] — datagram construction and the sequence-stamped stream
-//!   payload format;
+//! * [`udp`] — the sequence-stamped stream payload format;
 //! * [`loopback`] — an in-memory channel for driving two endpoints in
 //!   tests;
 //! * [`rtt`], [`congestion`], [`reassembly`], [`sendbuf`] — the pieces.
@@ -33,4 +32,4 @@ pub use reassembly::Reassembly;
 pub use rtt::RttEstimator;
 pub use sendbuf::SendBuffer;
 pub use tcp::{TcpConfig, TcpEndpoint, TcpEvent, TcpState, TcpStats};
-pub use udp::{datagram, StreamPayload, STREAM_HEADER};
+pub use udp::{StreamPayload, STREAM_HEADER};

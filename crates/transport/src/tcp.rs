@@ -217,19 +217,9 @@ impl TcpEndpoint {
         &self.stats
     }
 
-    /// Smoothed RTT estimate, if measured.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.rtt.srtt()
-    }
-
     /// Current congestion window, bytes.
     pub fn cwnd(&self) -> u64 {
         self.reno.cwnd()
-    }
-
-    /// The peer's advertised receive window, bytes.
-    pub fn peer_window(&self) -> u32 {
-        self.peer_window
     }
 
     /// Bytes the windows currently allow on the wire beyond the flight.
@@ -476,7 +466,7 @@ impl TcpEndpoint {
                     self.rtt.backoff();
                     self.probe = None; // Karn: no sampling across retransmits
                     self.stats.rto_retransmits += 1;
-                    self.emit_data(off, seg, false);
+                    self.emit_data(off, seg);
                     self.arm_rto(now);
                 } else if self.fin_sent_wire.is_some() && !self.fin_acked {
                     self.emit_fin();
@@ -524,7 +514,7 @@ impl TcpEndpoint {
                     self.reno.on_fast_retransmit(flight);
                     self.probe = None;
                     self.stats.fast_retransmits += 1;
-                    self.emit_data(off, seg, false);
+                    self.emit_data(off, seg);
                     self.rto_deadline = None;
                     self.arm_rto(now);
                 }
@@ -536,7 +526,7 @@ impl TcpEndpoint {
                     if self.probe.is_none() {
                         self.probe = Some((off + seg.len() as u64, now));
                     }
-                    self.emit_data(off, seg, true);
+                    self.emit_data(off, seg);
                 }
             }
         }
@@ -613,7 +603,7 @@ impl TcpEndpoint {
         self.push_packet(h, Bytes::new(), false);
     }
 
-    fn emit_data(&mut self, offset: u64, data: Bytes, fresh: bool) {
+    fn emit_data(&mut self, offset: u64, data: Bytes) {
         let end = offset + data.len() as u64;
         let mark = match self.pending_mark {
             Some(m) if end >= m && offset < m => {
@@ -627,9 +617,6 @@ impl TcpEndpoint {
         h.ack = self.rcv_ack_wire();
         self.stats.bytes_sent += data.len() as u64;
         self.stats.segments_sent += 1;
-        if fresh && self.probe.is_none() {
-            // Probe set by caller with the proper timestamp via try_output.
-        }
         self.push_packet(h, data, mark);
     }
 
@@ -658,7 +645,7 @@ impl TcpEndpoint {
             if self.probe.is_none() {
                 self.probe = Some((off + seg.len() as u64, now));
             }
-            self.emit_data(off, seg, true);
+            self.emit_data(off, seg);
         }
         if self.fin_queued && self.sendbuf.unsent() == 0 && self.fin_sent_wire.is_none() {
             self.emit_fin();

@@ -1,18 +1,11 @@
 //! Thin UDP helpers.
 //!
-//! UDP needs no state machine; this module just standardizes datagram
-//! construction and a tiny sequence-stamped payload format the streaming
-//! sources and the loss analyzer share (a 16-byte header: flow id, sequence
+//! UDP needs no state machine; this module just standardizes a tiny
+//! sequence-stamped payload format the streaming sources and the loss
+//! analyzer share (a 16-byte header: flow id, sequence
 //! number — stand-ins for the RTP headers a RealServer stream would carry).
 
 use bytes::{BufMut, Bytes, BytesMut};
-
-use powerburst_net::{Packet, SockAddr};
-
-/// Build a UDP datagram (packet id 0; the sending node stamps it).
-pub fn datagram(src: SockAddr, dst: SockAddr, payload: Bytes) -> Packet {
-    Packet::udp(0, src, dst, payload)
-}
 
 /// Size of the [`StreamPayload`] header prefix.
 pub const STREAM_HEADER: usize = 16;
@@ -52,18 +45,6 @@ impl StreamPayload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use powerburst_net::{HostAddr, Proto};
-
-    #[test]
-    fn datagram_is_udp() {
-        let p = datagram(
-            SockAddr::new(HostAddr(1), 5),
-            SockAddr::new(HostAddr(2), 6),
-            Bytes::from_static(b"xy"),
-        );
-        assert_eq!(p.proto, Proto::Udp);
-        assert_eq!(p.payload.len(), 2);
-    }
 
     #[test]
     fn stream_payload_round_trips() {

@@ -36,12 +36,11 @@ fn main() {
     );
 
     // How close is that to the theoretical optimum (§4.3)?
-    let net = NetworkConfig::default();
     let optimal = optimal_savings_for_rate(
         &CardSpec::WAVELAN_DSSS,
         Fidelity::K56.effective_bps(),
         result.duration,
-        net.airtime.effective_bps(728),
+        AirtimeModel::DSSS_11MBPS.effective_bps(728),
     );
     println!("optimal bound : {:8.1} %", optimal.saved * 100.0);
 }

@@ -1,9 +1,9 @@
 //! `powerburst` — command-line front end for the reproduction.
 //!
 //! ```text
-//! powerburst run [--clients N] [--pattern P] [--interval I] [--secs S]
-//!                [--seed K] [--threads N] [--web N] [--ftp BYTES]
-//!                [--live] [--psm] [--static] [--admission]
+//! powerburst run [--clients N] [--pattern P] [--policy P] [--interval MS]
+//!                [--secs S] [--seed K] [--threads N] [--web N]
+//!                [--ftp BYTES] [--live] [--admission]
 //!                [--trace-out FILE] [--metrics-out FILE]
 //!                [--trace-events FILE] [--fail-on-invariants]
 //! powerburst calibrate [--seed K]
@@ -14,8 +14,10 @@
 //! Argument parsing is hand-rolled (the workspace's dependency budget is
 //! deliberately small); every flag has a sane paper-default. A usage
 //! error — an unknown flag, a missing or malformed value (a fault
-//! probability outside [0, 1] is malformed) — prints a message naming the
-//! flag and exits with code 2.
+//! probability outside [0, 1], a duration that overflows the simulator's
+//! microsecond clock, an interval under 1 ms or a clock skew of 100 000 ppm
+//! or more is malformed) — prints a message naming the flag and exits
+//! with code 2.
 
 use std::num::NonZeroUsize;
 use std::process::ExitCode;
@@ -23,7 +25,7 @@ use std::process::ExitCode;
 use powerburst::prelude::*;
 use powerburst::scenario::experiments as exp;
 use powerburst::scenario::report::{fmt_summary, Table};
-use powerburst::scenario::{collect, postmortem, NetworkConfig, MAX_CELLS};
+use powerburst::scenario::{collect, postmortem, MAX_CELLS};
 use powerburst::trace::to_jsonl;
 
 fn main() -> ExitCode {
@@ -60,11 +62,11 @@ const USAGE: &str = "powerburst — ICPP 2004 transparent power-aware proxy repr
 
 USAGE:
   powerburst run [--clients N] [--pattern 56k|256k|512k|split|mix]
-                 [--interval 100|500|var] [--secs S] [--seed K]
-                 [--policy fixed|variable|channel|buffer]
+                 [--policy fixed|variable|channel|buffer|static|psm]
+                 [--interval MS] [--secs S] [--seed K]
                  [--cells N] [--threads N] [--coord-pool PERMILLE]
                  [--stagger-ms M]
-                 [--web N] [--ftp BYTES] [--live] [--psm] [--static]
+                 [--web N] [--ftp BYTES] [--live]
                  [--admission] [--trace-out FILE]
                  [--metrics-out FILE] [--trace-events FILE]
                  [--fail-on-invariants]
@@ -115,7 +117,19 @@ impl<'a> Flags<'a> {
 
     /// The value of `key`, parsed, if the flag was given.
     fn opt<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, Usage> {
-        self.get(key).map(|v| v.parse().map_err(|_| invalid(v, key))).transpose()
+        self.opt_if(key, |_| true)
+    }
+
+    /// The value of `key`, parsed and accepted by `ok`, if the flag was
+    /// given.
+    fn opt_if<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        ok: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, Usage> {
+        self.get(key)
+            .map(|v| v.parse().ok().filter(|x| ok(x)).ok_or_else(|| invalid(v, key)))
+            .transpose()
     }
 
     fn parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, Usage> {
@@ -124,12 +138,14 @@ impl<'a> Flags<'a> {
 
     /// The value of probability flag `key`, which must lie in [0, 1].
     fn prob(&self, key: &str, default: f64) -> Result<f64, Usage> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(v) => {
-                v.parse().ok().filter(|p| (0.0..=1.0).contains(p)).ok_or_else(|| invalid(v, key))
-            }
-        }
+        Ok(self.opt_if(key, |p| (0.0..=1.0).contains(p))?.unwrap_or(default))
+    }
+
+    /// The value of duration flag `key`, a whole number of `unit`s (1 ms or
+    /// 1 s) that must fit the simulator's u64 microsecond clock.
+    fn duration(&self, key: &str, default: u64, unit: SimDuration) -> Result<SimDuration, Usage> {
+        let n = self.opt_if(key, |n: &u64| n.checked_mul(unit.as_us()).is_some())?;
+        Ok(unit.times(n.unwrap_or(default)))
     }
 }
 
@@ -166,8 +182,11 @@ const RUN_VALUED: &[&str] = &[
 ];
 
 /// The switches of `run`.
-const RUN_SWITCHES: &[&str] =
-    &["--live", "--psm", "--static", "--admission", "--fail-on-invariants"];
+const RUN_SWITCHES: &[&str] = &["--live", "--admission", "--fail-on-invariants"];
+
+/// One simulated millisecond and second, the units of duration flags.
+const MS: SimDuration = SimDuration::from_ms(1);
+const SECS: SimDuration = SimDuration::from_secs(1);
 
 /// The worker count of `run` without `--threads` and of `experiment`'s
 /// sweeps: the available parallelism, capped so runs don't oversubscribe
@@ -192,44 +211,37 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
     let n_video: usize = f.parse("--clients", 10)?;
     let n_web: usize = f.parse("--web", 0)?;
     let ftp: u64 = f.parse("--ftp", 0)?;
-    let secs: u64 = f.parse("--secs", 119)?;
+    let duration = f.duration("--secs", 119, SECS)?;
     let seed: u64 = f.parse("--seed", 7)?;
     let pat = pattern(f.get("--pattern").unwrap_or("56k"))
         .ok_or_else(|| Usage("unknown --pattern (use 56k|256k|512k|split|mix)".into()))?;
-    let policy = if f.has("--psm") {
-        PolicyKind::PsmBeacon { interval: SimDuration::from_ms(100) }
-    } else if f.has("--static") {
-        PolicyKind::StaticEqual { interval: SimDuration::from_ms(100) }
-    } else {
-        // `--interval` sets the SRP cadence; `--policy` picks the slot
-        // allocator running at that cadence (default: the paper's fixed
-        // demand-proportional builder).
-        let interval = match f.get("--interval").unwrap_or("100") {
-            "100" => Some(SimDuration::from_ms(100)),
-            "500" => Some(SimDuration::from_ms(500)),
-            "var" | "variable" => None,
-            ms => match ms.parse::<u64>() {
-                Ok(ms) => Some(SimDuration::from_ms(ms)),
-                Err(_) => {
-                    return Err(Usage(
-                        "unknown --interval (use 100|500|var or milliseconds)".into(),
-                    ))
-                }
-            },
-        };
-        let fixed = interval.unwrap_or(SimDuration::from_ms(100));
-        match f.get("--policy").unwrap_or(if interval.is_none() { "variable" } else { "fixed" }) {
-            "fixed" => PolicyKind::DynamicFixed { interval: fixed },
-            "var" | "variable" => PolicyKind::DynamicVariable {
-                min: SimDuration::from_ms(100),
-                max: SimDuration::from_ms(500),
-            },
-            "channel" => PolicyKind::ChannelAware { interval: fixed },
-            "buffer" => PolicyKind::BufferAware {
-                interval: fixed,
-                target_buffer: powerburst::core::DEFAULT_TARGET_BUFFER,
-            },
-            _ => return Err(Usage("unknown --policy (use fixed|variable|channel|buffer)".into())),
+    // `--policy` picks the slot allocator; `--interval` sets the SRP
+    // cadence of every policy but `variable`, whose interval adapts.
+    if f.get("--interval").is_some_and(|v| v.parse::<u64>().is_err()) {
+        return Err(Usage("unknown --interval (use milliseconds)".into()));
+    }
+    let interval =
+        f.opt_if("--interval", |ms: &u64| *ms >= 1 && ms.checked_mul(MS.as_us()).is_some())?;
+    let every = MS.times(interval.unwrap_or(100));
+    let policy = match f.get("--policy").unwrap_or("fixed") {
+        "fixed" => PolicyKind::DynamicFixed { interval: every },
+        "variable" if interval.is_some() => {
+            return Err(Usage(
+                "--interval does not apply to --policy variable (its interval adapts)".into(),
+            ))
+        }
+        "variable" => PolicyKind::DynamicVariable { min: MS.times(100), max: MS.times(500) },
+        "channel" => PolicyKind::ChannelAware { interval: every },
+        "buffer" => PolicyKind::BufferAware {
+            interval: every,
+            target_buffer: powerburst::core::DEFAULT_TARGET_BUFFER,
+        },
+        "static" => PolicyKind::StaticEqual { interval: every },
+        "psm" => PolicyKind::PsmBeacon { interval: every },
+        _ => {
+            return Err(Usage(
+                "unknown --policy (use fixed|variable|channel|buffer|static|psm)".into(),
+            ))
         }
     };
 
@@ -245,8 +257,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
         clients.push(ClientSpec::new(ClientKind::Ftp { size: ftp }));
     }
 
-    let mut cfg =
-        ScenarioConfig::new(seed, policy, clients).with_duration(SimDuration::from_secs(secs));
+    let mut cfg = ScenarioConfig::new(seed, policy, clients).with_duration(duration);
     // Multi-cell: N cells round-robin over the client list, one AP +
     // proxy shard per occupied cell, coordinator tier when more than one
     // cell is occupied.
@@ -268,9 +279,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
     if let Some(pool) = f.opt("--coord-pool")? {
         cfg = cfg.with_coord_pool(pool);
     }
-    if let Some(ms) = f.opt("--stagger-ms")? {
-        cfg.stagger = SimDuration::from_ms(ms);
-    }
+    cfg.stagger = f.duration("--stagger-ms", cfg.stagger.as_ms(), MS)?;
     if f.has("--live") {
         cfg.radio = RadioMode::Live;
     }
@@ -281,14 +290,17 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
         loss_prob: f.prob("--fault-loss", 0.0)?,
         dup_prob: f.prob("--fault-dup", 0.0)?,
         reorder_prob: f.prob("--fault-reorder", 0.0)?,
-        reorder_max: SimDuration::from_ms(f.parse("--fault-reorder-ms", 5)?),
+        reorder_max: f.duration("--fault-reorder-ms", 5, MS)?,
         sched_drop_prob: f.prob("--fault-sched-drop", 0.0)?,
         ap_jitter_prob: f.prob(
             "--fault-jitter-prob",
             if f.get("--fault-jitter-ms").is_some() { 0.2 } else { 0.0 },
         )?,
-        ap_jitter_max: SimDuration::from_ms(f.parse("--fault-jitter-ms", 0)?),
-        clock_skew_ppm: f.parse("--fault-skew-ppm", 0.0)?,
+        ap_jitter_max: f.duration("--fault-jitter-ms", 0, MS)?,
+        // Below 100 000 ppm every client clock still runs forward.
+        clock_skew_ppm: f
+            .opt_if("--fault-skew-ppm", |x: &f64| x.is_finite() && x.abs() < 100_000.0)?
+            .unwrap_or(0.0),
     };
     let metrics_out = f.get("--metrics-out");
     let events_out = f.get("--trace-events");
@@ -297,8 +309,9 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, Usage> {
     }
 
     eprintln!(
-        "running {} clients for {secs}s (seed {seed}, {} radio)...",
+        "running {} clients for {}s (seed {seed}, {} radio)...",
         cfg.clients.len(),
+        duration.as_secs_f64(),
         if cfg.radio == RadioMode::Live { "live" } else { "monitor" }
     );
 
@@ -406,7 +419,7 @@ fn write_obs_exports(
 fn cmd_calibrate(args: &[String]) -> Result<ExitCode, Usage> {
     let f = Flags::new(args, &["--seed"], &[])?;
     let seed: u64 = f.parse("--seed", 7)?;
-    let cal = calibrate(&NetworkConfig::default(), seed, &powerburst::scenario::DEFAULT_SIZES, 20);
+    let cal = calibrate(seed, &powerburst::scenario::DEFAULT_SIZES, 20);
     println!(
         "fitted send-cost model: time_us = {:.1} + {:.4} * bytes (R² {:.4}, {} samples)",
         cal.model.alpha_us, cal.model.beta_us, cal.r2, cal.samples
@@ -421,7 +434,7 @@ fn cmd_experiment(args: &[String]) -> Result<ExitCode, Usage> {
     };
     let f = Flags::new(&args[1..], &["--secs", "--seed"], &[])?;
     let opt = exp::ExpOptions {
-        duration: SimDuration::from_secs(f.parse("--secs", 119)?),
+        duration: f.duration("--secs", 119, SECS)?,
         seed: f.parse("--seed", 7)?,
         threads: default_threads(),
     };

@@ -61,8 +61,8 @@ pub mod prelude {
     };
     pub use powerburst_obs::{ObsReport, Recorder, RecorderConfig};
     pub use powerburst_scenario::{
-        assemble, calibrate, run_scenario, ClientKind, ClientSpec, NetworkConfig, ObsConfig,
-        RadioMode, ScenarioConfig, ScenarioResult, VideoPattern,
+        assemble, calibrate, run_scenario, ClientKind, ClientSpec, ObsConfig, RadioMode,
+        ScenarioConfig, ScenarioResult, VideoPattern,
     };
     pub use powerburst_sim::{SimDuration, SimTime, Summary};
     pub use powerburst_trace::{analyze_client, PolicyParams, PostmortemReport};

@@ -44,6 +44,28 @@ fn malformed_values_are_rejected_naming_the_flag() {
         ),
         (&["experiment", "all", "--secs", "ten"], "--secs", "ten"),
         (&["calibrate", "--seed", "x"], "--seed", "x"),
+        // Client clocks must keep running forward: |skew| < 100 000 ppm.
+        (&["run", "--fault-skew-ppm", "nan"], "--fault-skew-ppm", "nan"),
+        (&["run", "--live", "--fault-skew-ppm", "inf"], "--fault-skew-ppm", "inf"),
+        (&["run", "--fault-skew-ppm", "2000000"], "--fault-skew-ppm", "2000000"),
+        (&["run", "--fault-skew-ppm", "-100000"], "--fault-skew-ppm", "-100000"),
+        // Durations must fit the simulator's u64 microsecond clock.
+        (&["run", "--secs", "18446744073710"], "--secs", "18446744073710"),
+        (&["run", "--stagger-ms", "18446744073709552"], "--stagger-ms", "18446744073709552"),
+        (
+            &["run", "--fault-reorder-ms", "18446744073709552"],
+            "--fault-reorder-ms",
+            "18446744073709552",
+        ),
+        (
+            &["run", "--fault-jitter-ms", "18446744073709552"],
+            "--fault-jitter-ms",
+            "18446744073709552",
+        ),
+        (&["experiment", "all", "--secs", "18446744073710"], "--secs", "18446744073710"),
+        // A burst interval of at least 1 ms.
+        (&["run", "--interval", "0"], "--interval", "0"),
+        (&["run", "--interval", "18446744073709552"], "--interval", "18446744073709552"),
     ] {
         assert_usage_error(args, &format!("invalid value `{value}` for {flag}"));
     }
@@ -62,6 +84,9 @@ fn more_occupied_cells_than_the_switch_has_ports_are_rejected() {
 #[test]
 fn unknown_flags_are_rejected() {
     assert_usage_error(&["run", "--bogus", "5"], "unknown flag `--bogus`");
+    // `--policy static|psm` replaced these switches.
+    assert_usage_error(&["run", "--static"], "unknown flag `--static`");
+    assert_usage_error(&["run", "--psm"], "unknown flag `--psm`");
     assert_usage_error(&["experiment", "all", "--live"], "unknown flag `--live`");
     assert_usage_error(&["calibrate", "--secs", "3"], "unknown flag `--secs`");
 }
@@ -79,6 +104,16 @@ fn unknown_pattern_is_rejected() {
 #[test]
 fn unknown_interval_is_rejected() {
     assert_usage_error(&["run", "--interval", "soon"], "unknown --interval");
+    // `--policy variable` replaced `--interval var`.
+    assert_usage_error(&["run", "--interval", "var"], "unknown --interval");
+}
+
+#[test]
+fn the_variable_policy_takes_no_interval() {
+    assert_usage_error(
+        &["run", "--policy", "variable", "--interval", "100"],
+        "--interval does not apply to --policy variable",
+    );
 }
 
 #[test]

@@ -75,12 +75,11 @@ fn measured_savings_within_fifteen_points_of_optimal() {
     // optimal".
     let secs = 40;
     let r = run_scenario(&video_cfg(10, Fidelity::K56, fixed(500), secs));
-    let net = NetworkConfig::default();
     let optimal = optimal_savings_for_rate(
         &CardSpec::WAVELAN_DSSS,
         Fidelity::K56.effective_bps(),
         SimDuration::from_secs(secs),
-        net.airtime.effective_bps(728),
+        AirtimeModel::DSSS_11MBPS.effective_bps(728),
     )
     .saved
         * 100.0;

@@ -8,6 +8,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use powerburst::golden::{check_golden, render_postmortem};
+use powerburst::obs::EventKind;
 use powerburst::prelude::*;
 use powerburst::trace::to_jsonl;
 
@@ -198,4 +199,21 @@ fn determinism_and_passivity_hold_across_seeds() {
         let instrumented = render_run(&run_scenario(&cfg.clone().with_obs(ObsConfig::full())));
         assert_eq!(plain, instrumented, "seed {seed}: observability must stay passive");
     }
+}
+
+#[test]
+fn live_event_stream_is_in_time_order() {
+    // A live radio records its `waking → awake` transition only when it
+    // next bills, stamped with the instant the wake completed; the export
+    // must still list every event in time order.
+    let mut cfg = video_cfg(42).with_obs(ObsConfig::full());
+    cfg.radio = RadioMode::Live;
+    let events = run_scenario(&cfg).obs.expect("obs collection enabled").events;
+    let wakes = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::WnicState { to: "awake", .. }))
+        .count();
+    assert!(wakes > 0, "live radios record their wake-ups");
+    let out_of_order = events.windows(2).filter(|w| w[0].t_us > w[1].t_us).count();
+    assert_eq!(out_of_order, 0, "{out_of_order} of {} events out of time order", events.len());
 }
