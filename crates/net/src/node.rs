@@ -172,8 +172,11 @@ impl<'a> Ctx<'a> {
         *timer = Some(self.queue.push(deadline, Ev::Timer { node: self.node, token }));
     }
 
-    /// Cancel a pending timer. Returns `false` when it already fired or
-    /// was cancelled: the handle's generation makes that a no-op.
+    /// Cancel a pending timer; a cancelled timer never fires. That holds
+    /// for a timer due at this very instant too: the world dispatches one
+    /// event at a time, so it is still pending, and this returns `true`.
+    /// Returns `false` when the timer already fired or was cancelled: the
+    /// handle's generation makes that a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
         self.queue.cancel(id)
     }

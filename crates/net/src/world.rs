@@ -169,8 +169,6 @@ struct ShardState {
     wires: Vec<WireHalf>,
     packet_seq: u64,
     send_buf: Vec<(IfaceId, Packet)>,
-    /// Reused buffer for same-timestamp event batches.
-    batch_buf: Vec<Ev>,
     sniffer: Sniffer,
     /// Events dispatched by this shard so far (always counted — it feeds
     /// the events/sec profiling figure even when observability is off).
@@ -184,13 +182,12 @@ impl ShardState {
         ShardState {
             rank,
             now: SimTime::ZERO,
-            queue: EventQueue::with_capacity(1024),
+            queue: EventQueue::new(),
             nodes: Vec::new(),
             cells: Vec::new(),
             wires: Vec::new(),
             packet_seq: (rank as u64) << PACKET_SHARD_SHIFT,
             send_buf: Vec::new(),
-            batch_buf: Vec::new(),
             sniffer: Sniffer::new(),
             events_processed: 0,
             obs: Recorder::disabled(),
@@ -621,13 +618,13 @@ impl World {
         self.topo.lookahead = lookahead;
         for s in &mut shards {
             // Empirically a node keeps a few dozen events in flight at
-            // peak (timers, frames on the wire, schedule fan-outs).
-            s.queue.reserve(s.nodes.len().saturating_mul(64));
+            // peak (timers, frames on the wire, schedule fan-outs). Sized
+            // here, not in `ShardState::new`: the staging shard never
+            // holds an event.
+            s.queue.reserve(s.nodes.len().saturating_mul(64).max(1024));
             // `send_buf` is empty between dispatches, so this is an
             // absolute capacity floor for one handler's burst of sends.
             s.send_buf.reserve(32);
-            // A same-timestamp batch is at most one burst fan-out wide.
-            s.batch_buf.reserve(64);
         }
         self.mail = Outboxes::new(shard_total);
         self.shards = shards;
@@ -711,34 +708,20 @@ impl Exec<'_> {
         ix as usize
     }
 
-    /// Process every pending event strictly before `wend`.
-    ///
-    /// Batched dispatch: drain every event sharing the next timestamp in
-    /// one pass over the heap, then run the batch from a reused buffer.
-    /// Same-time events pushed *during* the batch always carry higher
-    /// sequence numbers than anything drained, so they form the next
-    /// batch at the same timestamp and overall dispatch order is
-    /// byte-identical to popping one event at a time. The window's event
-    /// count reaches the recorder in one add.
+    /// Process every pending event strictly before `wend`, one at a time:
+    /// pop the earliest, dispatch it, look again. An event therefore sees
+    /// every effect of the events before it, same instant included — a
+    /// timer cancelled by an earlier event of its own instant never fires.
+    /// The window's event count reaches the recorder in one add.
     fn run_window(&mut self, wend: SimTime) {
-        let mut batch = std::mem::take(&mut self.s.batch_buf);
-        debug_assert!(batch.is_empty());
         let before = self.s.events_processed;
-        loop {
-            match self.s.queue.peek_time() {
-                Some(ev_t) if ev_t < wend => {
-                    debug_assert!(ev_t >= self.s.now, "event from the past");
-                    self.s.now = ev_t;
-                    self.s.queue.pop_batch_at(ev_t, &mut batch);
-                    self.s.events_processed += batch.len() as u64;
-                    for ev in batch.drain(..) {
-                        self.dispatch(ev);
-                    }
-                }
-                _ => break,
-            }
+        while self.s.queue.peek_time().is_some_and(|t| t < wend) {
+            let (t, ev) = self.s.queue.pop().expect("invariant: peek_time saw an event");
+            debug_assert!(t >= self.s.now, "event from the past");
+            self.s.now = t;
+            self.s.events_processed += 1;
+            self.dispatch(ev);
         }
-        self.s.batch_buf = batch;
         self.s.obs.add(Counter::WorldEvents, self.s.events_processed - before);
     }
 
@@ -996,7 +979,7 @@ fn receive_if_listening(slot: &mut NodeSlot, now: SimTime, airtime: SimDuration)
 mod tests {
     use super::*;
     use crate::addr::SockAddr;
-    use crate::node::{Ctx, Node, TimerToken};
+    use crate::node::{Ctx, Node, TimerId, TimerToken};
     use powerburst_obs::EventKind;
     use std::any::Any;
 
@@ -1348,6 +1331,41 @@ mod tests {
                 .collect();
             assert_eq!(got, [(0, 0), (0, 1), (1_000, 0), (1_000, 1)], "threads={threads}");
         }
+    }
+
+    /// Arms timers 1 and 2 for the same instant; whichever fires first
+    /// cancels timer 2.
+    #[derive(Default)]
+    struct SameInstantCancel {
+        second: Option<TimerId>,
+        fired: Vec<(u64, TimerToken)>,
+        cancelled: Option<bool>,
+    }
+    impl Node for SameInstantCancel {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            ctx.set_timer(SimDuration::from_ms(1), 1);
+            self.second = Some(ctx.set_timer(SimDuration::from_ms(1), 2));
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
+            self.fired.push((ctx.now().as_us(), token));
+            if let Some(id) = self.second.take() {
+                self.cancelled = Some(ctx.cancel_timer(id));
+            }
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn a_timer_cancelled_at_its_own_instant_never_fires() {
+        let mut w = World::new(3);
+        let n = w.add_node(Box::<SameInstantCancel>::default(), NodeConfig::infrastructure());
+        w.run_until(SimTime::from_ms(2));
+        let node = w.node_mut::<SameInstantCancel>(n);
+        assert_eq!(node.fired, [(1_000, 1)]);
+        assert_eq!(node.cancelled, Some(true), "the second timer was still pending");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`time`] — integral-microsecond simulation time ([`SimTime`],
 //!   [`SimDuration`]);
 //! * [`events`] — a deterministic event queue with `(time, seq)` ordering
-//!   and O(1) cancellation;
+//!   and O(log n) cancellation by handle;
 //! * [`clock`] — per-node clock skew/drift models (the reason the paper
 //!   needs delay compensation at all);
 //! * [`rng`] — decorrelated per-component RNG streams derived from one

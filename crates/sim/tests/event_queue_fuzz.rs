@@ -1,13 +1,17 @@
 //! Differential fuzz test for the indexed event queue.
 //!
-//! Seeded random streams of `push`/`pop`/`cancel`/`clear` operations run
-//! against both the slab-backed 4-ary indexed heap and a naive
-//! sorted-`Vec` reference model. After every single operation the two
-//! must agree on `len()`, `peek_time()`, and — for pops — the exact
-//! `(time, value)` returned, so any divergence pinpoints the first
-//! operation where the indexed structure misbehaves.
+//! Seeded random streams of `push`/`pop`/`cancel`/`time_of`/`clear`
+//! operations run against both the indexed 4-ary heap (a dense slot table
+//! behind generation-checked handles, one packed `(time, seq)` key) and a
+//! naive sorted-`Vec` reference model. After every single operation the
+//! two must agree on `len()`, `peek_time()`, and — for pops, cancels and
+//! `time_of` lookups — the exact result, so any divergence pinpoints the
+//! first operation where the indexed structure misbehaves. One run draws
+//! its times from both ends of the clock (0 and `SimTime::MAX` and their
+//! neighbours), where a packed key would first lose its order.
 
 use powerburst_sim::{derive_rng, EventId, EventQueue, SimTime};
+use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Reference model: a flat vec kept in `(time, seq)` order on demand.
@@ -53,6 +57,10 @@ impl NaiveQueue {
         }
     }
 
+    fn time_of(&self, handle: usize) -> Option<SimTime> {
+        self.live.iter().find(|&&(_, _, h, _)| h == handle).map(|&(t, _, _, _)| t)
+    }
+
     fn peek_time(&self) -> Option<SimTime> {
         self.live.iter().map(|&(t, seq, _, _)| (t, seq)).min().map(|(t, _)| t)
     }
@@ -70,8 +78,24 @@ impl NaiveQueue {
     }
 }
 
-/// Run one seeded operation stream against both queues.
-fn differential_run(seed: u64, ops: usize) {
+/// Times spread over 5 ms, so equal times (sequence tie-breaks) are common.
+fn spread(rng: &mut StdRng) -> SimTime {
+    SimTime::from_us(rng.random_range(0..5_000))
+}
+
+/// Times at both ends of the clock, and anywhere in between.
+fn extremes(rng: &mut StdRng) -> SimTime {
+    let max = SimTime::MAX.as_us();
+    SimTime::from_us(match rng.random_range(0..4u32) {
+        0 => rng.random_range(0..3),
+        1 => rng.random_range(max - 2..=max),
+        _ => rng.random(),
+    })
+}
+
+/// Run one seeded operation stream against both queues, drawing each
+/// pushed event's time from `time`.
+fn differential_run(seed: u64, ops: usize, time: fn(&mut StdRng) -> SimTime) {
     let mut rng = derive_rng(seed, 0xF0220);
     let mut dut: EventQueue<u32> = EventQueue::new();
     let mut model = NaiveQueue::new();
@@ -81,13 +105,11 @@ fn differential_run(seed: u64, ops: usize) {
     let mut handles: Vec<(EventId, usize)> = Vec::new();
     let mut value = 0u32;
 
-    let mut batch: Vec<u32> = Vec::new();
-
     for step in 0..ops {
         match rng.random_range(0..100u32) {
             // Weighted toward push/pop so the queues stay populated.
             0..=44 => {
-                let t = SimTime::from_us(rng.random_range(0..5_000));
+                let t = time(&mut rng);
                 value += 1;
                 let id = dut.push(t, value);
                 let h = model.push(t, value);
@@ -99,16 +121,13 @@ fn differential_run(seed: u64, ops: usize) {
                 assert_eq!(got, want, "seed {seed} step {step}: pop mismatch");
             }
             65..=74 => {
-                // Batched drain of the head timestamp: must equal popping
-                // one at a time from the model while its head time matches.
-                let head = dut.peek_time();
-                dut.pop_batch_at(head.unwrap_or(SimTime::ZERO), &mut batch);
-                let mut want: Vec<u32> = Vec::new();
-                while model.peek_time().is_some() && model.peek_time() == head {
-                    want.push(model.pop().expect("model head exists").1);
+                // Any issued handle, pending or not: `time_of` is
+                // `Ctx::rearm_timer_at`'s fast path.
+                if !handles.is_empty() {
+                    let (id, h) = handles[rng.random_range(0..handles.len())];
+                    let (got, want) = (dut.time_of(id), model.time_of(h));
+                    assert_eq!(got, want, "seed {seed} step {step}: time_of mismatch");
                 }
-                assert_eq!(batch, want, "seed {seed} step {step}: pop_batch_at mismatch");
-                batch.clear();
             }
             75..=97 => {
                 if !handles.is_empty() {
@@ -147,7 +166,14 @@ fn differential_run(seed: u64, ops: usize) {
 #[test]
 fn indexed_queue_matches_naive_model() {
     for seed in [1, 2, 3, 7, 42, 0xDEAD_BEEF] {
-        differential_run(seed, 4_000);
+        differential_run(seed, 4_000, spread);
+    }
+}
+
+#[test]
+fn indexed_queue_matches_naive_model_at_the_ends_of_time() {
+    for seed in [5, 8, 0xC0FFEE] {
+        differential_run(seed, 4_000, extremes);
     }
 }
 

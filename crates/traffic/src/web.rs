@@ -335,7 +335,6 @@ impl WebClientApp {
 
     fn service_conn(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let now = ctx.now();
-        let mut finished_obj = false;
         {
             let conn = &mut self.conns[i];
             for ev in conn.ep.events_mut().drain(..) {
@@ -351,7 +350,6 @@ impl WebClientApp {
                         self.stats.object_latencies_s.push(now.since(*t0).as_secs_f64());
                         self.stats.objects_done += 1;
                         conn.current = None;
-                        finished_obj = true;
                     }
                 }
             }
@@ -359,7 +357,6 @@ impl WebClientApp {
         if self.conns[i].connected {
             self.request_next(ctx, i);
         }
-        let _ = finished_obj;
         self.drive_conn(ctx, i);
         // Page complete?
         if self.page_open && self.conns.iter().all(|c| c.done) {

@@ -23,11 +23,6 @@ impl RttEstimator {
         self.rto
     }
 
-    /// Smoothed RTT, if at least one sample has been taken.
-    pub fn srtt(&self) -> Option<SimDuration> {
-        self.srtt.map(SimDuration::from_secs_f64)
-    }
-
     /// Feed one RTT measurement (must be from an un-retransmitted segment,
     /// per Karn's algorithm — the caller enforces that).
     pub fn sample(&mut self, rtt: SimDuration) {
@@ -70,14 +65,13 @@ mod tests {
     fn initial_rto_until_first_sample() {
         let e = est();
         assert_eq!(e.rto(), SimDuration::from_secs(1));
-        assert!(e.srtt().is_none());
     }
 
     #[test]
     fn first_sample_sets_srtt() {
         let mut e = est();
         e.sample(SimDuration::from_ms(100));
-        assert_eq!(e.srtt().unwrap(), SimDuration::from_ms(100));
+        // The first sample sets srtt = 100 ms and rttvar = 50 ms, so
         // RTO = srtt + 4*rttvar = 100 + 200 = 300ms.
         assert_eq!(e.rto(), SimDuration::from_ms(300));
     }

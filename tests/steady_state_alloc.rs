@@ -8,10 +8,10 @@
 //!
 //! Warm-up matters: the first simulated seconds fill the payload-pattern
 //! templates, the `bytes` buffer pool, per-struct scratch vectors, TCP
-//! windows and the event-queue slab. Steady state afterwards should be
-//! nearly allocation-free — what remains is bounded per-interval work
-//! (schedule build/encode per SRP, postmortem trace records) plus rare
-//! capacity doublings.
+//! windows and the event queue's slot tables. Steady state afterwards
+//! should be nearly allocation-free — what remains is bounded
+//! per-interval work (schedule build/encode per SRP, postmortem trace
+//! records) plus rare capacity doublings.
 //!
 //! The budget starts generous (see `BUDGET_ALLOCS_PER_EVENT`); ratchet it
 //! down as pooling coverage grows. The file deliberately contains a single
