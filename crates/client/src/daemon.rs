@@ -5,9 +5,10 @@
 //! daemon ([`PowerClient::live`]) feeds it the schedules and frames its
 //! radio hears and the timers it armed, and carries out its actions on
 //! the node context: radio wake and sleep, and timers measured on the
-//! client's own (drifting) clock. It owns the policy's counters, and
-//! reports the ones that move, and every `WakeLead` the policy notes, to
-//! its shard's recorder lane (`Ctx::obs`).
+//! client's own (drifting) clock. It owns the policy's counters (which
+//! `scenario::collect` reports once, at the end of a run), and records
+//! every `WakeLead` the policy notes on its shard's recorder lane
+//! (`Ctx::obs`).
 //!
 //! In Monitor mode the radio never sleeps and the replay is the policy
 //! run, so a Monitor-mode daemon ([`PowerClient::monitor`]) runs no
@@ -17,7 +18,7 @@
 
 use std::any::Any;
 
-use powerburst_obs::{Counter, EventKind, Hist};
+use powerburst_obs::{EventKind, Hist};
 
 use powerburst_core::{Action, ClientPolicy, PolicyParams, PolicyStats, PolicyTimer, Schedule};
 use powerburst_net::{ports, Ctx, HostAddr, IfaceId, Node, Packet, Proto, TimerId, TimerToken};
@@ -70,9 +71,8 @@ impl PowerClient {
 }
 
 impl LivePolicy {
-    /// Carry out the policy's actions, then report the counters that moved
-    /// from `old` to `new`.
-    fn drive(&mut self, ctx: &mut Ctx<'_>, old: PolicyStats, new: PolicyStats) {
+    /// Carry out the policy's actions.
+    fn drive(&mut self, ctx: &mut Ctx<'_>) {
         let (now, obs) = (ctx.now(), ctx.obs());
         for a in self.policy.actions() {
             match a {
@@ -100,16 +100,6 @@ impl LivePolicy {
                 }
             }
         }
-        for (c, d) in [
-            (Counter::ClientSchedulesApplied, new.schedules_applied - old.schedules_applied),
-            (Counter::ClientSchedulesMissed, new.schedules_missed - old.schedules_missed),
-            (Counter::ClientMarksSeen, new.marks_received - old.marks_received),
-            (Counter::ClientSkippedWakes, new.skipped_srp_wakes - old.skipped_srp_wakes),
-        ] {
-            if d > 0 {
-                obs.add(c, d);
-            }
-        }
     }
 }
 
@@ -127,7 +117,7 @@ impl Node for PowerClient {
             }
             return;
         };
-        let (now, old) = (ctx.now(), self.stats);
+        let now = ctx.now();
         if schedule {
             if !Schedule::decode_into(&pkt.payload, &mut live.decode_buf) {
                 return;
@@ -141,7 +131,7 @@ impl Node for PowerClient {
             }
             live.policy.on_frame(now, marked, &mut self.stats);
         }
-        live.drive(ctx, old, self.stats);
+        live.drive(ctx);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {
@@ -151,9 +141,8 @@ impl Node for PowerClient {
         }
         let Some(live) = &mut self.live else { return };
         let Some(&(_, timer)) = live.plan.get(token as usize) else { return };
-        let old = self.stats;
         live.policy.on_timer(ctx.now(), timer, &mut self.stats);
-        live.drive(ctx, old, self.stats);
+        live.drive(ctx);
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

@@ -538,26 +538,8 @@ impl Proxy {
         let current = self.prev_schedule.as_ref().map(|s| s.entries.as_slice()).unwrap_or(&[]);
         let Some(entry) = current.get(entry_idx).copied() else { return };
         if entry.client.is_broadcast() {
-            if matches!(self.cfg.policy, PolicyKind::PsmBeacon { .. }) {
-                self.psm_burst(ctx, entry.duration);
-                return;
-            }
-            // Figure 7 slotted policy's TCP slot: all clients listen for
-            // the whole window and share its capacity.
-            let per_client = if self.clients.is_empty() {
-                entry.duration
-            } else {
-                entry.duration / self.clients.len() as u64
-            };
-            let grace = self.burst_grace(self.clients.len());
-            self.audit.begin_burst(obs, ctx.now(), entry.client, entry.duration, grace, false);
-            for ci in 0..self.clients.len() {
-                self.clients[ci].burst_until = ctx.now() + entry.duration;
-                self.bursting = Some(ci);
-                self.burst_tcp(ctx, ci, per_client, false);
-                self.bursting = None;
-            }
-            self.audit.end_burst(obs, ctx.now());
+            let psm = matches!(self.cfg.policy, PolicyKind::PsmBeacon { .. });
+            self.shared_window(ctx, entry.duration, psm);
             return;
         }
         let Some(&ci) = self.client_index.get(&entry.client) else { return };
@@ -582,15 +564,17 @@ impl Proxy {
         }
     }
 
-    /// The PSM baseline's shared delivery window: drain all clients'
-    /// queues **round-robin** (a PSM access point has no per-client
-    /// schedule, so frames interleave), setting each client's final frame's
-    /// mark — the More-Data-bit-cleared equivalent that lets it sleep.
-    /// Because of the interleaving, a client's last frame tends to land
-    /// near the end of the shared window: every client stays awake for
-    /// roughly everyone's traffic, which is the §2 argument against PSM
-    /// for multimedia.
-    fn psm_burst(&mut self, ctx: &mut Ctx<'_>, window: SimDuration) {
+    /// A window every client listens through: Figure 7's slotted TCP slot,
+    /// or the PSM baseline's delivery window. Buffered TCP shares what is
+    /// left of it equally. With `drain_udp` (PSM) all clients' datagram
+    /// queues first drain **round-robin** (a PSM access point has no
+    /// per-client schedule, so frames interleave), each client's final
+    /// frame marked — the More-Data-bit-cleared equivalent that lets it
+    /// sleep. Because of the interleaving, a client's last frame tends to
+    /// land near the end of the window: every client stays awake for
+    /// roughly everyone's traffic, which is the §2 argument against PSM for
+    /// multimedia.
+    fn shared_window(&mut self, ctx: &mut Ctx<'_>, window: SimDuration, drain_udp: bool) {
         let n = self.clients.len();
         let grace = self.burst_grace(n);
         self.audit.begin_burst(ctx.obs(), ctx.now(), HostAddr::BROADCAST, window, grace, false);
@@ -598,45 +582,47 @@ impl Proxy {
             self.clients[ci].burst_until = ctx.now() + window;
         }
         let mut remaining = window;
-        let mut out = std::mem::take(&mut self.psm_out);
-        debug_assert!(out.is_empty());
-        let mut progress = true;
-        while progress {
-            progress = false;
-            for ci in 0..n {
-                let Some(size) = self.clients[ci].queue.peek_size() else { continue };
-                let cost = BW.send_time(size);
-                if cost > remaining {
-                    continue;
+        if drain_udp {
+            let mut out = std::mem::take(&mut self.psm_out);
+            debug_assert!(out.is_empty());
+            let mut progress = true;
+            while progress {
+                progress = false;
+                for ci in 0..n {
+                    let Some(size) = self.clients[ci].queue.peek_size() else { continue };
+                    let cost = BW.send_time(size);
+                    if cost > remaining {
+                        continue;
+                    }
+                    remaining -= cost;
+                    let pkt =
+                        self.clients[ci].queue.pop().expect("invariant: peek_size saw a packet");
+                    out.push((ci, pkt));
+                    progress = true;
                 }
-                remaining -= cost;
-                let pkt = self.clients[ci].queue.pop().expect("invariant: peek_size saw a packet");
-                out.push((ci, pkt));
-                progress = true;
+            }
+            // Mark each client's final frame of the window.
+            let mut last_of = std::mem::take(&mut self.psm_last_of);
+            last_of.clear();
+            last_of.resize(n, None);
+            for (idx, (ci, _)) in out.iter().enumerate() {
+                last_of[*ci] = Some(idx);
+            }
+            for last in last_of.iter().flatten() {
+                out[*last].1.tos_mark = true;
+            }
+            self.psm_last_of = last_of;
+            let sent = out.len() as u64;
+            for (_, pkt) in out.drain(..) {
+                self.send_datagram(ctx, pkt);
+            }
+            self.psm_out = out;
+            self.stats.udp_packets_sent += sent;
+            ctx.obs().add(Counter::UdpFramesSent, sent);
+            if sent > 0 {
+                self.stats.bursts += 1;
             }
         }
-        // Mark each client's final frame of the window.
-        let mut last_of = std::mem::take(&mut self.psm_last_of);
-        last_of.clear();
-        last_of.resize(n, None);
-        for (idx, (ci, _)) in out.iter().enumerate() {
-            last_of[*ci] = Some(idx);
-        }
-        for last in last_of.iter().flatten() {
-            out[*last].1.tos_mark = true;
-        }
-        self.psm_last_of = last_of;
-        let sent = out.len() as u64;
-        for (_, pkt) in out.drain(..) {
-            self.send_datagram(ctx, pkt);
-        }
-        self.psm_out = out;
-        self.stats.udp_packets_sent += sent;
-        ctx.obs().add(Counter::UdpFramesSent, sent);
-        if sent > 0 {
-            self.stats.bursts += 1;
-        }
-        // Any buffered TCP shares the tail of the window, round-robin.
         let tcp_share = remaining / (n.max(1) as u64);
         for ci in 0..n {
             self.bursting = Some(ci);
@@ -937,14 +923,7 @@ impl Proxy {
         }
         let deadlines = [s.client_side.next_deadline(), s.server_side.next_deadline()];
         for (side, (deadline, timer)) in deadlines.into_iter().zip(&mut s.timers).enumerate() {
-            match deadline {
-                Some(dl) => ctx.rearm_timer_at(timer, dl, ProxyTimer::Splice(sid, side).token()),
-                None => {
-                    if let Some(id) = timer.take() {
-                        ctx.cancel_timer(id);
-                    }
-                }
-            }
+            ctx.rearm_timer_at(timer, deadline, ProxyTimer::Splice(sid, side).token());
         }
     }
 

@@ -253,13 +253,6 @@ impl Contract {
                 why: "core is pure policy: pipes are topology, not policy",
             },
             DenyRule {
-                from: Some(vec!["core"]),
-                except: vec![],
-                to: "net",
-                to_module: Some("pattern"),
-                why: "core is pure policy: it forwards payloads, never builds them",
-            },
-            DenyRule {
                 from: None,
                 except: vec!["scenario", ROOT_CRATE, "obs"],
                 to: "obs",

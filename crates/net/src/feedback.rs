@@ -72,28 +72,21 @@ impl ReceiverReport {
     }
 }
 
-/// Encode a legacy receiver report (compat shim for pre-PR7 call sites).
-pub fn encode_report(flow: u64, highest_seq: u64, received: u64) -> Bytes {
-    ReceiverReport { flow, highest_seq, received, buffer_bytes: None }.encode()
-}
-
-/// Decode the three legacy fields of a report (either layout).
-pub fn decode_report(p: &[u8]) -> Option<(u64, u64, u64)> {
-    ReceiverReport::decode(p).map(|r| (r.flow, r.highest_seq, r.received))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn legacy(flow: u64, highest_seq: u64, received: u64) -> ReceiverReport {
+        ReceiverReport { flow, highest_seq, received, buffer_bytes: None }
+    }
+
     #[test]
     fn legacy_roundtrip_is_24_bytes() {
-        let b = encode_report(3, 100, 97);
+        let r = legacy(3, 100, 97);
+        let b = r.encode();
         assert_eq!(b.len(), REPORT_LEN);
-        assert_eq!(decode_report(&b), Some((3, 100, 97)));
-        assert_eq!(decode_report(&b[..10]), None);
-        let r = ReceiverReport::decode(&b).expect("decodes");
-        assert_eq!(r.buffer_bytes, None);
+        assert_eq!(ReceiverReport::decode(&b), Some(r));
+        assert_eq!(ReceiverReport::decode(&b[..10]), None);
     }
 
     #[test]
@@ -103,17 +96,15 @@ mod tests {
         let b = r.encode();
         assert_eq!(b.len(), REPORT_LEN_BUFFERED);
         assert_eq!(ReceiverReport::decode(&b), Some(r));
-        // Legacy decoders still read the first three fields.
-        assert_eq!(decode_report(&b), Some((7, 500, 498)));
     }
 
     #[test]
     fn extended_prefix_matches_legacy_encoding() {
         // The proxy forwards reports untouched; a legacy server must see
         // exactly the bytes it always saw in the first 24.
-        let legacy = encode_report(9, 10, 8);
+        let old = legacy(9, 10, 8).encode();
         let ext = ReceiverReport { flow: 9, highest_seq: 10, received: 8, buffer_bytes: Some(1) }
             .encode();
-        assert_eq!(&ext[..REPORT_LEN], &legacy[..]);
+        assert_eq!(&ext[..REPORT_LEN], &old[..]);
     }
 }

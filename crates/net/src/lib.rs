@@ -32,7 +32,6 @@ pub mod link;
 pub mod medium;
 pub mod node;
 pub mod packet;
-pub mod pattern;
 pub mod shaper;
 pub mod sniffer;
 pub mod world;
@@ -47,7 +46,6 @@ pub use link::{Endpoint, HalfLink, LinkSpec, WireOutcome};
 pub use medium::{AirtimeModel, Medium, TxOutcome};
 pub use node::{Ctx, Ev, Node, TimerId, TimerToken};
 pub use packet::{Packet, Proto, TcpFlags, TcpHeader, IP_HEADER, TCP_HEADER, UDP_HEADER};
-pub use pattern::{pattern_bytes, PatternCache};
 pub use shaper::Pipe;
 pub use sniffer::{Delivery, Sniffer, SnifferRecord};
 pub use world::{NodeConfig, NodeStats, World};

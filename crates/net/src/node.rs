@@ -153,23 +153,24 @@ impl<'a> Ctx<'a> {
     }
 
     /// Keep `timer` the one pending timer for `token`, firing at `deadline`
-    /// (true time). Equivalent to cancelling `timer` and arming a fresh
-    /// one, but when it is still pending at `deadline` — the common case
-    /// for retransmission timers re-armed after every interaction — it is
-    /// left in place, skipping both heap operations.
+    /// (true time), or cancel it and clear the handle when `deadline` is
+    /// `None`. Equivalent to cancelling `timer` and arming a fresh one, but
+    /// when it is still pending at `deadline` — the common case for
+    /// retransmission timers re-armed after every interaction — it is left
+    /// in place, skipping both heap operations.
     pub fn rearm_timer_at(
         &mut self,
         timer: &mut Option<TimerId>,
-        deadline: SimTime,
+        deadline: Option<SimTime>,
         token: TimerToken,
     ) {
         if let Some(id) = *timer {
-            if self.queue.time_of(id) == Some(deadline) {
+            if deadline.is_some() && self.queue.time_of(id) == deadline {
                 return;
             }
             self.queue.cancel(id);
         }
-        *timer = Some(self.queue.push(deadline, Ev::Timer { node: self.node, token }));
+        *timer = deadline.map(|at| self.queue.push(at, Ev::Timer { node: self.node, token }));
     }
 
     /// Cancel a pending timer; a cancelled timer never fires. That holds

@@ -980,6 +980,7 @@ mod tests {
     use super::*;
     use crate::addr::SockAddr;
     use crate::node::{Ctx, Node, TimerId, TimerToken};
+    use bytes::Bytes;
     use powerburst_obs::EventKind;
     use std::any::Any;
 
@@ -997,7 +998,7 @@ mod tests {
                 let id = ctx.alloc_packet_id();
                 ctx.send(
                     IfaceId(0),
-                    Packet::udp(id, self.me, self.peer, crate::pattern::pattern_bytes(0, 100)),
+                    Packet::udp(id, self.me, self.peer, Bytes::from(vec![0; 100])),
                 );
             }
         }
@@ -1198,7 +1199,7 @@ mod tests {
                     id,
                     SockAddr::new(HostAddr(90), 7001),
                     SockAddr::new(HostAddr::BROADCAST, 7001),
-                    crate::pattern::pattern_bytes(0, 50),
+                    Bytes::from(vec![0; 50]),
                 ),
             );
         }
@@ -1264,7 +1265,7 @@ mod tests {
         // AP1 → radio.
         let dst = SockAddr::new(HostAddr(11), 2);
         let src = SockAddr::new(HostAddr(10), 2);
-        let pkt = Packet::udp(999, src, dst, crate::pattern::pattern_bytes(0, 80));
+        let pkt = Packet::udp(999, src, dst, Bytes::from(vec![0; 80]));
         w.with_node(client0, |_n, ctx| ctx.send(IfaceId(0), pkt));
         w.run_until(SimTime::from_ms(60));
         let got = &w.node_mut::<Chatter>(client1).received;
@@ -1366,6 +1367,42 @@ mod tests {
         let node = w.node_mut::<SameInstantCancel>(n);
         assert_eq!(node.fired, [(1_000, 1)]);
         assert_eq!(node.cancelled, Some(true), "the second timer was still pending");
+    }
+
+    /// Logs the tokens of the timers that fire.
+    #[derive(Default)]
+    struct TimerLog {
+        fired: Vec<TimerToken>,
+    }
+    impl Node for TimerLog {
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _pkt: Packet) {}
+        fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: TimerToken) {
+            self.fired.push(token);
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn rearm_keeps_a_pending_timer_and_none_cancels_it() {
+        let mut w = World::new(3);
+        let n = w.add_node(Box::<TimerLog>::default(), NodeConfig::infrastructure());
+        let mut timer = None;
+        let at = Some(SimTime::from_ms(5));
+        w.with_node(n, |_, ctx| ctx.rearm_timer_at(&mut timer, at, 7));
+        let armed = timer.expect("a deadline arms the timer");
+        let pending = w.shards[0].queue.len();
+        // The same deadline keeps the handle and adds no heap entry.
+        w.with_node(n, |_, ctx| ctx.rearm_timer_at(&mut timer, at, 7));
+        assert_eq!(timer, Some(armed));
+        assert_eq!(w.shards[0].queue.len(), pending);
+        // No deadline cancels the timer and clears the slot.
+        w.with_node(n, |_, ctx| ctx.rearm_timer_at(&mut timer, None, 7));
+        assert_eq!(timer, None);
+        assert_eq!(w.shards[0].queue.len(), pending - 1);
+        w.run_until(SimTime::from_ms(10));
+        assert!(w.node_mut::<TimerLog>(n).fired.is_empty(), "the cancelled timer fired");
     }
 
     #[test]

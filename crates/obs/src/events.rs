@@ -114,8 +114,7 @@ pub struct ObsEvent {
 impl ObsEvent {
     /// Render as one JSON object. All fields are integers, booleans, or
     /// static strings that never need escaping, so this is hand-rolled
-    /// (matching `trace::TraceRow::to_json`) rather than pulling in a JSON
-    /// dependency.
+    /// (like `trace::to_jsonl`) rather than pulling in a JSON dependency.
     pub fn to_json(&self) -> String {
         let head = format!("{{\"t_us\":{},\"kind\":\"{}\"", self.t_us, self.kind.tag());
         let body = match self.kind {

@@ -140,7 +140,9 @@ impl Counter {
     }
 }
 
-/// Last-value gauges (signed; deltas may go negative transiently).
+/// Last-value gauges (signed; deltas may go negative transiently). Each
+/// recorder lane keeps its own value, and an export sums them, so a gauge
+/// of a multi-cell run is the total over its cells.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Gauge {
@@ -148,7 +150,7 @@ pub enum Gauge {
     ActiveSplices,
     /// Total bytes buffered across all proxy client queues.
     BacklogBytes,
-    /// Entry count of the most recent schedule.
+    /// Entry count of the most recent schedule, summed over cells.
     LastScheduleEntries,
     /// WNICs currently in high-power mode.
     RadiosAwake,

@@ -11,13 +11,13 @@
 //! ## Lanes
 //!
 //! A sharded world (DESIGN.md §17) records from several worker threads at
-//! once. Counters, histograms, and `gauge_add` are commutative atomics, so
-//! their totals are thread-order independent; the event channel and
-//! `gauge_set` are not. [`Recorder::lane`] derives a handle bound to one
-//! **lane**: a private event buffer plus private `gauge_set` slots, written
-//! by exactly one shard. [`Recorder::export`] merges lanes
-//! deterministically — events concatenated in lane order then stably
-//! sorted by timestamp, set-gauges resolved highest-written-lane-wins.
+//! once. Counters and histograms are commutative atomics, so their totals
+//! are thread-order independent; the event channel and gauges are not.
+//! [`Recorder::lane`] derives a handle bound to one **lane**: a private
+//! event buffer plus a private value per gauge, written by exactly one
+//! shard. [`Recorder::export`] merges lanes deterministically — events
+//! concatenated in lane order then stably sorted by timestamp, each gauge
+//! summed over the lanes.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -69,10 +69,8 @@ impl HistCore {
 /// rather than a commutative sum. Each lane has exactly one writer (one
 /// shard), so within a lane the legacy sequential semantics hold.
 struct LaneCore {
-    /// `gauge_set` slots: last value stored by this lane's writer.
-    gauge_set: [AtomicI64; Gauge::COUNT],
-    /// 1 once this lane has `gauge_set` the matching gauge.
-    gauge_written: [AtomicU64; Gauge::COUNT],
+    /// This lane's value of each gauge.
+    gauges: [AtomicI64; Gauge::COUNT],
     events: Mutex<Vec<ObsEvent>>,
     events_dropped: AtomicU64,
 }
@@ -80,8 +78,7 @@ struct LaneCore {
 impl LaneCore {
     fn new(events_on: bool) -> Self {
         LaneCore {
-            gauge_set: [const { AtomicI64::new(0) }; Gauge::COUNT],
-            gauge_written: [const { AtomicU64::new(0) }; Gauge::COUNT],
+            gauges: [const { AtomicI64::new(0) }; Gauge::COUNT],
             events: Mutex::new(Vec::with_capacity(if events_on { EVENT_CAP } else { 0 })),
             events_dropped: AtomicU64::new(0),
         }
@@ -90,8 +87,6 @@ impl LaneCore {
 
 struct ObsCore {
     counters: [AtomicU64; Counter::COUNT],
-    /// Accumulators for `gauge_add` (commutative, shared across lanes).
-    gauges: [AtomicI64; Gauge::COUNT],
     hists: [HistCore; Hist::COUNT],
     events_on: bool,
     lanes: Vec<LaneCore>,
@@ -105,7 +100,7 @@ struct ObsCore {
 #[derive(Clone, Default)]
 pub struct Recorder {
     core: Option<Arc<ObsCore>>,
-    /// Which lane this handle writes events / set-gauges to.
+    /// Which lane this handle writes events and gauges to.
     lane: u32,
 }
 
@@ -130,7 +125,6 @@ impl Recorder {
         Recorder {
             core: Some(Arc::new(ObsCore {
                 counters: [const { AtomicU64::new(0) }; Counter::COUNT],
-                gauges: [const { AtomicI64::new(0) }; Gauge::COUNT],
                 hists: std::array::from_fn(|_| HistCore::new()),
                 events_on: cfg.events,
                 lanes: (0..lanes).map(|_| LaneCore::new(cfg.events)).collect(),
@@ -140,8 +134,8 @@ impl Recorder {
     }
 
     /// A handle over the same core, bound to lane `idx` (clamped to the
-    /// configured lane count). Shared-atomic paths (counters, histograms,
-    /// `gauge_add`) are unaffected; events and `gauge_set` go to the lane.
+    /// configured lane count). Shared-atomic paths (counters, histograms)
+    /// are unaffected; events and gauges go to the lane.
     pub fn lane(&self, idx: usize) -> Recorder {
         let max = match &self.core {
             Some(core) => core.lanes.len() - 1,
@@ -170,24 +164,21 @@ impl Recorder {
         self.add(c, 1);
     }
 
-    /// Set a gauge to `v` (recorded on this handle's lane; the export
-    /// value for a set-gauge is the highest lane that ever set it). A
-    /// gauge should be either set-style or add-style, not both: a lane's
-    /// set value hides the shared add accumulator at export.
+    /// Set this handle's lane's value of a gauge to `v` (the export sums
+    /// the lanes).
     #[inline]
     pub fn gauge_set(&self, g: Gauge, v: i64) {
         if let Some(core) = &self.core {
-            let lane = &core.lanes[self.lane as usize];
-            lane.gauge_set[g.idx()].store(v, Ordering::Relaxed);
-            lane.gauge_written[g.idx()].store(1, Ordering::Relaxed);
+            core.lanes[self.lane as usize].gauges[g.idx()].store(v, Ordering::Relaxed);
         }
     }
 
-    /// Add `dv` (possibly negative) to a gauge.
+    /// Add `dv` (possibly negative) to this handle's lane's value of a
+    /// gauge.
     #[inline]
     pub fn gauge_add(&self, g: Gauge, dv: i64) {
         if let Some(core) = &self.core {
-            core.gauges[g.idx()].fetch_add(dv, Ordering::Relaxed);
+            core.lanes[self.lane as usize].gauges[g.idx()].fetch_add(dv, Ordering::Relaxed);
         }
     }
 
@@ -226,9 +217,8 @@ impl Recorder {
     /// timestamp and cut to [`EVENT_CAP`], for one lane as for many:
     /// recording order is not always time order even within a lane (a
     /// live radio logs its `waking → awake` transition, stamped with the
-    /// instant the wake completed, only when it next bills). Set-gauges
-    /// resolve to the highest lane that wrote them, falling back to the
-    /// shared `gauge_add` accumulator. The merge depends only on what each
+    /// instant the wake completed, only when it next bills). Each gauge is
+    /// the sum of its lane values. The merge depends only on what each
     /// single-writer lane recorded — never on cross-thread timing.
     pub fn export(&self) -> Option<ObsReport> {
         let core = self.core.as_ref()?;
@@ -236,14 +226,7 @@ impl Recorder {
             Counter::ALL.iter().map(|c| core.counters[c.idx()].load(Ordering::Relaxed)).collect();
         let gauges = Gauge::ALL
             .iter()
-            .map(|g| {
-                for lane in core.lanes.iter().rev() {
-                    if lane.gauge_written[g.idx()].load(Ordering::Relaxed) != 0 {
-                        return lane.gauge_set[g.idx()].load(Ordering::Relaxed);
-                    }
-                }
-                core.gauges[g.idx()].load(Ordering::Relaxed)
-            })
+            .map(|g| core.lanes.iter().map(|l| l.gauges[g.idx()].load(Ordering::Relaxed)).sum())
             .collect();
         let hists = Hist::ALL
             .iter()
@@ -348,10 +331,9 @@ mod tests {
         l2.event(5, EventKind::BurstStart { client: 2, budget_us: 0 });
         l1.event(3, EventKind::BurstStart { client: 1, budget_us: 0 });
         r.event(5, EventKind::BurstStart { client: 0, budget_us: 0 });
-        // Set-gauges: highest writing lane wins.
+        // Gauges sum over the lanes, set or added.
         r.gauge_set(Gauge::LastScheduleEntries, 10);
         l1.gauge_set(Gauge::LastScheduleEntries, 11);
-        // Add-gauges accumulate across lanes as before.
         r.gauge_add(Gauge::ActiveSplices, 2);
         l2.gauge_add(Gauge::ActiveSplices, 1);
         let rep = r.export().unwrap();
@@ -359,7 +341,7 @@ mod tests {
         assert_eq!(rep.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![3, 5, 5]);
         let EventKind::BurstStart { client, .. } = rep.events[1].kind else { panic!() };
         assert_eq!(client, 0, "lane 0 sorts before lane 2 at the same timestamp");
-        assert_eq!(rep.gauge(Gauge::LastScheduleEntries), 11);
+        assert_eq!(rep.gauge(Gauge::LastScheduleEntries), 21);
         assert_eq!(rep.gauge(Gauge::ActiveSplices), 3);
     }
 

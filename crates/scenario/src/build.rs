@@ -15,7 +15,7 @@ use powerburst_client::PowerClient;
 use powerburst_coord::{Coordinator, CoordinatorConfig, COORD_IFACE};
 use powerburst_core::invariants::{check_energy_conservation, InvariantKind, Violation};
 use powerburst_core::{
-    AdmissionStats, PolicyKind, Proxy, ProxyConfig, ProxyStats, PROXY_AP, PROXY_LAN,
+    AdmissionStats, PolicyKind, PolicyStats, Proxy, ProxyConfig, ProxyStats, PROXY_AP, PROXY_LAN,
 };
 use powerburst_energy::{naive_energy_mj, CardSpec};
 use powerburst_net::faults::{clock_skew_ramp, fault_stream, fault_streams, ApJitterFault};
@@ -544,6 +544,13 @@ pub fn collect(
     // Mirror the invariant total into the metric catalog so a metrics
     // export alone is enough for CI to fail on violations.
     a.obs.add(Counter::InvariantViolations, invariants.total());
+    // The live daemons' policy counters, reported once from their stats
+    // (all zero in Monitor mode).
+    let daemons = |f: fn(&PolicyStats) -> u64| clients.iter().map(|c| f(&c.daemon)).sum();
+    a.obs.add(Counter::ClientSchedulesApplied, daemons(|d| d.schedules_applied));
+    a.obs.add(Counter::ClientSchedulesMissed, daemons(|d| d.schedules_missed));
+    a.obs.add(Counter::ClientMarksSeen, daemons(|d| d.marks_received));
+    a.obs.add(Counter::ClientSkippedWakes, daemons(|d| d.skipped_srp_wakes));
     ScenarioResult {
         clients,
         proxy: proxy_stats,

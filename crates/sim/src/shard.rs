@@ -21,8 +21,9 @@
 //! plus mail applied at previous barriers, and every receiver sees its
 //! mail in (sender rank, send order). Neither depends on which OS thread
 //! stepped a shard, so `threads = 1` and `threads = N` produce identical
-//! results — the single-thread path runs the same steps and the same
-//! drain inline, with no atomics at all.
+//! results. One loop serves every thread count: with `threads = 1` it
+//! spawns no worker, and the caller's thread claims every shard in rank
+//! order, steps it and delivers the mail.
 //!
 //! A panic in a step is caught on its thread, which still meets the
 //! barrier; the loop then stops and the lowest-rank panicking shard's
@@ -104,8 +105,8 @@ impl<M> MailSender<'_, M> {
 
 /// Apply every queued message to its receiver: senders in rank order,
 /// each sender's mail in send order, so each receiver sees its mail in
-/// (sender rank, send order). Both executor paths end an epoch here, and
-/// the order is part of the determinism argument.
+/// (sender rank, send order). Every epoch ends here, on the coordinating
+/// thread, and the order is part of the determinism argument.
 fn deliver<S, M>(shards: &mut [S], outboxes: &mut [Vec<(usize, M)>], drain: &impl Fn(&mut S, M)) {
     for out in outboxes {
         for (to, m) in out.drain(..) {
@@ -241,19 +242,6 @@ where
         assert!(!plan.lookahead.is_zero(), "multi-shard worlds need non-zero lookahead");
     }
     let mut epochs = 0u64;
-
-    if threads == 1 {
-        // Inline path: the same steps in rank order and the same drain,
-        // with no atomics and no barriers.
-        while let Some(wend) = next_window(shards, &next_time, &plan) {
-            for (r, (s, out)) in shards.iter_mut().zip(&mut mail.boxes).enumerate() {
-                step(r, s, wend, MailSender(out));
-            }
-            deliver(shards, &mut mail.boxes, &drain);
-            epochs += 1;
-        }
-        return epochs;
-    }
 
     let slots = SharedSlice::new(shards);
     let outs = SharedSlice::new(&mut mail.boxes);

@@ -15,4 +15,4 @@ pub mod postmortem;
 pub mod summary;
 
 pub use postmortem::{analyze_client, PolicyParams, PostmortemReport};
-pub use summary::{to_jsonl, utilization, TraceRow};
+pub use summary::{to_jsonl, utilization};

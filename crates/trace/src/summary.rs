@@ -5,6 +5,8 @@
 //! offline inspection (the stand-in for keeping the paper's raw `tcpdump`
 //! files).
 
+use std::fmt::Write as _;
+
 use powerburst_net::{Delivery, Proto, SnifferRecord};
 use powerburst_sim::SimDuration;
 
@@ -21,86 +23,42 @@ pub fn utilization(records: &[SnifferRecord], window: SimDuration) -> f64 {
     airtime.as_secs_f64() / window.as_secs_f64()
 }
 
-/// One serializable capture row (tcpdump-line equivalent).
-#[derive(Debug)]
-pub struct TraceRow {
-    /// Capture timestamp, seconds.
-    pub t_s: f64,
-    /// Packet id.
-    pub id: u64,
-    /// Source `host:port`.
-    pub src: String,
-    /// Destination `host:port`.
-    pub dst: String,
-    /// `"udp"` or `"tcp"`.
-    pub proto: &'static str,
-    /// Wire bytes.
-    pub bytes: usize,
-    /// Airtime, microseconds.
-    pub airtime_us: u64,
-    /// End-of-burst mark.
-    pub mark: bool,
-    /// Delivery outcome.
-    pub delivery: &'static str,
-}
-
-impl TraceRow {
-    /// Convert a sniffer record.
-    pub fn from_record(r: &SnifferRecord) -> TraceRow {
-        TraceRow {
-            t_s: r.t.as_secs_f64(),
-            id: r.pkt_id,
-            src: r.src.to_string(),
-            dst: r.dst.to_string(),
-            proto: match r.proto {
-                Proto::Udp => "udp",
-                Proto::Tcp => "tcp",
-            },
-            bytes: r.wire_size,
-            airtime_us: r.airtime.as_us(),
-            mark: r.tos_mark,
-            delivery: match r.delivery {
-                Delivery::Delivered => "delivered",
-                Delivery::MissedAsleep => "missed",
-                Delivery::Broadcast => "broadcast",
-                Delivery::QueueDrop => "qdrop",
-                Delivery::NoSuchHost => "nohost",
-                Delivery::Corrupted => "corrupt",
-            },
-        }
-    }
-}
-
-impl TraceRow {
-    /// Render as one JSON object (all fields are numbers, booleans, or
-    /// strings that never need escaping, so this is hand-rolled rather
-    /// than pulling in a JSON dependency).
-    pub fn to_json(&self) -> String {
-        format!(
+/// Render the trace as JSON-lines: one object per frame, the
+/// tcpdump-line equivalent. Every field is a number, a boolean or a string
+/// that never needs escaping, so this is hand-rolled rather than pulling
+/// in a JSON dependency.
+pub fn to_jsonl(records: &[SnifferRecord]) -> String {
+    let mut out = String::with_capacity(records.len() * 96);
+    for r in records {
+        let proto = match r.proto {
+            Proto::Udp => "udp",
+            Proto::Tcp => "tcp",
+        };
+        let delivery = match r.delivery {
+            Delivery::Delivered => "delivered",
+            Delivery::MissedAsleep => "missed",
+            Delivery::Broadcast => "broadcast",
+            Delivery::QueueDrop => "qdrop",
+            Delivery::NoSuchHost => "nohost",
+            Delivery::Corrupted => "corrupt",
+        };
+        let _ = writeln!(
+            out,
             concat!(
                 "{{\"t_s\":{:.6},\"id\":{},\"src\":\"{}\",\"dst\":\"{}\",",
                 "\"proto\":\"{}\",\"bytes\":{},\"airtime_us\":{},",
                 "\"mark\":{},\"delivery\":\"{}\"}}"
             ),
-            self.t_s,
-            self.id,
-            self.src,
-            self.dst,
-            self.proto,
-            self.bytes,
-            self.airtime_us,
-            self.mark,
-            self.delivery
-        )
-    }
-}
-
-/// Render the trace as JSON-lines (one row per frame).
-pub fn to_jsonl(records: &[SnifferRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 96);
-    for r in records {
-        out.push_str(&TraceRow::from_record(r).to_json());
-        out.push('\n');
+            r.t.as_secs_f64(),
+            r.pkt_id,
+            r.src,
+            r.dst,
+            proto,
+            r.wire_size,
+            r.airtime.as_us(),
+            r.tos_mark,
+            delivery
+        );
     }
     out
 }

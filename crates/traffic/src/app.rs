@@ -52,14 +52,7 @@ pub fn drive_endpoint(
     for pkt in ep.packets_mut().drain(..) {
         ctx.send_assigning(iface, pkt);
     }
-    match ep.next_deadline() {
-        Some(deadline) => ctx.rearm_timer_at(timer, deadline, token),
-        None => {
-            if let Some(id) = timer.take() {
-                ctx.cancel_timer(id);
-            }
-        }
-    }
+    ctx.rearm_timer_at(timer, ep.next_deadline(), token);
 }
 
 /// A client node that keeps its WNIC in high-power mode for the whole run —

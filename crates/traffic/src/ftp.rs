@@ -67,14 +67,13 @@ impl FtpClientApp {
     fn service(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.now();
         let Some(ep) = self.ep.as_mut() else { return };
-        for ev in ep.take_events() {
-            if ev == TcpEvent::Connected && !self.requested {
-                self.requested = true;
-                self.started_at = Some(now);
-                ep.send(now, encode_request(self.size));
-            }
+        let connected = ep.events_mut().drain(..).any(|ev| ev == TcpEvent::Connected);
+        if connected && !self.requested {
+            self.requested = true;
+            self.started_at = Some(now);
+            ep.send(now, encode_request(self.size));
         }
-        for chunk in ep.take_delivered() {
+        for chunk in ep.delivered_mut().drain(..) {
             self.received += chunk.len() as u64;
         }
         if self.received >= self.size && self.finished_at.is_none() {

@@ -18,7 +18,9 @@ use std::any::Any;
 use powerburst_sim::{SimDuration, SimTime};
 use rand::Rng;
 
-use powerburst_net::{ports, Ctx, IfaceId, Node, Packet, Proto, SockAddr, TimerToken};
+use powerburst_net::{
+    ports, Ctx, IfaceId, Node, Packet, Proto, ReceiverReport, SockAddr, TimerToken,
+};
 use powerburst_transport::{StreamPayload, STREAM_HEADER};
 
 use crate::app::{App, APP_TOKEN, CLIENT_RADIO};
@@ -144,11 +146,6 @@ struct StreamState {
     downshifts: u32,
     done: bool,
 }
-
-/// Receiver-report wire codec. Lives in `powerburst_net::feedback` since
-/// PR 7 so the proxy can snoop reports without depending on this crate;
-/// re-exported here for existing call sites.
-pub use powerburst_net::feedback::{decode_report, encode_report, ReceiverReport, REPORT_LEN};
 
 /// Maximum UDP payload per stream packet (media packets are mid-sized).
 pub const MAX_STREAM_PAYLOAD: usize = 700;
@@ -308,8 +305,8 @@ impl Node for VideoServer {
 
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, pkt: Packet) {
         if pkt.proto == Proto::Udp && pkt.dst.port == ports::FEEDBACK {
-            if let Some((flow, high, recv)) = decode_report(&pkt.payload) {
-                self.on_report(flow, high, recv);
+            if let Some(r) = ReceiverReport::decode(&pkt.payload) {
+                self.on_report(r.flow, r.highest_seq, r.received);
             }
         }
     }
@@ -504,13 +501,6 @@ mod tests {
         let i_frame = shape.frame_bytes(&mut rng, 0, 0.0, 1_000.0);
         let p_frame = shape.frame_bytes(&mut rng, 1, 0.08, 1_000.0);
         assert!(i_frame > 2 * p_frame, "I {i_frame} vs P {p_frame}");
-    }
-
-    #[test]
-    fn report_round_trip() {
-        let b = encode_report(3, 100, 97);
-        assert_eq!(decode_report(&b), Some((3, 100, 97)));
-        assert_eq!(decode_report(&b[..10]), None);
     }
 
     #[test]

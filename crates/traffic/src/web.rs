@@ -21,9 +21,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use powerburst_sim::{FastHashMap, SimDuration, SimTime};
 use rand::Rng;
 
-use powerburst_net::{
-    Ctx, IfaceId, Node, Packet, PatternCache, Proto, SockAddr, TcpFlags, TimerId, TimerToken,
-};
+use powerburst_net::{Ctx, IfaceId, Node, Packet, Proto, SockAddr, TcpFlags, TimerId, TimerToken};
 use powerburst_transport::{TcpConfig, TcpEndpoint, TcpEvent};
 
 use crate::app::{drive_endpoint, App, APP_TOKEN, CLIENT_RADIO};
@@ -38,6 +36,22 @@ pub fn encode_request(size: u64) -> Bytes {
 /// The server's wired interface.
 const SERVER_IFACE: IfaceId = IfaceId(0);
 
+/// The byte every response body is filled with.
+const FILL: u8 = 0x42;
+
+/// Smallest response-body template built.
+const MIN_TEMPLATE_LEN: usize = 4096;
+
+/// A `len`-byte response body: a refcount-only view into `template`, which
+/// is first rebuilt at the next power of two (at least
+/// [`MIN_TEMPLATE_LEN`]) if it is shorter than `len`.
+fn body_view(template: &mut Bytes, len: usize) -> Bytes {
+    if template.len() < len {
+        *template = Bytes::from(vec![FILL; len.next_power_of_two().max(MIN_TEMPLATE_LEN)]);
+    }
+    template.slice(..len)
+}
+
 struct ServerConn {
     ep: TcpEndpoint,
     timer: Option<TimerId>,
@@ -50,9 +64,8 @@ pub struct ByteServer {
     addr: SockAddr,
     conns: Vec<ServerConn>,
     by_remote: FastHashMap<SockAddr, usize>,
-    /// Response-body filler templates, owned by this server so payload
-    /// construction stays refcount-only without shared thread state.
-    patterns: PatternCache,
+    /// The response-body template every body is a view into.
+    template: Bytes,
     /// Total payload bytes served.
     pub bytes_served: u64,
     /// Connections accepted.
@@ -66,7 +79,7 @@ impl ByteServer {
             addr,
             conns: Vec::new(),
             by_remote: FastHashMap::default(),
-            patterns: PatternCache::new(),
+            template: Bytes::new(),
             bytes_served: 0,
             accepted: 0,
         }
@@ -97,14 +110,12 @@ impl ByteServer {
         for chunk in conn.ep.delivered_mut().drain(..) {
             conn.reqbuf.extend_from_slice(&chunk);
         }
-        // Serve every complete 8-byte request. Response bodies are
-        // refcount-only views into this server's 0x42 pattern template.
+        // Serve every complete 8-byte request.
         while conn.reqbuf.len() >= 8 {
             let size = u64::from_be_bytes(conn.reqbuf[..8].try_into().expect("8"));
             conn.reqbuf.drain(..8);
             self.bytes_served += size;
-            let body = self.patterns.bytes(0x42, size as usize);
-            conn.ep.send(now, body);
+            conn.ep.send(now, body_view(&mut self.template, size as usize));
         }
         let mut remote_fin = false;
         for ev in conn.ep.events_mut().drain(..) {
@@ -450,6 +461,25 @@ mod tests {
             let t = p.think.as_secs_f64();
             assert!(t >= cfg.think_s.0 && t <= cfg.think_s.1);
         }
+    }
+
+    #[test]
+    fn bodies_are_views_of_one_template_that_grows() {
+        let mut template = Bytes::new();
+        let a = body_view(&mut template, 100);
+        let b = body_view(&mut template, 700);
+        assert_eq!((a.len(), b.len()), (100, 700));
+        assert!(a.iter().chain(b.iter()).all(|&x| x == FILL));
+        assert_eq!(a.as_ptr(), b.as_ptr(), "both bodies view one template");
+        assert_eq!(template.len(), MIN_TEMPLATE_LEN);
+        // A longer body rebuilds the template at the next power of two,
+        // and later bodies view the grown one.
+        let big = body_view(&mut template, MIN_TEMPLATE_LEN + 1);
+        assert_eq!(big.len(), MIN_TEMPLATE_LEN + 1);
+        assert!(big.iter().all(|&x| x == FILL));
+        assert_eq!(template.len(), 2 * MIN_TEMPLATE_LEN);
+        assert_ne!(big.as_ptr(), a.as_ptr());
+        assert_eq!(body_view(&mut template, 32).as_ptr(), big.as_ptr());
     }
 
     #[test]

@@ -66,24 +66,17 @@ impl Loopback {
     }
 
     fn flush(&mut self) {
-        let delay = self.delay;
-        for pkt in self.a.take_packets() {
-            let idx = self.sent;
-            self.sent += 1;
-            if (self.drop_fn)(idx, &pkt) {
-                self.dropped += 1;
-                continue;
+        let at = self.now + self.delay;
+        for (ep, dest) in [(&mut self.a, Dest::B), (&mut self.b, Dest::A)] {
+            for pkt in ep.packets_mut().drain(..) {
+                let idx = self.sent;
+                self.sent += 1;
+                if (self.drop_fn)(idx, &pkt) {
+                    self.dropped += 1;
+                    continue;
+                }
+                self.queue.push(at, (dest, pkt));
             }
-            self.queue.push(self.now + delay, (Dest::B, pkt));
-        }
-        for pkt in self.b.take_packets() {
-            let idx = self.sent;
-            self.sent += 1;
-            if (self.drop_fn)(idx, &pkt) {
-                self.dropped += 1;
-                continue;
-            }
-            self.queue.push(self.now + delay, (Dest::A, pkt));
         }
     }
 
@@ -126,19 +119,19 @@ impl Loopback {
 
     /// Drain all in-order data delivered to B, concatenated.
     pub fn b_received(&mut self) -> Vec<u8> {
-        concat(self.b.take_delivered())
+        concat(self.b.delivered_mut())
     }
 
     /// Drain all in-order data delivered to A, concatenated.
     pub fn a_received(&mut self) -> Vec<u8> {
-        concat(self.a.take_delivered())
+        concat(self.a.delivered_mut())
     }
 }
 
-fn concat(chunks: Vec<Bytes>) -> Vec<u8> {
+fn concat(chunks: &mut Vec<Bytes>) -> Vec<u8> {
     let total: usize = chunks.iter().map(|c| c.len()).sum();
     let mut out = Vec::with_capacity(total);
-    for c in chunks {
+    for c in chunks.drain(..) {
         out.extend_from_slice(&c);
     }
     out
@@ -175,8 +168,8 @@ mod tests {
         lo.run(100);
         assert_eq!(lo.a.state(), TcpState::Established);
         assert_eq!(lo.b.state(), TcpState::Established);
-        assert!(lo.a.take_events().contains(&TcpEvent::Connected));
-        assert!(lo.b.take_events().contains(&TcpEvent::Connected));
+        assert!(lo.a.events_mut().contains(&TcpEvent::Connected));
+        assert!(lo.b.events_mut().contains(&TcpEvent::Connected));
     }
 
     #[test]
@@ -279,7 +272,7 @@ mod tests {
         lo.a.close(now);
         lo.run(50_000);
         // B saw the FIN after all data.
-        assert!(lo.b.take_events().contains(&TcpEvent::RemoteFin));
+        assert!(lo.b.events_mut().contains(&TcpEvent::RemoteFin));
         let now = lo.now();
         lo.b.close(now);
         lo.run(50_000);

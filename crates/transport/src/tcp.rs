@@ -16,8 +16,8 @@
 //!
 //! The endpoint is sans-IO: it never touches the event loop. Methods
 //! mutate state and buffer outputs; the owning node drains
-//! [`TcpEndpoint::take_packets`] / [`TcpEndpoint::take_delivered`] /
-//! [`TcpEndpoint::take_events`] and arms a timer for
+//! [`TcpEndpoint::packets_mut`] / [`TcpEndpoint::delivered_mut`] /
+//! [`TcpEndpoint::events_mut`] in place and arms a timer for
 //! [`TcpEndpoint::next_deadline`].
 
 use bytes::Bytes;
@@ -249,36 +249,20 @@ impl TcpEndpoint {
 
     // ---- output draining --------------------------------------------------
 
+    // Callers drain these buffers in place (`.drain(..)`), so they keep
+    // their capacity across interactions.
+
     /// Packets to put on the wire (ids are 0; the node stamps them).
-    pub fn take_packets(&mut self) -> Vec<Packet> {
-        std::mem::take(&mut self.out)
-    }
-
-    /// In-order application data received.
-    pub fn take_delivered(&mut self) -> Vec<Bytes> {
-        std::mem::take(&mut self.delivered)
-    }
-
-    /// Lifecycle events since the last drain.
-    pub fn take_events(&mut self) -> Vec<TcpEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    // In-place counterparts of the `take_*` drains: hot callers iterate
-    // `.drain(..)` on these so the endpoint's buffers keep their capacity
-    // instead of being replaced by fresh Vecs every interaction.
-
-    /// Outbound packet buffer, for in-place draining.
     pub fn packets_mut(&mut self) -> &mut Vec<Packet> {
         &mut self.out
     }
 
-    /// In-order delivered-data buffer, for in-place draining.
+    /// In-order application data received.
     pub fn delivered_mut(&mut self) -> &mut Vec<Bytes> {
         &mut self.delivered
     }
 
-    /// Lifecycle-event buffer, for in-place draining.
+    /// Lifecycle events since the last drain.
     pub fn events_mut(&mut self) -> &mut Vec<TcpEvent> {
         &mut self.events
     }
