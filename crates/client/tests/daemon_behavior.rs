@@ -7,7 +7,6 @@ use std::any::Any;
 
 use powerburst_client::PowerClient;
 use powerburst_core::{PolicyParams, PolicyStats, Schedule, ScheduleEntry};
-use powerburst_energy::CardSpec;
 use powerburst_net::{
     ports, AccessPoint, AirtimeModel, ApDelayParams, Ctx, Endpoint, HostAddr, IfaceId, LinkSpec,
     Node, NodeConfig, NodeId, Packet, SockAddr, TimerToken, World, AP_RADIO, AP_WIRED,
@@ -122,9 +121,13 @@ fn sink() -> Box<dyn App> {
 }
 
 /// The scripted proxy, an access point and `client` in one radio cell;
-/// the client has a WaveLAN card exactly when `wnic`. Returns the world
-/// and the proxy's and the client's node ids.
-fn build_world(proxy: ScriptedProxy, client: PowerClient, wnic: bool) -> (World, NodeId, NodeId) {
+/// the client has a live WaveLAN card exactly when `live_radio`. Returns
+/// the world and the proxy's and the client's node ids.
+fn build_world(
+    proxy: ScriptedProxy,
+    client: PowerClient,
+    live_radio: bool,
+) -> (World, NodeId, NodeId) {
     let mut world = World::new(5);
     let p = world.add_node(Box::new(proxy), NodeConfig::wired(PROXY));
     let ap = world.add_node(
@@ -133,11 +136,7 @@ fn build_world(proxy: ScriptedProxy, client: PowerClient, wnic: bool) -> (World,
     );
     let c = world.add_node(
         Box::new(client),
-        NodeConfig {
-            host: Some(CLIENT),
-            clock: ClockModel::perfect(),
-            wnic: wnic.then_some(CardSpec::WAVELAN_DSSS),
-        },
+        NodeConfig { host: Some(CLIENT), clock: ClockModel::perfect(), live_radio },
     );
     world.add_link(
         Endpoint { node: p, iface: IfaceId(0) },

@@ -19,7 +19,8 @@
 //!   contract, policed by the sim-purity lint's D005 rule);
 //! * [`bandwidth`] — the fitted linear send-cost model (§3.2.2);
 //! * [`marking`] — the three-counter end-of-burst marking protocol
-//!   (§3.2.2) with its `forwarded ≤ sent` invariant;
+//!   (§3.2.2) with its `forwarded ≤ sent` invariant, verbatim (the proxy
+//!   marks by stream offset through its TCP endpoints instead);
 //! * [`queues`] — byte-capped per-client packet queues;
 //! * [`admission`] — the §3.2.1 future-work admission controller;
 //! * [`invariants`] — runtime checks of the scheduler's contract (slot

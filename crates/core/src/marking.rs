@@ -18,6 +18,12 @@
 //! parallel-shard schedule change simulated bytes.) Retransmissions do not
 //! advance `f` — "for this case, `f` would not be incremented" — so a
 //! retransmitted byte range never produces a spurious mark.
+//!
+//! No product code calls it. The proxy marks by stream offset: every byte
+//! a splice's client half enqueues comes from a burst feed, so `s` is that
+//! endpoint's stream length, and the endpoint itself marks the segment
+//! that reaches `m` (`TcpEndpoint::set_mark`). The type stays for
+//! perfbench's marking floor (`core.marking_ns_per_burst`).
 
 /// Sentinel meaning "no mark requested".
 const NO_MARK: u64 = 0;

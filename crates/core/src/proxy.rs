@@ -46,7 +46,6 @@ use powerburst_transport::{TcpConfig, TcpEndpoint, TcpEvent};
 use crate::admission::{AdmissionControl, AdmissionStats};
 use crate::bandwidth::BandwidthModel;
 use crate::invariants::{InvariantKind, InvariantLog, ScheduleAuditor, Violation};
-use crate::marking::MarkCoordinator;
 use crate::policy::{PolicyKind, PolicyScratch};
 use crate::queues::PacketQueue;
 use crate::schedule::{BuilderConfig, ClientDemand, Schedule};
@@ -216,8 +215,6 @@ struct Splice {
     /// Server data awaiting a burst slot.
     pending: VecDeque<Bytes>,
     pending_bytes: u64,
-    /// The §3.2.2 three-counter marking protocol for this socket.
-    mark: MarkCoordinator,
     server_fin: bool,
     client_fin: bool,
     closed: bool,
@@ -749,15 +746,12 @@ impl Proxy {
             let now = ctx.now();
             let s = &mut self.splices[sid];
             if mark && Some(k) == last_feed {
-                // §3.2.2 protocol: the bursting thread copies `s` into `m`
-                // at the end of its burst; here the burst boundary is known
-                // up front, so nominate it before emission.
-                s.mark.on_burst_bytes(allow);
-                let m = s.mark.end_burst().expect("invariant: allow > 0 bytes were just burst");
-                s.client_side.set_mark(m);
+                // §3.2.2: mark the byte that ends the burst. Every byte
+                // the client half enqueues comes from these feeds, so that
+                // is the stream's end once this feed is in; nominate it
+                // before emission.
+                s.client_side.set_mark(s.client_side.stream_len() + allow);
                 nominated = true;
-            } else {
-                s.mark.on_burst_bytes(allow);
             }
             let mut left = allow;
             while left > 0 {
@@ -824,7 +818,6 @@ impl Proxy {
             server_side: TcpEndpoint::active(client_sock, server_sock, tcp),
             pending: VecDeque::new(),
             pending_bytes: 0,
-            mark: MarkCoordinator::new(),
             server_fin: false,
             client_fin: false,
             closed: false,

@@ -87,7 +87,7 @@ fn build(policy: PolicyKind, mode: ProxyMode, source: UdpSource) -> TestWorld {
     pcfg.mode = mode;
     let proxy = world.add_node(
         Box::new(Proxy::new(pcfg)),
-        NodeConfig { host: Some(PROXY_HOST), clock: Default::default(), wnic: None },
+        NodeConfig { host: Some(PROXY_HOST), clock: Default::default(), live_radio: false },
     );
     let ap = world.add_node(
         Box::new(AccessPoint::new(ApDelayParams::deterministic(300.0))),
@@ -95,7 +95,7 @@ fn build(policy: PolicyKind, mode: ProxyMode, source: UdpSource) -> TestWorld {
     );
     let client = world.add_node(
         Box::new(Recorder::default()),
-        NodeConfig { host: Some(CLIENT), clock: Default::default(), wnic: None },
+        NodeConfig { host: Some(CLIENT), clock: Default::default(), live_radio: false },
     );
     world.add_link(
         Endpoint { node: src, iface: IfaceId(0) },

@@ -117,11 +117,6 @@ impl Wnic {
         self.obs_client = client;
     }
 
-    /// The card spec this radio is using.
-    pub fn spec(&self) -> &CardSpec {
-        &self.spec
-    }
-
     /// Emit a state-transition event (no-op when observability is off).
     fn obs_transition(&self, t: SimTime, from: &'static str, to: &'static str) {
         self.obs.event(t.as_us(), EventKind::WnicState { client: self.obs_client, from, to });

@@ -4,7 +4,7 @@
 //! polices the *shape* of the workspace. It parses `use` / `pub use` /
 //! `mod` declarations across every crate (plus the root `src/`, treated as
 //! the `cli` crate), resolves one level of re-exports (so
-//! `use powerburst_obs::Stopwatch` is attributed to `obs::profile`), and
+//! `use powerburst_sim::ClockModel` is attributed to `sim::clock`), and
 //! checks the resulting import DAG against a declared contract:
 //!
 //! 1. **Layering** — every crate has a declared layer; an import edge may
@@ -16,10 +16,12 @@
 //!    fixture trees.)
 //! 3. **Module quarantines** — targeted deny rules below crate
 //!    granularity: `core` is pure policy (no sim engine, no net topology),
-//!    `obs::profile` (wall clock) is importable only by reporting
-//!    harnesses, `trace` may not import `obs` at all (export passivity),
-//!    and `lint: wire-encoding` marked modules may import only the
-//!    `net::addr` / `sim::time` vocabulary.
+//!    `trace` may not import `obs` at all (export passivity), and
+//!    `lint: wire-encoding` marked modules may import only the
+//!    `net::addr` / `sim::time` vocabulary. A deny rule must name a
+//!    module its target crate has: [`check_workspace_graph`] reports a
+//!    rule that names none, like a stale allowlist entry, because it can
+//!    never fire.
 //!
 //! The analysis is text-level, like the rest of this crate: it sees import
 //! paths as written, resolved through the target crate's top-level
@@ -253,13 +255,6 @@ impl Contract {
                 why: "core is pure policy: pipes are topology, not policy",
             },
             DenyRule {
-                from: None,
-                except: vec!["scenario", ROOT_CRATE, "obs"],
-                to: "obs",
-                to_module: Some("profile"),
-                why: "wall-clock profiling is quarantined to reporting harnesses",
-            },
-            DenyRule {
                 from: Some(vec!["trace"]),
                 except: vec![],
                 to: "obs",
@@ -461,6 +456,30 @@ impl ImportGraph {
         out
     }
 
+    /// Deny rules naming a module their target crate does not declare.
+    /// Such a rule can never fire, so it fails the lint the way a stale
+    /// allowlist entry does. Checked against the real workspace only: a
+    /// fixture tree declares just the modules its cases need.
+    fn stale_rules(&self, contract: &Contract) -> Vec<GraphViolation> {
+        contract
+            .deny
+            .iter()
+            .filter_map(|rule| {
+                let m = rule.to_module?;
+                let exists = self.modules.get(rule.to).is_some_and(|mods| mods.contains(m));
+                (!exists).then(|| GraphViolation {
+                    file: String::new(),
+                    line: 0,
+                    message: format!(
+                        "stale deny rule: `{0}::{m}` is not a module of `{0}` — remove the \
+                         rule from crates/lint/src/graph.rs",
+                        rule.to
+                    ),
+                })
+            })
+            .collect()
+    }
+
     /// Render the crate DAG as deterministic Graphviz DOT, one node per
     /// crate (labelled with its layer) and one edge per deduplicated
     /// crate-level import. Committed as a golden: a new edge changes this
@@ -485,10 +504,16 @@ impl ImportGraph {
 }
 
 /// Build and check the workspace graph in one call (the full-pass entry
-/// point used by the CLI and the tier-1 tests).
+/// point used by the CLI and the tier-1 tests): [`ImportGraph::check`]'s
+/// violations, then every deny rule that names a module its target crate
+/// does not declare — a rule that can never fire, reported the way a
+/// stale allowlist entry is.
 pub fn check_workspace_graph(root: &Path) -> io::Result<Vec<GraphViolation>> {
     let g = ImportGraph::build(root)?;
-    Ok(g.check(&Contract::powerburst()))
+    let contract = Contract::powerburst();
+    let mut out = g.check(&contract);
+    out.extend(g.stale_rules(&contract));
+    Ok(out)
 }
 
 /// Find one cycle in a directed graph, as the node path `a -> b -> a`.
@@ -760,8 +785,8 @@ mod tests {
             ]
         );
         assert_eq!(
-            split_use_targets("powerburst_obs::{profile::{BenchJob, Stopwatch}, Recorder}"),
-            vec!["powerburst_obs::profile", "powerburst_obs::Recorder"]
+            split_use_targets("powerburst_sim::{clock::{ClockModel, Skew}, SimTime}"),
+            vec!["powerburst_sim::clock", "powerburst_sim::SimTime"]
         );
         assert_eq!(split_use_targets("powerburst_obs as obs"), vec!["powerburst_obs as obs"]);
     }
@@ -774,6 +799,35 @@ mod tests {
         assert_eq!(decls[0].0, 1);
         assert_eq!(decls[0].1, "powerburst_net::{ Ctx, Node, }");
         assert_eq!(decls[1].1, "pub schedule::Schedule");
+    }
+
+    #[test]
+    fn a_rule_naming_a_missing_module_is_reported() {
+        let g = ImportGraph {
+            modules: BTreeMap::from([("sim".to_string(), BTreeSet::from(["clock".to_string()]))]),
+            ..ImportGraph::default()
+        };
+        let rule = |to, to_module| DenyRule {
+            from: Some(vec!["core"]),
+            except: vec![],
+            to,
+            to_module,
+            why: "test",
+        };
+        let contract = Contract {
+            layers: BTreeMap::new(),
+            deny: vec![
+                rule("sim", Some("clock")),
+                rule("sim", Some("events")),
+                rule("obs", None),
+                rule("gone", Some("anything")),
+            ],
+            wire_allowed: vec![],
+        };
+        let stale: Vec<String> = g.stale_rules(&contract).iter().map(|v| v.to_string()).collect();
+        assert_eq!(stale.len(), 2, "{stale:#?}");
+        assert!(stale[0].contains("`sim::events` is not a module of `sim`"), "{stale:#?}");
+        assert!(stale[1].contains("`gone::anything` is not a module of `gone`"), "{stale:#?}");
     }
 
     #[test]

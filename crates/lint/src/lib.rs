@@ -7,7 +7,7 @@
 //!
 //! | ID   | Rule |
 //! |------|------|
-//! | D001 | wall-clock types (`Instant`, `SystemTime`) only in `obs::profile` |
+//! | D001 | no wall-clock types (`Instant`, `SystemTime`) in any scanned file |
 //! | D002 | no `HashMap`/`HashSet` iteration in sim-path crates (order is nondeterministic) |
 //! | D003 | no `thread_rng`/`rand::random` outside the seeded `sim::rng` module |
 //! | D004 | no `thread::sleep` or environment access (`env::var`, …) in sim-path crates |
@@ -121,7 +121,7 @@ impl Rule {
     /// One-line statement of the rule, shown next to violations.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::D001 => "wall-clock time in sim code (Instant/SystemTime belong in obs::profile)",
+            Rule::D001 => "wall-clock time in workspace code (Instant/SystemTime belong in perfbench, which the lint does not scan)",
             Rule::D002 => "hash-container iteration in sim-path code (order is nondeterministic; use BTreeMap/BTreeSet or sort first)",
             Rule::D003 => "unseeded randomness (derive a seeded RNG from sim::rng instead)",
             Rule::D004 => "host-environment dependence in sim code (thread::sleep / env access)",
@@ -308,7 +308,7 @@ impl<'a> FileScope<'a> {
 
     fn applies(&self, rule: Rule) -> bool {
         match rule {
-            Rule::D001 => self.rel != "crates/obs/src/profile.rs",
+            Rule::D001 => true,
             Rule::D002 | Rule::D004 => self.is_sim_path(),
             Rule::D003 => self.rel != "crates/sim/src/rng.rs",
             Rule::D005 => true, // gated by the in-file marker instead

@@ -15,7 +15,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use powerburst_lint::graph::{Contract, GraphViolation, ImportGraph};
+use powerburst_lint::graph::{check_workspace_graph, Contract, GraphViolation, ImportGraph};
 use powerburst_lint::{lint_workspace, Report, ALLOWLIST_FILE};
 
 enum Mode {
@@ -66,19 +66,25 @@ fn main() -> ExitCode {
         },
     };
 
-    let contract = Contract::powerburst();
-    let graph = match ImportGraph::build(&root) {
-        Ok(g) => g,
+    if graph_only && dot {
+        return match ImportGraph::build(&root) {
+            Ok(g) => {
+                print!("{}", g.to_dot(&Contract::powerburst()));
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("powerburst-lint: {e}");
+                ExitCode::from(2)
+            }
+        };
+    }
+    let graph_violations = match check_workspace_graph(&root) {
+        Ok(v) => v,
         Err(e) => {
             eprintln!("powerburst-lint: {e}");
             return ExitCode::from(2);
         }
     };
-    if graph_only && dot {
-        print!("{}", graph.to_dot(&contract));
-        return ExitCode::SUCCESS;
-    }
-    let graph_violations = graph.check(&contract);
 
     let report = if graph_only {
         Report::default()

@@ -15,14 +15,17 @@ fn fired(report: &Report, file: &str) -> Vec<(usize, Rule)> {
 }
 
 #[test]
-fn d001_wall_clock_fires_in_sim_crates_only() {
+fn d001_wall_clock_fires_in_every_scanned_file() {
     let r = fixture("bad");
     assert_eq!(
         fired(&r, "crates/energy/src/meter.rs"),
         vec![(2, Rule::D001), (4, Rule::D001), (5, Rule::D001)]
     );
-    // obs::profile is the sanctioned home.
-    assert_eq!(fired(&r, "crates/obs/src/profile.rs"), vec![]);
+    // No file is exempt, `obs` included.
+    assert_eq!(
+        fired(&r, "crates/obs/src/profile.rs"),
+        vec![(3, Rule::D001), (5, Rule::D001), (6, Rule::D001)]
+    );
 }
 
 #[test]
@@ -136,7 +139,7 @@ fn d012_interior_mutability_fires_in_sim_path_crates() {
 #[test]
 fn bad_tree_has_no_surprise_violations() {
     let r = fixture("bad");
-    let expected = (3 + 2 + 2 + 2 + 2 + 3 + 2 + 2) + 4 + 3 + 1 + 2;
+    let expected = (6 + 2 + 2 + 2 + 2 + 3 + 2 + 2) + 4 + 3 + 1 + 2;
     assert_eq!(r.violations.len(), expected, "unexpected: {:#?}", r.violations);
     assert!(!r.is_clean());
 }

@@ -1,5 +1,5 @@
-//! Fixture: obs::profile is the sanctioned home for wall-clock time —
-//! D001 must NOT fire here.
+//! Fixture: no file is exempt from D001 — wall-clock time fires in `obs`
+//! as anywhere else the lint scans.
 use std::time::Instant;
 
 pub fn stopwatch() -> Instant {

@@ -1,6 +1,6 @@
-//! Fixture: `core` reaching the quarantined `obs::profile` through a
+//! Fixture: `core` reaching the quarantined `sim::clock` through a
 //! top-level re-export.
-use powerburst_obs::Stopwatch;
+use powerburst_sim::ClockModel;
 
 pub mod wire;
 

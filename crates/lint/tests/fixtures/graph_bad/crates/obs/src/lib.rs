@@ -1,6 +1,3 @@
-//! Fixture obs crate: re-exports `Stopwatch` from the quarantined
-//! `profile` module, so importer attribution must resolve through the
-//! re-export map.
-pub mod profile;
-
-pub use profile::Stopwatch;
+//! Fixture obs crate: the target of `trace`'s forbidden whole-crate
+//! import.
+pub struct Recorder;

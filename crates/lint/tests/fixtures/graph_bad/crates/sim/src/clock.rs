@@ -1,2 +1,2 @@
 //! Fixture quarantined module.
-pub struct Stopwatch;
+pub struct ClockModel;

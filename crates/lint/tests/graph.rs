@@ -19,25 +19,23 @@ fn check(name: &str) -> Vec<GraphViolation> {
 fn builder_discovers_crates_modules_and_edges() {
     let g = ImportGraph::build(&tree("graph_bad")).expect("readable");
     assert_eq!(g.crates, vec!["core", "energy", "obs", "sim", "trace", "widget"]);
-    assert!(g.modules["obs"].contains("profile"));
+    assert!(g.modules["sim"].contains("clock"));
     assert!(g.modules["sim"].contains("time"));
     assert!(g.modules["core"].contains("wire"));
 
     let edges = g.crate_edges();
     assert!(edges.contains(&("energy".into(), "core".into())));
-    assert!(edges.contains(&("core".into(), "obs".into())));
     assert!(edges.contains(&("core".into(), "sim".into())));
     assert!(edges.contains(&("trace".into(), "obs".into())));
 
-    // Re-export resolution: `use powerburst_obs::Stopwatch` is attributed
-    // to obs::profile through the `pub use profile::Stopwatch` surface.
+    // Re-export resolution: `use powerburst_sim::ClockModel` is attributed
+    // to sim::clock through the `pub use clock::ClockModel` surface.
     let quarantined = g
         .edges
         .iter()
-        .find(|e| e.from == "core" && e.to == "obs")
-        .expect("core -> obs edge present");
-    assert_eq!(quarantined.to_module.as_deref(), Some("profile"));
-    assert_eq!(quarantined.file, "crates/core/src/lib.rs");
+        .find(|e| e.file == "crates/core/src/lib.rs" && e.to == "sim")
+        .expect("core -> sim edge present in lib.rs");
+    assert_eq!(quarantined.to_module.as_deref(), Some("clock"));
     assert_eq!(quarantined.line, 3);
 
     // The wire-marked file is recorded.
@@ -58,10 +56,10 @@ fn graph_bad_tree_reports_every_contract_clause() {
             && m.contains("`energy` (layer 2) may not import `core` (layer 6)")),
         "{messages:#?}"
     );
-    // Clause 3: obs::profile quarantine reached through a re-export.
+    // Clause 3: sim::clock quarantine reached through a re-export.
     assert!(
         messages.iter().any(|m| m.starts_with("crates/core/src/lib.rs:3 ")
-            && m.contains("forbidden edge `core` -> `obs::profile`")),
+            && m.contains("forbidden edge `core` -> `sim::clock`")),
         "{messages:#?}"
     );
     // Clause 3: trace may not import obs at all.

@@ -1,10 +1,12 @@
 //! Deterministic fault injection for the radio path.
 //!
-//! The paper's evaluation (§4.3) stresses the system with a lossy channel;
-//! this module generalizes that single knob into a seedable *fault plan*
-//! covering the degraded-infrastructure modes a deployment actually sees:
+//! The paper's evaluation (§4.3) stresses the system with a lossy channel
+//! (DummyNet's 5 % drops on the radio hop); a seedable *fault plan* is
+//! that channel and the other degraded-infrastructure modes a deployment
+//! actually sees:
 //!
-//! * **frame loss** — a frame burns its airtime but nobody decodes it;
+//! * **frame loss** — a frame burns its airtime but nobody decodes it (the
+//!   DummyNet channel of E9);
 //! * **duplication** — the sender retransmits, burning a second airtime
 //!   slot and delivering a second copy (transport must dedupe);
 //! * **reordering** — a frame is held back on the medium so later frames

@@ -27,10 +27,6 @@ pub struct AirtimeModel {
     pub per_byte_us: f64,
     /// Uniform extra jitter in `[0, jitter_us]`, microseconds.
     pub jitter_us: u64,
-    /// Per-frame corruption probability (the frame consumes its airtime
-    /// but is delivered to nobody) — the DummyNet-style lossy-channel knob
-    /// of §4.3.
-    pub loss_prob: f64,
 }
 
 impl AirtimeModel {
@@ -41,7 +37,6 @@ impl AirtimeModel {
         fixed_us: 900.0,
         per_byte_us: 8.0 / 11.0, // 0.727 us per byte at 11 Mbps
         jitter_us: 60,
-        loss_prob: 0.0,
     };
 
     /// Deterministic (jitter-free) airtime for `bytes`.
@@ -96,11 +91,6 @@ impl Medium {
     /// New idle medium.
     pub fn new(airtime: AirtimeModel, max_backlog: SimDuration) -> Medium {
         Medium { airtime, busy_until: SimTime::ZERO, max_backlog, drops: 0 }
-    }
-
-    /// The airtime model in force.
-    pub fn airtime_model(&self) -> &AirtimeModel {
-        &self.airtime
     }
 
     /// Attempt to transmit `bytes` starting no earlier than `now`.
@@ -180,10 +170,7 @@ mod tests {
         assert!(dropped > 0, "must eventually drop");
         assert_eq!(med.drops, dropped);
         // Backlog bounded by the cap plus one frame.
-        assert!(
-            med.backlog(SimTime::ZERO)
-                <= SimDuration::from_ms(5) + med.airtime_model().airtime(1400)
-        );
+        assert!(med.backlog(SimTime::ZERO) <= SimDuration::from_ms(5) + no_jitter().airtime(1400));
     }
 
     #[test]
@@ -200,7 +187,7 @@ mod tests {
 
     #[test]
     fn jitter_bounded() {
-        let m = AirtimeModel { fixed_us: 100.0, per_byte_us: 1.0, jitter_us: 50, loss_prob: 0.0 };
+        let m = AirtimeModel { fixed_us: 100.0, per_byte_us: 1.0, jitter_us: 50 };
         let mut rng = derive_rng(1, 4);
         for _ in 0..200 {
             let a = m.airtime_jittered(100, &mut rng).as_us();

@@ -53,10 +53,10 @@ pub struct SnifferRecord {
     /// Delivery outcome at the addressed receiver.
     pub delivery: Delivery,
     /// Payload, retained only for broadcast frames (schedule messages) so
-    /// the postmortem analyzer can decode them. Unicast data payloads are
-    /// dropped to keep long captures cheap; `Bytes` makes retention
-    /// zero-copy anyway.
-    pub payload: Option<Bytes>,
+    /// the postmortem analyzer can decode them; empty for unicast frames,
+    /// whose data payloads are dropped to keep long captures cheap. `Bytes`
+    /// makes retention zero-copy, and an empty view owns no buffer.
+    pub payload: Bytes,
 }
 
 impl SnifferRecord {
@@ -72,7 +72,7 @@ impl SnifferRecord {
             airtime,
             tos_mark: pkt.tos_mark,
             delivery,
-            payload: pkt.is_broadcast().then(|| pkt.payload.clone()),
+            payload: if pkt.is_broadcast() { pkt.payload.clone() } else { Bytes::new() },
         }
     }
 }
@@ -140,6 +140,19 @@ mod tests {
         assert_eq!(r.pkt_id, 7);
         assert_eq!(r.wire_size, 20 + 8 + 50);
         assert_eq!(r.delivery, Delivery::Delivered);
+    }
+
+    #[test]
+    fn only_broadcast_records_keep_their_payload() {
+        let unicast = pkt();
+        let rec =
+            SnifferRecord::of(SimTime::ZERO, &unicast, SimDuration::ZERO, Delivery::Delivered);
+        assert!(rec.payload.is_empty(), "a unicast payload is not kept");
+        let mut bcast = pkt();
+        bcast.dst = SockAddr::new(HostAddr::BROADCAST, 20);
+        let rec = SnifferRecord::of(SimTime::ZERO, &bcast, SimDuration::ZERO, Delivery::Broadcast);
+        assert_eq!(rec.payload.len(), 50);
+        assert_eq!(rec.payload, bcast.payload, "a broadcast keeps its bytes");
     }
 
     #[test]

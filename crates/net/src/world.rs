@@ -71,22 +71,23 @@ pub struct NodeConfig {
     pub host: Option<HostAddr>,
     /// Local clock model.
     pub clock: ClockModel,
-    /// A WNIC spec makes this node a *live* radio client: it genuinely
-    /// sleeps and misses frames. `None` on a wireless node means the radio
-    /// is always listening (the paper's methodology: clients capture
-    /// everything and energy is computed postmortem).
-    pub wnic: Option<CardSpec>,
+    /// A live radio client carries the testbed's WaveLAN card
+    /// ([`CardSpec::WAVELAN_DSSS`]): it genuinely sleeps and misses frames.
+    /// Otherwise a wireless node's radio is always listening (the paper's
+    /// methodology: clients capture everything and energy is computed
+    /// postmortem).
+    pub live_radio: bool,
 }
 
 impl NodeConfig {
     /// A wired node owning `host`.
     pub fn wired(host: HostAddr) -> NodeConfig {
-        NodeConfig { host: Some(host), clock: ClockModel::perfect(), wnic: None }
+        NodeConfig { host: Some(host), clock: ClockModel::perfect(), live_radio: false }
     }
 
     /// An infrastructure node (switch/AP/shaper) owning no host address.
     pub fn infrastructure() -> NodeConfig {
-        NodeConfig { host: None, clock: ClockModel::perfect(), wnic: None }
+        NodeConfig { host: None, clock: ClockModel::perfect(), live_radio: false }
     }
 }
 
@@ -130,10 +131,10 @@ enum Attachment {
 /// cross-cell traffic always goes radio → AP → wired.
 struct Cell {
     medium: Medium,
-    /// Cell-local medium RNG (backoff jitter + channel corruption). Cell
-    /// `k` draws from stream `AP_DELAY + k`, so cell 0 reproduces the
-    /// legacy single-medium sequence byte-for-byte and each extra cell
-    /// gets an independent, insertion-order-stable stream.
+    /// Cell-local medium RNG (backoff jitter). Cell `k` draws from stream
+    /// `AP_DELAY + k`, so cell 0 reproduces the legacy single-medium
+    /// sequence byte-for-byte and each extra cell gets an independent,
+    /// insertion-order-stable stream.
     rng: StdRng,
     /// The access point bridging this cell toward wired hosts.
     ap: NodeId,
@@ -278,11 +279,6 @@ impl World {
         }
     }
 
-    /// The master seed this world was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Set the worker-thread count for multi-shard runs (1 by default).
     /// Purely a scheduling knob: results are identical for any value.
     pub fn set_threads(&mut self, threads: usize) {
@@ -355,7 +351,7 @@ impl World {
             clock: cfg.clock,
             rng: derive_rng(self.seed, streams::NODE_BASE + id.0 as u64),
             host: cfg.host,
-            wnic: cfg.wnic.map(Wnic::new),
+            wnic: cfg.live_radio.then(|| Wnic::new(CardSpec::WAVELAN_DSSS)),
             wireless_iface: None,
             attachments: Vec::new(),
             stats: NodeStats::default(),
@@ -846,20 +842,16 @@ impl Exec<'_> {
     /// traffic never leaves the shard: every cell member (and the AP that
     /// bridges outward) lives on the cell's shard.
     fn radio_deliver(&mut self, pkt: Packet, from: NodeId, airtime: SimDuration) {
-        use rand::Rng;
         let now = self.s.now;
         let gci = self.topo.node_cell[from.index()]
             .expect("invariant: radio frames originate from cell members");
         let cix = self.local_cell(gci);
-        // Injected faults (generic frame loss plus targeted SRP drops),
-        // then channel corruption (the §4.3 lossy-channel validation
-        // knob): the frame burned its airtime but nobody decodes it. The
-        // cell RNG is drawn only for frames the fault injector passed.
-        let cell = &mut self.s.cells[cix];
+        // Injected faults (frame loss, the §4.3 lossy channel, plus
+        // targeted SRP drops): the frame burned its airtime but nobody
+        // decodes it.
         let is_schedule = pkt.is_broadcast() && pkt.dst.port == ports::SCHEDULE;
-        let loss_prob = cell.medium.airtime_model().loss_prob;
-        let corrupted = cell.faults.as_mut().is_some_and(|f| f.should_drop(is_schedule))
-            || (loss_prob > 0.0 && cell.rng.random::<f64>() < loss_prob);
+        let corrupted =
+            self.s.cells[cix].faults.as_mut().is_some_and(|f| f.should_drop(is_schedule));
         // Transmit-side energy (client uplink: TCP ACKs, stream feedback),
         // paid whether or not the frame was decoded.
         bill_transmit(self.local_slot(from), now, airtime);
@@ -1064,11 +1056,7 @@ mod tests {
         let ap = w.add_node(Box::new(MiniAp), NodeConfig::infrastructure());
         let client = w.add_node(
             chatter(SockAddr::new(hc, 2), SockAddr::new(hs, 1), false),
-            NodeConfig {
-                host: Some(hc),
-                clock: ClockModel::perfect(),
-                wnic: Some(CardSpec::WAVELAN_DSSS),
-            },
+            NodeConfig { host: Some(hc), clock: ClockModel::perfect(), live_radio: true },
         );
         w.add_link(
             Endpoint { node: server, iface: IfaceId(0) },
@@ -1120,11 +1108,7 @@ mod tests {
         let ap = w.add_node(Box::new(MiniAp), NodeConfig::infrastructure());
         let client = w.add_node(
             Box::new(Sleeper),
-            NodeConfig {
-                host: Some(hc),
-                clock: ClockModel::perfect(),
-                wnic: Some(CardSpec::WAVELAN_DSSS),
-            },
+            NodeConfig { host: Some(hc), clock: ClockModel::perfect(), live_radio: true },
         );
         w.add_link(
             Endpoint { node: server, iface: IfaceId(0) },
@@ -1156,11 +1140,7 @@ mod tests {
         let ap = w.add_node(Box::new(MiniAp), NodeConfig::infrastructure());
         let client = w.add_node(
             chatter(SockAddr::new(hc, 2), SockAddr::new(hs, 1), true),
-            NodeConfig {
-                host: Some(hc),
-                clock: ClockModel::perfect(),
-                wnic: Some(CardSpec::WAVELAN_DSSS),
-            },
+            NodeConfig { host: Some(hc), clock: ClockModel::perfect(), live_radio: true },
         );
         w.add_link(
             Endpoint { node: server, iface: IfaceId(0) },
@@ -1221,12 +1201,12 @@ mod tests {
         let ap0 = w.add_node(Box::new(BcastAp), NodeConfig::infrastructure());
         let client0 = w.add_node(
             chatter(SockAddr::new(h0, 2), SockAddr::new(h1, 2), false),
-            NodeConfig { host: Some(h0), clock: ClockModel::perfect(), wnic: None },
+            NodeConfig { host: Some(h0), clock: ClockModel::perfect(), live_radio: false },
         );
         let ap1 = w.add_node(Box::new(MiniAp), NodeConfig::infrastructure());
         let client1 = w.add_node(
             chatter(SockAddr::new(h1, 2), SockAddr::new(h0, 2), false),
-            NodeConfig { host: Some(h1), clock: ClockModel::perfect(), wnic: None },
+            NodeConfig { host: Some(h1), clock: ClockModel::perfect(), live_radio: false },
         );
         w.add_link(
             Endpoint { node: ap0, iface: IfaceId(0) },

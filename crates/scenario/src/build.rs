@@ -234,7 +234,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         }
         let proxy = world.add_node(
             Box::new(proxy_node),
-            NodeConfig { host: Some(shard_host), clock: ClockModel::perfect(), wnic: None },
+            NodeConfig { host: Some(shard_host), clock: ClockModel::perfect(), live_radio: false },
         );
 
         let mut ap_node = AccessPoint::new(ApDelayParams::default());
@@ -277,8 +277,7 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
             Endpoint { node: ap, iface: AP_WIRED },
             LinkSpec::FAST_ETHERNET,
         );
-        let airtime = AirtimeModel { loss_prob: cfg.radio_loss, ..AirtimeModel::DSSS_11MBPS };
-        let cell_idx = world.add_cell(airtime, MEDIUM_BACKLOG, ap);
+        let cell_idx = world.add_cell(AirtimeModel::DSSS_11MBPS, MEDIUM_BACKLOG, ap);
         debug_assert_eq!(cell_idx, c);
         world.attach_wireless_cell(ap, powerburst_net::AP_RADIO, c);
         if multi {
@@ -336,13 +335,12 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
         clock.drift_ppm += clock_skew_ramp(&cfg.faults, &mut skew_rng);
         // A Monitor-mode radio never sleeps and `postmortem` runs the
         // client policy, so the daemon there only hosts the app.
-        let (daemon, wnic) = match cfg.radio {
-            RadioMode::Monitor => (PowerClient::monitor(app), None),
-            RadioMode::Live => {
-                (PowerClient::live(host, spec.policy_params(), app), Some(CardSpec::WAVELAN_DSSS))
-            }
+        let (daemon, live_radio) = match cfg.radio {
+            RadioMode::Monitor => (PowerClient::monitor(app), false),
+            RadioMode::Live => (PowerClient::live(host, spec.policy_params(), app), true),
         };
-        let node = world.add_node(Box::new(daemon), NodeConfig { host: Some(host), clock, wnic });
+        let node =
+            world.add_node(Box::new(daemon), NodeConfig { host: Some(host), clock, live_radio });
         world.attach_wireless_cell(node, IfaceId(0), cfg.cell_of(i));
         client_ids.push(node);
     }

@@ -33,13 +33,17 @@ pub struct Calibration {
     pub samples: usize,
 }
 
-/// Sends `per_size` probes of each size, paced so the channel is idle
+/// Probe payload sizes, bytes: small control packets to full frames.
+const SIZES: [usize; 8] = [64, 128, 256, 512, 750, 1_000, 1_250, 1_472];
+
+/// Probes sent at each size.
+const PER_SIZE: usize = 20;
+
+/// Sends [`PER_SIZE`] probes of each size, paced so the channel is idle
 /// between probes (microbenchmark conditions).
 struct ProbeSource {
     addr: SockAddr,
     dst: SockAddr,
-    sizes: Vec<usize>,
-    per_size: usize,
     gap: SimDuration,
     idx: usize,
     count: usize,
@@ -53,15 +57,15 @@ impl Node for ProbeSource {
     fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _iface: IfaceId, _pkt: Packet) {}
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: TimerToken) {
-        let Some(&size) = self.sizes.get(self.idx) else { return };
+        let Some(&size) = SIZES.get(self.idx) else { return };
         let payload = Bytes::from(vec![0x5Au8; size]);
         ctx.send_assigning(IfaceId(0), Packet::udp(0, self.addr, self.dst, payload));
         self.count += 1;
-        if self.count >= self.per_size {
+        if self.count >= PER_SIZE {
             self.count = 0;
             self.idx += 1;
         }
-        if self.idx < self.sizes.len() {
+        if self.idx < SIZES.len() {
             ctx.set_timer(self.gap, 0);
         }
     }
@@ -71,21 +75,18 @@ impl Node for ProbeSource {
     }
 }
 
-/// Run the microbenchmark over `sizes` (payload bytes per probe), with
-/// `per_size` packets each.
-pub fn calibrate(seed: u64, sizes: &[usize], per_size: usize) -> Calibration {
+/// Run the microbenchmark in a world seeded with `seed`.
+pub fn calibrate(seed: u64) -> Calibration {
     let server = HostAddr(1);
     let client = HostAddr(2);
     let mut world = World::new(seed);
 
     let gap = SimDuration::from_ms(5);
-    let total_probes = sizes.len() * per_size;
+    let total_probes = SIZES.len() * PER_SIZE;
     let probe = world.add_node(
         Box::new(ProbeSource {
             addr: SockAddr::new(server, 4000),
             dst: SockAddr::new(client, 4000),
-            sizes: sizes.to_vec(),
-            per_size,
             gap,
             idx: 0,
             count: 0,
@@ -98,7 +99,7 @@ pub fn calibrate(seed: u64, sizes: &[usize], per_size: usize) -> Calibration {
     );
     let sink = world.add_node(
         Box::new(NaiveClient::new(Box::new(CountingSink::new()))),
-        NodeConfig { host: Some(client), clock: Default::default(), wnic: None },
+        NodeConfig { host: Some(client), clock: Default::default(), live_radio: false },
     );
     world.add_link(
         Endpoint { node: probe, iface: IfaceId(0) },
@@ -124,16 +125,13 @@ pub fn calibrate(seed: u64, sizes: &[usize], per_size: usize) -> Calibration {
     Calibration { model, r2, samples: samples.len() }
 }
 
-/// Default probe sizes spanning small control packets to full frames.
-pub const DEFAULT_SIZES: [usize; 8] = [64, 128, 256, 512, 750, 1_000, 1_250, 1_472];
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn calibration_recovers_medium_model() {
-        let cal = calibrate(7, &DEFAULT_SIZES, 10);
+        let cal = calibrate(7);
         assert!(cal.samples >= 70, "samples {}", cal.samples);
         assert!(cal.r2 > 0.98, "r2 {}", cal.r2);
         let truth = AirtimeModel::DSSS_11MBPS;
@@ -155,7 +153,7 @@ mod tests {
 
     #[test]
     fn calibrated_model_predicts_airtime() {
-        let cal = calibrate(9, &DEFAULT_SIZES, 8);
+        let cal = calibrate(9);
         let predicted = cal.model.send_time(1_000).as_us() as f64;
         let truth = AirtimeModel::DSSS_11MBPS.airtime(1_000).as_us() as f64;
         assert!((predicted - truth).abs() / truth < 0.08, "{predicted} vs {truth}");

@@ -135,9 +135,6 @@ pub enum RadioMode {
 pub struct ScenarioConfig {
     /// Master seed (drives every random stream).
     pub seed: u64,
-    /// Per-frame corruption probability on the radio hop, drawn from each
-    /// cell's medium stream: the DummyNet lossy channel of §4.3 (E9).
-    pub radio_loss: f64,
     /// Max client clock drift, ppm (uniform ±).
     pub clock_drift_ppm: f64,
     /// Proxy scheduling policy. `assemble` gives each policy the inputs
@@ -163,7 +160,8 @@ pub struct ScenarioConfig {
     /// Run §3.2.1 admission control at the proxy.
     pub admission: bool,
     /// Deterministic fault injection (loss/dup/reorder/SRP drops, AP
-    /// jitter spikes, clock-skew ramps). Defaults to no faults.
+    /// jitter spikes, clock-skew ramps). Defaults to no faults. Frame loss
+    /// is also the DummyNet lossy channel of §4.3 (E9).
     pub faults: FaultPlan,
     /// Observability (metrics/events) collection. Defaults to off.
     pub obs: ObsConfig,
@@ -195,7 +193,6 @@ impl ScenarioConfig {
     pub fn new(seed: u64, policy: PolicyKind, clients: Vec<ClientSpec>) -> ScenarioConfig {
         ScenarioConfig {
             seed,
-            radio_loss: 0.0,
             clock_drift_ppm: 50.0,
             policy,
             proxy_mode: ProxyMode::Split,

@@ -9,12 +9,12 @@
 
 use powerburst_core::{CompMode, PolicyKind, ProxyMode, DEFAULT_TARGET_BUFFER};
 use powerburst_energy::{optimal_savings_for_rate, CardSpec};
-use powerburst_net::AirtimeModel;
-use powerburst_sim::{parallel_sweep, SimDuration};
+use powerburst_net::{AirtimeModel, FaultPlan, SnifferRecord};
+use powerburst_sim::{parallel_sweep, SimDuration, SimTime, Summary};
 use powerburst_traffic::{Fidelity, WebScriptConfig};
 
-use crate::build::run_scenario;
-use crate::calibrate::{calibrate, DEFAULT_SIZES};
+use crate::build::{assemble, postmortem, run_scenario};
+use crate::calibrate::calibrate;
 use crate::config::{ClientKind, ClientSpec, RadioMode, ScenarioConfig, VideoPattern};
 use crate::report::{banner, fmt_summary, Table};
 use crate::results::ClientResult;
@@ -215,6 +215,17 @@ pub fn city_cfg(seed: u64, n: usize, duration: SimDuration) -> ScenarioConfig {
     cfg
 }
 
+/// Run `cfg`'s world to its end and return the capture. A Monitor-mode
+/// world never reads the client's replay parameters
+/// (`ClientSpec::early_transition`, `skip_unchanged`), so a sweep over
+/// them replays this one capture through [`postmortem`] per value.
+fn capture(cfg: &ScenarioConfig) -> Vec<SnifferRecord> {
+    debug_assert_eq!(cfg.radio, RadioMode::Monitor, "a live radio runs the policy in the world");
+    let mut a = assemble(cfg);
+    a.world.run_until(SimTime::ZERO + cfg.duration);
+    a.world.take_trace()
+}
+
 /// One rendered table: the header line, then one line per row of cells.
 fn table(headers: &[&str], rows: impl IntoIterator<Item = Vec<String>>) -> String {
     let mut t = Table::new(headers.to_vec());
@@ -380,25 +391,27 @@ fn tab_optimal(opt: &ExpOptions) -> String {
 }
 
 /// E5 — Figure 6: one client, 100 ms interval, early-transition amount
-/// ∈ {0,2,4,6,8,10} ms.
+/// ∈ {0,2,4,6,8,10} ms. The amount is a replay parameter, so one capture
+/// is replayed once per amount.
 fn fig6_early_transition(opt: &ExpOptions) -> String {
-    let rows = parallel_sweep(vec![0u64, 2, 4, 6, 8, 10], opt.threads, |&early_ms| {
-        let mut spec = ClientSpec::new(ClientKind::Video { fidelity: Fidelity::K56 });
-        spec.early_transition = SimDuration::from_ms(early_ms);
-        let r = run_scenario(&opt.scenario(IntervalKind::Fixed100.policy(), vec![spec]));
-        let c = &r.clients[0];
-        let card = CardSpec::WAVELAN_DSSS;
+    let spec = ClientSpec::new(ClientKind::Video { fidelity: Fidelity::K56 });
+    let mut cfg = opt.scenario(IntervalKind::Fixed100.policy(), vec![spec]);
+    let trace = capture(&cfg);
+    let card = CardSpec::WAVELAN_DSSS;
+    let rows = [0u64, 2, 4, 6, 8, 10].map(|early_ms| {
+        cfg.clients[0].early_transition = SimDuration::from_ms(early_ms);
+        let post = &postmortem(&cfg, &trace)[0];
         // Energy wasted waking early and on missed schedules, joules.
-        let early_j = c.post.early_waste_mj(&card) / 1_000.0;
-        let missed_j = c.post.missed_waste_mj(&card) / 1_000.0;
+        let early_j = post.early_waste_mj(&card) / 1_000.0;
+        let missed_j = post.missed_waste_mj(&card) / 1_000.0;
         vec![
             early_ms.to_string(),
             format!("{early_j:.2}"),
             format!("{missed_j:.2}"),
             format!("{:.2}", early_j + missed_j),
-            format!("{:.2}", c.loss_pct()),
-            c.post.schedules_missed.to_string(),
-            format!("{:.1}", c.saved_pct()),
+            format!("{:.2}", post.loss_fraction() * 100.0),
+            post.schedules_missed.to_string(),
+            format!("{:.1}", post.saved * 100.0),
         ]
     });
     let mut out = banner("Figure 6 — effect of the early-transition amount (100 ms interval)");
@@ -546,15 +559,15 @@ fn fig7_slotted_static(opt: &ExpOptions) -> String {
 /// increase and a small energy increase versus the capture-everything
 /// methodology. The DummyNet row reproduces the paper's lossy-channel
 /// validation (a 4 Mb/s effective medium — ours already is — with 2 ms
-/// RTT and 5 % drops on the radio hop); a wired-path pipe variant is also
-/// included for reference.
+/// RTT and 5 % drops on the radio hop, the fault plan's frame loss); a
+/// wired-path pipe variant is also included for reference.
 fn tab_drop_impact(opt: &ExpOptions) -> String {
-    let mk = |radio: RadioMode, pipe: bool, radio_loss: f64| {
+    let mk = |radio: RadioMode, pipe: bool, loss_prob: f64| {
         let ftp = ClientSpec::new(ClientKind::Ftp { size: 2_000_000 });
         let mut cfg = opt.scenario(IntervalKind::Fixed100.policy(), vec![ftp]);
         cfg.radio = radio;
         cfg.pipe = pipe;
-        cfg.radio_loss = radio_loss;
+        cfg.faults = FaultPlan { loss_prob, ..FaultPlan::NONE };
         cfg
     };
     let configs = vec![
@@ -662,22 +675,23 @@ fn abl_split_connection(opt: &ExpOptions) -> String {
 /// static schedule, where consecutive schedules are identical and the
 /// flag fires every interval.
 fn abl_schedule_unchanged(opt: &ExpOptions) -> String {
-    let configs = vec![("baseline", false), ("skip-unchanged (§5)", true)];
-    let rows = parallel_sweep(configs, opt.threads, |(label, skip)| {
-        let mut clients = video_clients(VideoPattern::All56, 10);
-        for c in &mut clients {
-            c.skip_unchanged = *skip;
+    let policy = PolicyKind::StaticEqual { interval: SimDuration::from_ms(100) };
+    let mut cfg = opt.scenario(policy, video_clients(VideoPattern::All56, 10));
+    cfg.flag_unchanged = true;
+    let trace = capture(&cfg);
+    let rows = [("baseline", false), ("skip-unchanged (§5)", true)].map(|(label, skip)| {
+        for c in &mut cfg.clients {
+            c.skip_unchanged = skip;
         }
-        let policy = PolicyKind::StaticEqual { interval: SimDuration::from_ms(100) };
-        let mut cfg = opt.scenario(policy, clients);
-        cfg.flag_unchanged = true;
-        let r = run_scenario(&cfg);
-        let skipped_wakes: u64 = r.clients.iter().map(|c| c.post.skipped_srp_wakes).sum();
+        let posts = postmortem(&cfg, &trace);
+        let skipped_wakes: u64 = posts.iter().map(|p| p.skipped_srp_wakes).sum();
+        let saved = Summary::from_iter(posts.iter().map(|p| p.saved * 100.0));
+        let loss = Summary::from_iter(posts.iter().map(|p| p.loss_fraction() * 100.0));
         vec![
             label.to_string(),
-            fmt_summary(&r.saved_all()),
+            fmt_summary(&saved),
             skipped_wakes.to_string(),
-            format!("{:.2}", r.loss_summary(|_| true).mean),
+            format!("{:.2}", loss.mean),
         ]
     });
     let mut out = banner("Ablation A2 — §5 schedule-unchanged optimization (static @100 ms)");
@@ -854,7 +868,7 @@ fn ab_policy_comparison(opt: &ExpOptions) -> String {
 /// model and compare the fit with the medium's true airtime.
 fn tab_bandwidth_model(opt: &ExpOptions) -> String {
     let truth = AirtimeModel::DSSS_11MBPS;
-    let cal = calibrate(opt.seed, &DEFAULT_SIZES, 20);
+    let cal = calibrate(opt.seed);
     let mut out = banner("M1 — bandwidth microbenchmark and linear fit (§3.2.2)");
     out.push_str(&format!(
         "fitted:  time_us = {:.1} + {:.4} * bytes   (R² = {:.4}, {} samples)\n",

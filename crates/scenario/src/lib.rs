@@ -27,7 +27,7 @@ pub mod report;
 pub mod results;
 
 pub use build::{assemble, collect, hosts, postmortem, run_scenario, Assembled, MAX_CELLS};
-pub use calibrate::{calibrate, Calibration, DEFAULT_SIZES};
+pub use calibrate::{calibrate, Calibration};
 pub use config::{ClientKind, ClientSpec, ObsConfig, RadioMode, ScenarioConfig, VideoPattern};
 pub use report::{banner, fmt_summary, Table};
 pub use results::{AppMetrics, ClientResult, FtpSummary, LiveSummary, ScenarioResult, WebSummary};

@@ -93,7 +93,6 @@ struct Replay {
     ap_drops: u64,
     bytes_delivered: u64,
     naive_rx_airtime: SimDuration,
-    tx_airtime: SimDuration,
 }
 
 impl Replay {
@@ -135,7 +134,6 @@ impl Replay {
             // The client's own uplink (ACKs, receiver reports): billed as
             // transmit energy for both the policy and the naive client.
             self.wnic.on_transmit(t, rec.airtime);
-            self.tx_airtime += rec.airtime;
             return;
         }
         if rec.delivery == Delivery::Broadcast {
@@ -146,8 +144,7 @@ impl Replay {
                 if rec.dst.port != ports::SCHEDULE {
                     return;
                 }
-                let Some(payload) = &rec.payload else { return };
-                if Schedule::decode_into(payload, &mut self.sched) {
+                if Schedule::decode_into(&rec.payload, &mut self.sched) {
                     self.policy.on_schedule(t, t.as_us() as i64, &self.sched, &mut self.stats);
                     self.drive(t);
                 }
@@ -191,7 +188,6 @@ pub fn analyze_client(
         ap_drops: 0,
         bytes_delivered: 0,
         naive_rx_airtime: SimDuration::ZERO,
-        tx_airtime: SimDuration::ZERO,
     };
     for rec in records {
         r.fire_timers(rec.t);
@@ -200,8 +196,7 @@ pub fn analyze_client(
     r.fire_timers(run_end);
     r.policy.close(run_end, &mut r.stats);
     let energy = r.wnic.report_at(run_end);
-    let naive =
-        naive_energy_mj(&card, run_end.since(SimTime::ZERO), r.naive_rx_airtime, r.tx_airtime);
+    let naive = naive_energy_mj(&card, run_end.since(SimTime::ZERO), r.naive_rx_airtime, energy.tx);
     PostmortemReport {
         energy_mj: energy.total_mj,
         naive_mj: naive,

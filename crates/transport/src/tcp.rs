@@ -5,14 +5,15 @@
 //! SYN-ACK / ACK), cumulative acknowledgment with a sliding window bounded
 //! by both the peer's advertised window and Reno congestion control, RTT
 //! estimation with Karn's rule, retransmission timeouts with exponential
-//! backoff, fast retransmit on three duplicate ACKs, in-order delivery via
-//! reassembly, and FIN teardown.
+//! backoff, fast retransmit on three duplicate ACKs, RFC 3042 limited
+//! transmit, delayed ACKs (every second in-order segment, or after
+//! [`TcpConfig::delack_timeout`]), in-order delivery via reassembly, and
+//! FIN teardown.
 //!
 //! Deliberate simplifications (documented, none affect the paper's
 //! phenomena): initial sequence numbers are zero, sequence space is the
 //! 64-bit stream offset (+1 for the SYN) so wraparound never occurs for
-//! streams under 4 GiB, there is no delayed ACK, and RST handling is
-//! "tear down immediately".
+//! streams under 4 GiB, and RST handling is "tear down immediately".
 //!
 //! The endpoint is sans-IO: it never touches the event loop. Methods
 //! mutate state and buffer outputs; the owning node drains

@@ -6,7 +6,6 @@
 //!                [--ftp BYTES] [--live] [--admission]
 //!                [--trace-out FILE] [--metrics-out FILE]
 //!                [--trace-events FILE] [--fail-on-invariants]
-//! powerburst calibrate [--seed K]
 //! powerburst experiment <name>|all [--secs S] [--seed K]
 //! powerburst list
 //! ```
@@ -37,7 +36,6 @@ fn main() -> ExitCode {
     let rest = &args[1..];
     let outcome = match cmd.as_str() {
         "run" => cmd_run(rest),
-        "calibrate" => cmd_calibrate(rest),
         "experiment" => cmd_experiment(rest),
         "list" => {
             println!("experiments:");
@@ -74,7 +72,6 @@ USAGE:
                  [--fault-reorder-ms M] [--fault-sched-drop P]
                  [--fault-jitter-ms M] [--fault-jitter-prob P]
                  [--fault-skew-ppm X]
-  powerburst calibrate [--seed K]
   powerburst experiment <name>|all [--secs S] [--seed K]
   powerburst list";
 
@@ -414,18 +411,6 @@ fn write_obs_exports(
         eprintln!("events: {} ({} dropped) -> {path}", rep.events.len(), rep.events_dropped);
     }
     Ok(())
-}
-
-fn cmd_calibrate(args: &[String]) -> Result<ExitCode, Usage> {
-    let f = Flags::new(args, &["--seed"], &[])?;
-    let seed: u64 = f.parse("--seed", 7)?;
-    let cal = calibrate(seed, &powerburst::scenario::DEFAULT_SIZES, 20);
-    println!(
-        "fitted send-cost model: time_us = {:.1} + {:.4} * bytes (R² {:.4}, {} samples)",
-        cal.model.alpha_us, cal.model.beta_us, cal.r2, cal.samples
-    );
-    println!("effective bandwidth at 728 B frames: {:.2} Mb/s", cal.model.effective_bps(728) / 1e6);
-    Ok(ExitCode::SUCCESS)
 }
 
 fn cmd_experiment(args: &[String]) -> Result<ExitCode, Usage> {

@@ -8,6 +8,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use powerburst::golden::{check_golden, render_postmortem};
+use powerburst::net::Delivery;
 use powerburst::obs::EventKind;
 use powerburst::prelude::*;
 use powerburst::trace::to_jsonl;
@@ -65,10 +66,9 @@ fn baseline_run_matches_golden_snapshot() {
     }
 }
 
-#[test]
-fn faulted_run_matches_golden_snapshot() {
-    let mut cfg = video_cfg(42);
-    cfg.faults = FaultPlan {
+/// The fault plan `faulted_5c_seed42.txt` pins: every fault kind at once.
+fn golden_faults() -> FaultPlan {
+    FaultPlan {
         loss_prob: 0.05,
         dup_prob: 0.01,
         reorder_prob: 0.02,
@@ -77,12 +77,39 @@ fn faulted_run_matches_golden_snapshot() {
         ap_jitter_prob: 0.2,
         ap_jitter_max: SimDuration::from_ms(10),
         clock_skew_ppm: 40.0,
-    };
+    }
+}
+
+#[test]
+fn faulted_run_matches_golden_snapshot() {
+    let cfg = video_cfg(42).with_faults(golden_faults());
     let rendered = render_run(&run_scenario(&cfg));
     let again = render_run(&run_scenario(&cfg));
     assert_eq!(rendered, again, "same-seed faulted runs must render identically");
     if let Err(e) = check_golden(&golden_path("faulted_5c_seed42.txt"), &rendered) {
         panic!("{e}");
+    }
+}
+
+/// The fault injector is the one source of corruption on the air, so the
+/// capture's `Corrupted` records are exactly the frames it counts as lost
+/// or as dropped schedules.
+#[test]
+fn capture_and_fault_counters_agree() {
+    for faults in [golden_faults(), FaultPlan::NONE] {
+        let cfg = video_cfg(42).with_faults(faults);
+        let mut a = assemble(&cfg);
+        a.world.run_until(SimTime::ZERO + cfg.duration);
+        let corrupted =
+            a.world.take_trace().iter().filter(|rec| rec.delivery == Delivery::Corrupted).count()
+                as u64;
+        let stats = a.world.fault_stats();
+        assert_eq!(corrupted, stats.frames_lost + stats.schedules_dropped, "{faults:?}");
+        if faults == FaultPlan::NONE {
+            assert_eq!(corrupted, 0, "a fault-free run corrupts nothing");
+        } else {
+            assert!(stats.frames_lost > 0 && stats.schedules_dropped > 0, "{stats:?}");
+        }
     }
 }
 

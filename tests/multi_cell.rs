@@ -93,8 +93,7 @@ fn schedule_broadcasts_stay_bounded_by_cell_size() {
         if rec.src.port != ports::SCHEDULE {
             continue;
         }
-        let Some(payload) = rec.payload else { continue };
-        let sched = Schedule::decode(&payload).expect("schedule frames decode");
+        let sched = Schedule::decode(&rec.payload).expect("schedule frames decode");
         let (_, r) = *shard_of_host
             .iter()
             .find(|(h, _)| *h == rec.src.host)
