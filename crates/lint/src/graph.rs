@@ -33,9 +33,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::{strip_code, WIRE_MARKER};
+use crate::{collect_rs, rel_path, source_trees, strip_code, WIRE_MARKER};
 
 /// Crate-name prefix that marks a workspace-internal import.
 const CRATE_PREFIX: &str = "powerburst_";
@@ -271,23 +271,7 @@ impl ImportGraph {
     /// `cli` pseudo-crate) and every `crates/*/src` tree.
     pub fn build(root: &Path) -> io::Result<ImportGraph> {
         let mut g = ImportGraph::default();
-        let mut trees: Vec<(String, PathBuf)> = Vec::new();
-        if root.join("src").is_dir() {
-            trees.push((ROOT_CRATE.to_string(), root.join("src")));
-        }
-        let crates_dir = root.join("crates");
-        if crates_dir.is_dir() {
-            let mut members: Vec<PathBuf> =
-                fs::read_dir(&crates_dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-            members.sort();
-            for m in members {
-                if m.join("src").is_dir() {
-                    let name =
-                        m.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
-                    trees.push((name, m.join("src")));
-                }
-            }
-        }
+        let trees = source_trees(root)?;
         g.crates = trees.iter().map(|(n, _)| n.clone()).collect();
         g.crates.sort();
 
@@ -738,32 +722,6 @@ fn top_module(src: &Path, file: &Path) -> String {
         Some(f) => f.trim_end_matches(".rs").to_string(),
         None => "crate".to_string(),
     }
-}
-
-fn rel_path(root: &Path, path: &Path) -> String {
-    path.strip_prefix(root)
-        .unwrap_or(path)
-        .components()
-        .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
-}
-
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    if !dir.is_dir() {
-        return Ok(());
-    }
-    let mut entries: Vec<PathBuf> =
-        fs::read_dir(dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    entries.sort();
-    for p in entries {
-        if p.is_dir() {
-            collect_rs(&p, out)?;
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -231,27 +231,14 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     };
 
     let mut files = Vec::new();
-    collect_rs(&root.join("src"), &mut files)?;
-    let crates_dir = root.join("crates");
-    if crates_dir.is_dir() {
-        let mut members: Vec<PathBuf> =
-            fs::read_dir(&crates_dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-        members.sort();
-        for m in members {
-            collect_rs(&m.join("src"), &mut files)?;
-        }
+    for (_, src) in source_trees(root)? {
+        collect_rs(&src, &mut files)?;
     }
 
     let mut report = Report::default();
     let mut used = vec![0usize; allow.len()];
     for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .components()
-            .map(|c| c.as_os_str().to_string_lossy())
-            .collect::<Vec<_>>()
-            .join("/");
+        let rel = rel_path(root, path);
         let src = fs::read_to_string(path)?;
         report.files_scanned += 1;
         for v in lint_source(&rel, &src) {
@@ -270,10 +257,43 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     Ok(report)
 }
 
-fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    if !dir.is_dir() {
-        return Ok(());
+/// The workspace's source trees, each with its crate name: the root
+/// `src/` (the [`graph::ROOT_CRATE`] pseudo-crate) first, then every
+/// `crates/*/src` in name order. The rule scan and the import graph both
+/// walk exactly these.
+fn source_trees(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
+    let mut trees = Vec::new();
+    if root.join("src").is_dir() {
+        trees.push((graph::ROOT_CRATE.to_string(), root.join("src")));
     }
+    let crates_dir = root.join("crates");
+    if crates_dir.is_dir() {
+        let mut members: Vec<PathBuf> =
+            fs::read_dir(&crates_dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
+        members.sort();
+        for m in members {
+            if m.join("src").is_dir() {
+                let name =
+                    m.file_name().map(|n| n.to_string_lossy().into_owned()).unwrap_or_default();
+                trees.push((name, m.join("src")));
+            }
+        }
+    }
+    Ok(trees)
+}
+
+/// `path` relative to `root`, `/`-separated on every platform.
+fn rel_path(root: &Path, path: &Path) -> String {
+    path.strip_prefix(root)
+        .unwrap_or(path)
+        .components()
+        .map(|c| c.as_os_str().to_string_lossy())
+        .collect::<Vec<_>>()
+        .join("/")
+}
+
+/// Every `.rs` file under `dir`, recursively, in sorted path order.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     let mut entries: Vec<PathBuf> =
         fs::read_dir(dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
     entries.sort();

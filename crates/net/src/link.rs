@@ -67,9 +67,9 @@ pub enum WireOutcome {
 }
 
 /// One direction of a wired link: the transmit state owned by the sending
-/// side. A world stages every link as its two halves, one per direction,
-/// and hands each to the shard of the node that transmits on it; the two
-/// directions share only their [`LinkSpec`].
+/// side. A world gives each half to the interface that transmits on it,
+/// so the half runs on that node's shard; the two directions share only
+/// their [`LinkSpec`].
 #[derive(Debug, Clone)]
 pub struct HalfLink {
     /// Static parameters (shared with the reverse direction).

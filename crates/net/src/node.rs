@@ -111,12 +111,6 @@ impl<'a> Ctx<'a> {
         self.clock.to_local(self.now)
     }
 
-    /// Convert an arbitrary true instant to this node's local clock.
-    #[inline]
-    pub fn to_local(&self, t: SimTime) -> LocalTime {
-        self.clock.to_local(t)
-    }
-
     /// Allocate a globally unique packet id.
     pub fn alloc_packet_id(&mut self) -> u64 {
         let id = *self.packet_seq;

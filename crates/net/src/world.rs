@@ -13,11 +13,11 @@
 //! is frozen (at the first run, or by [`World::install_recorder`]):
 //! one shard per radio cell (cell `c` → shard `c + 1`) plus shard 0 for
 //! the wired backbone (servers, switch, coordinator). Each shard owns its
-//! nodes, cells, outbound link halves, event queue (whose handles are its
-//! nodes' timer handles), packet-id space, and sniffer; cross-shard frames
-//! go into the sending shard's outbox and are applied to their receivers
-//! at the conservative-lookahead epoch barrier ([`powerburst_sim::shard`]),
-//! in (sender rank, send order). `World::finalize` is the one place
+//! nodes (each with the link halves it transmits on), cells, event queue
+//! (whose handles are its nodes' timer handles), packet-id space, and
+//! sniffer; cross-shard frames go into the sending shard's outbox and are
+//! applied to their receivers at the conservative-lookahead epoch barrier
+//! ([`powerburst_sim::shard`]), in (sender rank, send order). `World::finalize` is the one place
 //! that decides which shard runs a node, and shard *k* records on
 //! observability lane *k*, which its nodes reach through [`Ctx::obs`], so
 //! every lane has exactly one writer. Single-cell worlds — every golden
@@ -101,7 +101,9 @@ struct NodeSlot {
     /// Dense per-interface attachment table, indexed by `IfaceId`. Built
     /// at wiring time; interface ids are tiny (0..=2 in practice), so the
     /// per-hop routing lookup is one bounds-checked array load instead of
-    /// a `(NodeId, IfaceId)` hash probe.
+    /// a `(NodeId, IfaceId)` hash probe. A wired interface holds the link
+    /// half it transmits on, so the half moves to whichever shard runs
+    /// the node.
     attachments: Vec<Option<Attachment>>,
     stats: NodeStats,
 }
@@ -117,9 +119,14 @@ impl NodeSlot {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 enum Attachment {
-    Wired { link: usize },
+    /// The link half this interface transmits on, and the shard of the
+    /// node at its far end (set when the world is finalized).
+    Wired {
+        half: HalfLink,
+        peer_shard: u32,
+    },
     Wireless,
 }
 
@@ -149,13 +156,6 @@ struct Cell {
     faults: Option<FaultInjector>,
 }
 
-/// One direction of a wired link, owned by its sending shard, plus the
-/// destination shard for routing the arrival.
-struct WireHalf {
-    half: HalfLink,
-    peer_shard: u32,
-}
-
 /// The per-shard mutable simulation state. Before the world is finalized,
 /// everything lives in a single staging shard 0; finalization
 /// redistributes it by cell.
@@ -166,8 +166,6 @@ struct ShardState {
     nodes: Vec<NodeSlot>,
     /// Radio cells owned by this shard, in creation order.
     cells: Vec<Cell>,
-    /// Outbound link halves owned by this shard's senders.
-    wires: Vec<WireHalf>,
     packet_seq: u64,
     send_buf: Vec<(IfaceId, Packet)>,
     sniffer: Sniffer,
@@ -186,7 +184,6 @@ impl ShardState {
             queue: EventQueue::new(),
             nodes: Vec::new(),
             cells: Vec::new(),
-            wires: Vec::new(),
             packet_seq: (rank as u64) << PACKET_SHARD_SHIFT,
             send_buf: Vec::new(),
             sniffer: Sniffer::new(),
@@ -248,9 +245,6 @@ pub struct World {
     /// shard's queue, pushed at the epoch barrier in (sender rank, send
     /// order).
     mail: Outboxes<(SimTime, Ev)>,
-    /// Staged link halves, each with the endpoint that transmits on it;
-    /// handed to the sender's shard at finalize.
-    links: Vec<(Endpoint, HalfLink)>,
     /// Wired nodes explicitly pinned to a cell's shard (a cell's proxy
     /// front-end), applied at finalize.
     pins: Vec<(NodeId, u32)>,
@@ -274,7 +268,6 @@ impl World {
             },
             shards: vec![ShardState::new(0)],
             mail: Outboxes::new(1),
-            links: Vec::new(),
             pins: Vec::new(),
         }
     }
@@ -373,14 +366,14 @@ impl World {
         &mut self.shards[sh].nodes[ix]
     }
 
-    /// Connect two node interfaces with a wired link.
+    /// Connect two node interfaces with a wired link: each interface gets
+    /// the half it transmits on.
     pub fn add_link(&mut self, a: Endpoint, b: Endpoint, spec: LinkSpec) {
         assert!(!self.finalized, "topology is frozen once the world runs");
-        let idx = self.links.len();
-        self.links.push((a, HalfLink::new(spec, b)));
-        self.links.push((b, HalfLink::new(spec, a)));
-        self.slot_mut(a.node).attach(a.iface, Attachment::Wired { link: idx });
-        self.slot_mut(b.node).attach(b.iface, Attachment::Wired { link: idx + 1 });
+        for (from, to) in [(a, b), (b, a)] {
+            let wired = Attachment::Wired { half: HalfLink::new(spec, to), peer_shard: 0 };
+            self.slot_mut(from.node).attach(from.iface, wired);
+        }
     }
 
     /// Pin a *wired* node onto the shard of `cell` — a cell's proxy
@@ -537,10 +530,10 @@ impl World {
             .expect("invariant: caller names the node's registered concrete type (see Panics)")
     }
 
-    /// Freeze the topology: decide every node's shard, redistribute the
-    /// staging state, hand link halves to their senders' shards, derive
-    /// the conservative lookahead, and pre-size every shard's event queue
-    /// and scratch buffers from its own node count, so the steady-state
+    /// Freeze the topology: decide every node's shard, point each link
+    /// half at its receiver's shard, derive the conservative lookahead,
+    /// redistribute the staging state, and pre-size every shard's event
+    /// queue and scratch buffers from its own node count, so the steady-state
     /// hot path never reallocates (a capacity hint that cannot change any
     /// simulated outcome). Idempotent; runs lazily before the first event.
     /// Worlds with fewer than two radio cells stay one shard — the
@@ -576,34 +569,30 @@ impl World {
         let stage = self.shards.pop().expect("invariant: the staging shard exists until finalize");
         assert!(self.shards.is_empty() && stage.queue.is_empty(), "finalize before any events");
 
+        // One pass over the staged nodes moves each to its shard. A link
+        // half travels in its sender's attachment; it learns its
+        // receiver's shard here, and the minimum delay among
+        // shard-crossing halves is the lookahead.
+        let mut lookahead = SimDuration::MAX;
         let mut shards: Vec<ShardState> = (0..shard_total as u32).map(ShardState::new).collect();
-        for (i, slot) in stage.nodes.into_iter().enumerate() {
-            let sh = shard_of[i] as usize;
-            self.topo.node_loc[i] = (sh as u32, shards[sh].nodes.len() as u32);
-            shards[sh].nodes.push(slot);
+        for (i, mut slot) in stage.nodes.into_iter().enumerate() {
+            let sh = shard_of[i];
+            for att in slot.attachments.iter_mut().flatten() {
+                if let Attachment::Wired { half, peer_shard } = att {
+                    *peer_shard = shard_of[half.peer.node.index()];
+                    if *peer_shard != sh {
+                        lookahead = lookahead.min(half.spec.delay);
+                    }
+                }
+            }
+            let s = &mut shards[sh as usize];
+            self.topo.node_loc[i] = (sh, s.nodes.len() as u32);
+            s.nodes.push(slot);
         }
         for (c, cell) in stage.cells.into_iter().enumerate() {
             let sh = if multi { c + 1 } else { 0 };
             self.topo.cell_loc[c] = (sh as u32, shards[sh].cells.len() as u32);
             shards[sh].cells.push(cell);
-        }
-
-        // Hand each staged link half to its sender's shard and re-point
-        // the sender's attachment at that shard's wire table. The minimum
-        // delay among shard-crossing halves is the lookahead.
-        let mut lookahead = SimDuration::MAX;
-        for (from_ep, half) in self.links.drain(..) {
-            let from_sh = shard_of[from_ep.node.index()] as usize;
-            let peer_shard = shard_of[half.peer.node.index()];
-            if peer_shard as usize != from_sh {
-                lookahead = lookahead.min(half.spec.delay);
-            }
-            let (sh, ix) = self.topo.loc(from_ep.node);
-            debug_assert_eq!(sh, from_sh);
-            let wire = shards[from_sh].wires.len();
-            shards[sh].nodes[ix].attachments[from_ep.iface.0 as usize] =
-                Some(Attachment::Wired { link: wire });
-            shards[from_sh].wires.push(WireHalf { half, peer_shard });
         }
         if multi {
             assert!(
@@ -764,21 +753,18 @@ impl Exec<'_> {
 
     /// Route one outbound frame onto its attachment.
     fn route_send(&mut self, from: NodeId, iface: IfaceId, pkt: Packet) {
+        let now = self.s.now;
         let att = self
             .local_slot(from)
             .attachments
-            .get(iface.0 as usize)
-            .copied()
-            .flatten()
+            .get_mut(iface.0 as usize)
+            .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("node {from:?} iface {iface:?} not attached"));
         match att {
-            Attachment::Wired { link } => {
-                let now = self.s.now;
-                let w = &mut self.s.wires[link];
-                match w.half.transmit(now, pkt.wire_size()) {
+            Attachment::Wired { half, peer_shard } => {
+                match half.transmit(now, pkt.wire_size()) {
                     WireOutcome::Sent { arrive } => {
-                        let peer = w.half.peer;
-                        let peer_shard = w.peer_shard;
+                        let (peer, peer_shard) = (half.peer, *peer_shard);
                         let ev = Ev::WireArrive { node: peer.node, iface: peer.iface, pkt };
                         if peer_shard == self.s.rank {
                             self.s.queue.push(arrive, ev);
@@ -796,7 +782,6 @@ impl Exec<'_> {
                 let gci = self.topo.node_cell[from.index()]
                     .expect("invariant: wireless attachment implies a cell");
                 let cix = self.local_cell(gci);
-                let now = self.s.now;
                 let cell = &mut self.s.cells[cix];
                 // Fault decisions are drawn per attempted frame, before the
                 // medium outcome, so the fault stream's position depends

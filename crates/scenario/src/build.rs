@@ -113,7 +113,11 @@ pub struct Assembled {
 }
 
 /// Build the world for a scenario without running it.
+///
+/// # Panics
+/// If [`ScenarioConfig::validate`] rejects `cfg`.
 pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
+    cfg.validate().unwrap_or_else(|e| panic!("invalid scenario: {e}"));
     let mut world = World::new(cfg.seed);
     let n = cfg.clients.len();
 
@@ -122,9 +126,6 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     // `0..occupied_cells()` and each gets an AP + proxy shard: one client
     // in `cells: 16` assembles the identical 1-cell world.
     let cells = cfg.occupied_cells();
-    // Switch ifaces: 0 video, 1 byte, 2+c per cell, one more for the
-    // coordinator.
-    assert!(cells <= MAX_CELLS, "too many occupied cells for the switch's u8 iface space: {cells}");
     let multi = cells > 1;
     let mut cell_clients: Vec<Vec<usize>> = vec![Vec::new(); cells];
     for i in 0..n {

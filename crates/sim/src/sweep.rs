@@ -18,9 +18,9 @@ use crate::shard::Cursor;
 /// Run `f` over every config, using up to `threads` worker threads.
 /// Results are returned in the same order as `configs`.
 ///
-/// `threads == 0` or `1`, or a single config, runs inline on the caller
-/// thread (useful under `cargo test` and for debugging). A panicking job
-/// re-raises its panic on the caller.
+/// `threads` is clamped to `1..=configs.len()` (at least one worker, and
+/// never more workers than jobs), so every thread count takes the one
+/// worker path. A panicking job re-raises its panic on the caller.
 pub fn parallel_sweep<C, R, F>(configs: Vec<C>, threads: usize, f: F) -> Vec<R>
 where
     C: Sync,
@@ -28,11 +28,7 @@ where
     F: Fn(&C) -> R + Sync,
 {
     let n = configs.len();
-    let threads = threads.min(n);
-    if threads <= 1 {
-        return configs.iter().map(f).collect();
-    }
-
+    let threads = threads.clamp(1, n.max(1));
     let cursor = Cursor::new();
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
@@ -68,8 +64,10 @@ mod tests {
 
     #[test]
     fn empty_input_empty_output() {
-        let out: Vec<u32> = parallel_sweep(Vec::<u32>::new(), 4, |c| *c);
-        assert!(out.is_empty());
+        for threads in [0, 4] {
+            let out: Vec<u32> = parallel_sweep(Vec::<u32>::new(), threads, |c| *c);
+            assert!(out.is_empty());
+        }
     }
 
     #[test]
@@ -81,11 +79,26 @@ mod tests {
     }
 
     #[test]
-    fn inline_path_matches_parallel_path() {
+    fn every_thread_count_returns_every_result_in_input_order() {
         let configs: Vec<u64> = (0..37).collect();
-        let seq = parallel_sweep(configs.clone(), 1, |c| c * c + 1);
-        let par = parallel_sweep(configs, 4, |c| c * c + 1);
-        assert_eq!(seq, par);
+        let expect: Vec<u64> = configs.iter().map(|c| c * c + 1).collect();
+        // 0 clamps up to one worker, 64 down to one per job.
+        for threads in [0, 1, 4, 64] {
+            assert_eq!(
+                parallel_sweep(configs.clone(), threads, |c| c * c + 1),
+                expect,
+                "{threads}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "job 3 failed")]
+    fn a_panicking_job_reraises_on_the_caller() {
+        parallel_sweep((0..8).collect(), 1, |&c: &u32| {
+            assert!(c != 3, "job {c} failed");
+            c
+        });
     }
 
     #[test]

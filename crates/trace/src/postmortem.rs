@@ -16,7 +16,7 @@
 use powerburst_core::{Action, ClientPolicy, PolicyStats, PolicyTimer, Schedule};
 use powerburst_energy::{naive_energy_mj, CardSpec, Wnic};
 use powerburst_net::{ports, Delivery, HostAddr, SnifferRecord};
-use powerburst_sim::{EventId, EventQueue, SimDuration, SimTime};
+use powerburst_sim::{EventQueue, SimDuration, SimTime};
 
 pub use powerburst_core::PolicyParams;
 
@@ -83,9 +83,9 @@ struct Replay {
     stats: PolicyStats,
     client: HostAddr,
     wnic: Wnic,
+    /// The timers of the plan in force, and nothing else: a new plan
+    /// clears the queue.
     timers: EventQueue<PolicyTimer>,
-    /// Handles of the timers armed for the plan in force.
-    plan: Vec<EventId>,
     /// Recycled schedule buffer for broadcast decodes.
     sched: Schedule,
     delivered: u64,
@@ -102,12 +102,10 @@ impl Replay {
             match a {
                 Action::Wake => self.wnic.wake(t),
                 Action::Sleep => self.wnic.sleep(t),
-                Action::Arm(at, timer) => self.plan.push(self.timers.push(at, timer)),
-                Action::CancelPlan => {
-                    for id in self.plan.drain(..) {
-                        self.timers.cancel(id);
-                    }
+                Action::Arm(at, timer) => {
+                    self.timers.push(at, timer);
                 }
+                Action::CancelPlan => self.timers.clear(),
                 Action::Waited(..) => {}
             }
         }
@@ -181,7 +179,6 @@ pub fn analyze_client(
         client,
         wnic: Wnic::new(card),
         timers: EventQueue::new(),
-        plan: Vec::new(),
         sched: Schedule::default(),
         delivered: 0,
         missed: 0,
@@ -345,6 +342,34 @@ mod tests {
         // On a perfectly punctual trace, waking earlier only wastes energy.
         assert!(r0.early_wait < r8.early_wait);
         assert!(r0.energy_mj < r8.energy_mj);
+    }
+
+    #[test]
+    fn a_superseded_plans_timers_never_fire() {
+        // Schedule 1 (5 ms) gives the client two fixed slots: one that
+        // starts at once, so the radio stays up to hear schedule 2, and
+        // one due at 57 ms. Schedule 2 (20 ms) drops both; its SRP wake
+        // is due at 112 ms. Until 100 ms the client sleeps from 20 ms on,
+        // so any wake is a timer of the superseded plan.
+        let entry = |client, rp_ms, dur_ms| ScheduleEntry {
+            client,
+            rp_offset: SimDuration::from_ms(rp_ms),
+            duration: SimDuration::from_ms(dur_ms),
+        };
+        let mut first = simple_schedule(8, 20, 100);
+        first.fixed_slots = true;
+        first.entries.push(entry(CLIENT, 60, 10));
+        let mut second = simple_schedule(40, 10, 100);
+        second.seq = 1;
+        second.entries = vec![entry(HostAddr(11), 40, 10)];
+        let recs = [
+            sched_record(SimTime::from_ms(5), &first),
+            sched_record(SimTime::from_ms(20), &second),
+        ];
+        let rep = analyze_client(&recs, CLIENT, SimTime::from_ms(100), &PolicyParams::default());
+        assert_eq!(rep.schedules_seen, 2);
+        assert_eq!(rep.transitions, 0, "woke for a slot the second schedule dropped");
+        assert_eq!(rep.sleep, SimDuration::from_ms(80));
     }
 
     #[test]

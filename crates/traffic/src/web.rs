@@ -293,11 +293,6 @@ impl WebClientApp {
         &self.stats
     }
 
-    /// True when the whole script has been fetched.
-    pub fn finished(&self) -> bool {
-        self.page_idx >= self.script.len() && self.conns.iter().all(|c| c.done)
-    }
-
     fn start_page(&mut self, ctx: &mut Ctx<'_>) {
         let Some(page) = self.script.get(self.page_idx) else { return };
         self.page_open = true;

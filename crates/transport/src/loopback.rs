@@ -299,7 +299,7 @@ mod tests {
         lo.run(50);
         let now = lo.now();
         lo.a.send(now, payload(4_000));
-        lo.a.mark_at_stream_end();
+        lo.a.set_mark(lo.a.stream_len());
         lo.run(20_000);
         // Exactly one mark, on the segment whose payload ends at byte 4000.
         assert_eq!(*marked.borrow(), vec![4_000]);

@@ -294,12 +294,8 @@ impl TcpEndpoint {
     }
 
     /// Request an end-of-burst ToS mark on the segment whose payload ends
-    /// at the current end of the enqueued stream.
-    pub fn mark_at_stream_end(&mut self) {
-        self.pending_mark = Some(self.sendbuf.stream_len());
-    }
-
-    /// Request a mark at an explicit stream offset (exclusive end).
+    /// at stream offset `offset` (exclusive end); `set_mark(stream_len())`
+    /// marks the current end of the enqueued stream.
     pub fn set_mark(&mut self, offset: u64) {
         self.pending_mark = Some(offset);
     }
