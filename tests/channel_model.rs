@@ -9,7 +9,8 @@
 //!    whose policy ignores channel states (the paper's fixed policy)
 //!    changes *nothing* — same sim event count, same rendered results.
 //! 3. **End-to-end determinism** — full channel-aware scenarios render
-//!    bit-identically whether jobs run inline or across worker threads.
+//!    bit-identically whether jobs run inline on the caller's thread or
+//!    across worker threads.
 
 use std::fmt::Write as _;
 
@@ -77,7 +78,7 @@ fn trajectories_are_identical_across_thread_counts() {
     // The trajectory is pure data + a derived RNG; fanning the *same*
     // computation across sweep workers must change nothing.
     let seeds: Vec<u64> = vec![11, 12, 13, 14];
-    let inline = parallel_sweep(seeds.clone(), 1, |&s| trajectory(s, 10, 200));
+    let inline: Vec<_> = seeds.iter().map(|&s| trajectory(s, 10, 200)).collect();
     let threaded = parallel_sweep(seeds, 4, |&s| trajectory(s, 10, 200));
     assert_eq!(inline, threaded, "thread count changed a channel trajectory");
 }
@@ -120,7 +121,7 @@ fn channel_aware_runs_are_deterministic_across_thread_counts() {
     let policy = PolicyKind::ChannelAware { interval: SimDuration::from_ms(100) };
     let configs: Vec<ScenarioConfig> =
         [201u64, 202, 203, 204].iter().map(|&s| channel_cfg(s, policy)).collect();
-    let inline = parallel_sweep(configs.clone(), 1, |c| render(&run_scenario(c)));
+    let inline: Vec<String> = configs.iter().map(|c| render(&run_scenario(c))).collect();
     let threaded = parallel_sweep(configs, 4, |c| render(&run_scenario(c)));
     assert_eq!(inline, threaded, "thread count changed a channel-aware run");
 }

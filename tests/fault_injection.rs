@@ -5,7 +5,8 @@
 //! clients' visible loss stays far below the injected budget (the proxy's
 //! burst scheduling absorbs it), and the whole pipeline is deterministic —
 //! the same master seed renders bit-identically whether runs execute
-//! inline or spread across `parallel_sweep` worker threads.
+//! inline on the caller's thread or spread across `parallel_sweep` worker
+//! threads.
 
 use std::fmt::Write as _;
 
@@ -81,11 +82,12 @@ fn same_seed_runs_render_identically() {
 
 #[test]
 fn sweep_is_deterministic_across_thread_counts() {
-    // Four seeds, run once inline and once over four worker threads:
-    // scheduling across threads must not leak into the results.
+    // Four seeds, run once inline on this thread (as `powerburst run`
+    // does) and once over four worker threads: scheduling across threads
+    // must not leak into the results.
     let configs: Vec<ScenarioConfig> =
         [101u64, 102, 103, 104].iter().map(|&s| faulted_cfg(s)).collect();
-    let inline = parallel_sweep(configs.clone(), 1, |c| render(&run_scenario(c)));
+    let inline: Vec<String> = configs.iter().map(|c| render(&run_scenario(c))).collect();
     let threaded = parallel_sweep(configs, 4, |c| render(&run_scenario(c)));
     assert_eq!(inline, threaded, "thread count changed a run's rendered summary");
 }
