@@ -939,7 +939,7 @@ impl Proxy {
             }
             return;
         }
-        if self.is_client(pkt.dst.host) {
+        if let Some(&ci) = self.client_index.get(&pkt.dst.host) {
             // §3.2.1 admission: refuse packets of rejected flows outright.
             if let Some(adm) = self.admission.as_mut() {
                 if !adm.offer((pkt.dst, pkt.src), pkt.wire_size(), ctx.now()) {
@@ -947,7 +947,6 @@ impl Proxy {
                 }
             }
             // Downlink data: buffer for the next burst.
-            let ci = self.client_index[&pkt.dst.host];
             if !self.clients[ci].queue.push(pkt) {
                 self.stats.queue_drops += 1;
                 ctx.obs().incr(Counter::ProxyQueueDrops);
@@ -976,8 +975,7 @@ impl Proxy {
 
     fn on_tcp(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Packet) {
         if self.cfg.mode == ProxyMode::PassThrough {
-            if self.is_client(pkt.dst.host) {
-                let ci = self.client_index[&pkt.dst.host];
+            if let Some(&ci) = self.client_index.get(&pkt.dst.host) {
                 let has_payload = !pkt.payload.is_empty();
                 if has_payload {
                     if !self.clients[ci].queue.push(pkt) {

@@ -61,17 +61,6 @@ pub struct Edge {
     pub to_module: Option<String>,
 }
 
-/// One intra-crate module import (`use crate::foo::…`), for the module DAG.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct ModuleEdge {
-    /// Crate the edge lives in.
-    pub krate: String,
-    /// Importing top-level module (file stem; `"crate"` for lib/main).
-    pub from: String,
-    /// Imported top-level module.
-    pub to: String,
-}
-
 /// The parsed workspace import graph.
 #[derive(Debug, Default)]
 pub struct ImportGraph {
@@ -81,8 +70,6 @@ pub struct ImportGraph {
     pub modules: BTreeMap<String, BTreeSet<String>>,
     /// Cross-crate edges, in file order.
     pub edges: Vec<Edge>,
-    /// Intra-crate module edges (deduplicated).
-    pub module_edges: BTreeSet<ModuleEdge>,
     /// Files carrying the wire-encoding marker, with their cross-crate
     /// edges indexed into `edges`.
     pub wire_files: Vec<String>,
@@ -297,7 +284,6 @@ impl ImportGraph {
                 if is_wire {
                     g.wire_files.push(rel.clone());
                 }
-                let from_module = top_module(src, path);
                 for (line, path_str) in use_decls(&code) {
                     for target in split_use_targets(&path_str) {
                         if let Some(rest) = target.strip_prefix(CRATE_PREFIX) {
@@ -317,17 +303,6 @@ impl ImportGraph {
                                 to,
                                 to_module,
                             });
-                        } else if let Some(rest) = target.strip_prefix("crate::") {
-                            let to = rest.split("::").next().unwrap_or("").to_string();
-                            if g.modules.get(name).is_some_and(|m| m.contains(&to))
-                                && to != from_module
-                            {
-                                g.module_edges.insert(ModuleEdge {
-                                    krate: name.clone(),
-                                    from: from_module.clone(),
-                                    to,
-                                });
-                            }
                         }
                     }
                 }
@@ -711,16 +686,6 @@ fn push_target(prefix: &str, elem: &str, out: &mut Vec<String>) {
         out.push(e.to_string());
     } else {
         out.push(format!("{prefix}::{e}"));
-    }
-}
-
-fn top_module(src: &Path, file: &Path) -> String {
-    let rel = file.strip_prefix(src).unwrap_or(file);
-    let first = rel.components().next().map(|c| c.as_os_str().to_string_lossy().into_owned());
-    match first {
-        Some(f) if f == "lib.rs" || f == "main.rs" => "crate".to_string(),
-        Some(f) => f.trim_end_matches(".rs").to_string(),
-        None => "crate".to_string(),
     }
 }
 

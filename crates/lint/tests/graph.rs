@@ -4,7 +4,7 @@
 
 use std::path::PathBuf;
 
-use powerburst_lint::graph::{Contract, GraphViolation, ImportGraph, ModuleEdge};
+use powerburst_lint::graph::{Contract, GraphViolation, ImportGraph};
 
 fn tree(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name)
@@ -105,19 +105,6 @@ fn dot_output_is_deterministic_and_lists_all_crates() {
     assert!(dot.contains("\"trace\" -> \"coord\";"), "{dot}");
     assert!(dot.starts_with("// Workspace crate import DAG"), "{dot}");
     assert!(dot.ends_with("}\n"), "{dot}");
-}
-
-#[test]
-fn module_edges_capture_intra_crate_imports() {
-    // In graph_bad, no file says `use crate::…`, so the set is empty —
-    // the builder must not invent edges from `mod` declarations alone.
-    let g = ImportGraph::build(&tree("graph_bad")).expect("readable");
-    assert!(g.module_edges.is_empty(), "{:?}", g.module_edges);
-    // ModuleEdge ordering is derive(Ord) over (krate, from, to) — pinned
-    // here because DOT emission and dedup depend on it.
-    let a = ModuleEdge { krate: "net".into(), from: "ap".into(), to: "addr".into() };
-    let b = ModuleEdge { krate: "net".into(), from: "world".into(), to: "addr".into() };
-    assert!(a < b);
 }
 
 #[test]

@@ -54,34 +54,21 @@ impl StaticRouter {
 /// A store-and-forward switch node.
 pub struct Switch {
     router: StaticRouter,
-    /// Frames forwarded (diagnostics).
-    pub forwarded: u64,
-    /// Frames with no route (diagnostics; they are dropped).
-    pub unroutable: u64,
 }
 
 impl Switch {
     /// New switch with the given table.
     pub fn new(router: StaticRouter) -> Switch {
-        Switch { router, forwarded: 0, unroutable: 0 }
+        Switch { router }
     }
 }
 
 impl Node for Switch {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Packet) {
-        match self.router.route(pkt.dst.host) {
-            Some(out) if out != iface => {
-                self.forwarded += 1;
-                ctx.send(out, pkt);
-            }
-            Some(_) => {
-                // Would hairpin back out the ingress port; drop silently,
-                // as a real switch would.
-                self.unroutable += 1;
-            }
-            None => {
-                self.unroutable += 1;
-            }
+        // A frame with no route, or one that would hairpin back out its
+        // ingress port, is dropped silently, as a real switch would.
+        if let Some(out) = self.router.route(pkt.dst.host).filter(|&out| out != iface) {
+            ctx.send(out, pkt);
         }
     }
 

@@ -66,25 +66,23 @@ pub enum WireOutcome {
     Dropped,
 }
 
-/// One direction of a wired link: the transmit state owned by the sending
-/// side. A world gives each half to the interface that transmits on it,
-/// so the half runs on that node's shard; the two directions share only
-/// their [`LinkSpec`].
+/// One direction of a wired link: the FIFO transmitter owned by the
+/// sending side. A world gives each half to the interface that transmits
+/// on it, so the half runs on that node's shard; the two directions share
+/// only their [`LinkSpec`]. Where a frame goes is the owner's business.
 #[derive(Debug, Clone)]
 pub struct HalfLink {
     /// Static parameters (shared with the reverse direction).
     pub spec: LinkSpec,
-    /// The receiving endpoint.
-    pub peer: Endpoint,
     busy_until: SimTime,
     /// Frames dropped in this direction.
     pub drops: u64,
 }
 
 impl HalfLink {
-    /// A fresh idle half-link toward `peer`.
-    pub fn new(spec: LinkSpec, peer: Endpoint) -> HalfLink {
-        HalfLink { spec, peer, busy_until: SimTime::ZERO, drops: 0 }
+    /// A fresh idle half-link.
+    pub fn new(spec: LinkSpec) -> HalfLink {
+        HalfLink { spec, busy_until: SimTime::ZERO, drops: 0 }
     }
 
     /// Attempt to send `bytes` at `now`.
@@ -105,13 +103,9 @@ impl HalfLink {
 mod tests {
     use super::*;
 
-    fn half(spec: LinkSpec) -> HalfLink {
-        HalfLink::new(spec, Endpoint { node: NodeId(2), iface: IfaceId(0) })
-    }
-
     #[test]
     fn transmit_adds_serialization_and_delay() {
-        let mut h = half(LinkSpec::FAST_ETHERNET);
+        let mut h = HalfLink::new(LinkSpec::FAST_ETHERNET);
         // 1250 bytes at 100 Mbps = 100 us; +50 us delay.
         let WireOutcome::Sent { arrive } = h.transmit(SimTime::ZERO, 1250) else { panic!() };
         assert_eq!(arrive.as_us(), 150);
@@ -124,7 +118,7 @@ mod tests {
             delay: SimDuration::ZERO,
             max_backlog: SimDuration::from_ms(10),
         };
-        let mut h = half(spec);
+        let mut h = HalfLink::new(spec);
         let mut dropped = 0;
         for _ in 0..100 {
             if h.transmit(SimTime::ZERO, 10_000) == WireOutcome::Dropped {
@@ -137,7 +131,7 @@ mod tests {
 
     #[test]
     fn queued_sends_serialize() {
-        let mut h = half(LinkSpec::FAST_ETHERNET);
+        let mut h = HalfLink::new(LinkSpec::FAST_ETHERNET);
         let WireOutcome::Sent { arrive: a1 } = h.transmit(SimTime::ZERO, 1250) else { panic!() };
         let WireOutcome::Sent { arrive: a2 } = h.transmit(SimTime::ZERO, 1250) else { panic!() };
         assert_eq!((a2 - a1).as_us(), 100);

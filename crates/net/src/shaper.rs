@@ -9,62 +9,59 @@
 use std::any::Any;
 use std::collections::VecDeque;
 
-use powerburst_sim::{SimDuration, SimTime};
+use powerburst_sim::SimDuration;
 use rand::Rng;
 
 use crate::addr::IfaceId;
+use crate::link::{HalfLink, LinkSpec, WireOutcome};
 use crate::node::{Ctx, Node, TimerToken};
 use crate::packet::Packet;
 
-/// The pipe node, idle when built with `Pipe::default()`. Interface 0
-/// and 1 are the two ends; traffic entering one leaves the other.
-#[derive(Default)]
+/// The pipe node. Interface 0 and 1 are the two ends; traffic entering
+/// one leaves the other.
 pub struct Pipe {
-    busy_until: [SimTime; 2],
+    /// Each direction's transmitter, indexed by input interface.
+    wire: [HalfLink; 2],
     /// Packets in flight, per input direction. The direction is the
     /// delivery timer's token; each direction's deliveries are
     /// non-decreasing and equal times fire in arming order, so a firing
     /// timer always delivers the front packet.
     pending: [VecDeque<Packet>; 2],
-    /// Packets randomly dropped.
-    pub random_drops: u64,
-    /// Packets dropped by backlog overflow.
-    pub overflow_drops: u64,
-    /// Packets forwarded.
-    pub forwarded: u64,
 }
 
 impl Pipe {
-    /// Line rate in bits per second, applied per direction (§4.3: 4 Mb/s).
-    const BANDWIDTH_BPS: f64 = 4_000_000.0;
-    /// One-way propagation delay, half the paper's 2 ms RTT.
-    const DELAY: SimDuration = SimDuration::from_ms(1);
+    /// Each direction's line (§4.3): 4 Mb/s, a one-way delay of half the
+    /// paper's 2 ms RTT, and tail drops beyond 500 ms of backlog.
+    const LINK: LinkSpec = LinkSpec {
+        bandwidth_bps: 4_000_000.0,
+        delay: SimDuration::from_ms(1),
+        max_backlog: SimDuration::from_ms(500),
+    };
     /// Packet drop probability, applied per packet (§4.3: 5 %).
     const DROP_PROB: f64 = 0.05;
-    /// Maximum tolerated backlog per direction before tail drops.
-    const MAX_BACKLOG: SimDuration = SimDuration::from_ms(500);
+}
+
+impl Default for Pipe {
+    /// An idle pipe.
+    fn default() -> Pipe {
+        Pipe {
+            wire: [HalfLink::new(Pipe::LINK), HalfLink::new(Pipe::LINK)],
+            pending: Default::default(),
+        }
+    }
 }
 
 impl Node for Pipe {
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, iface: IfaceId, pkt: Packet) {
         let dir = (iface.0 as usize).min(1);
         if ctx.rng().random::<f64>() < Pipe::DROP_PROB {
-            self.random_drops += 1;
             return;
         }
         let now = ctx.now();
-        let start = now.max(self.busy_until[dir]);
-        if start.since(now) > Pipe::MAX_BACKLOG {
-            self.overflow_drops += 1;
-            return;
+        if let WireOutcome::Sent { arrive } = self.wire[dir].transmit(now, pkt.wire_size()) {
+            self.pending[dir].push_back(pkt);
+            ctx.set_timer(arrive.since(now), dir as TimerToken);
         }
-        let tx = SimDuration::from_secs_f64(pkt.wire_size() as f64 * 8.0 / Pipe::BANDWIDTH_BPS);
-        let ready = start + tx;
-        self.busy_until[dir] = ready;
-        let deliver_in = ready.since(now) + Pipe::DELAY;
-        self.pending[dir].push_back(pkt);
-        self.forwarded += 1;
-        ctx.set_timer(deliver_in, dir as TimerToken);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: TimerToken) {

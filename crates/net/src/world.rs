@@ -13,11 +13,12 @@
 //! is frozen (at the first run, or by [`World::install_recorder`]):
 //! one shard per radio cell (cell `c` → shard `c + 1`) plus shard 0 for
 //! the wired backbone (servers, switch, coordinator). Each shard owns its
-//! nodes (each with the link halves it transmits on), cells, event queue
-//! (whose handles are its nodes' timer handles), packet-id space, and
-//! sniffer; cross-shard frames go into the sending shard's outbox and are
-//! applied to their receivers at the conservative-lookahead epoch barrier
-//! ([`powerburst_sim::shard`]), in (sender rank, send order). `World::finalize` is the one place
+//! nodes (each with the link halves it transmits on), its cell (at most
+//! one), event queue (whose handles are its nodes' timer handles),
+//! packet-id space, and sniffer; cross-shard frames go into the sending
+//! shard's outbox and are applied to their receivers at the
+//! conservative-lookahead epoch barrier ([`powerburst_sim::shard`]), in
+//! (sender rank, send order). `World::finalize` is the one place
 //! that decides which shard runs a node, and shard *k* records on
 //! observability lane *k*, which its nodes reach through [`Ctx::obs`], so
 //! every lane has exactly one writer. Single-cell worlds — every golden
@@ -48,8 +49,8 @@ use crate::sniffer::{Delivery, Sniffer, SnifferRecord};
 /// `0, 1, 2, …` — exactly the legacy single-counter sequence.
 const PACKET_SHARD_SHIFT: u64 = 40;
 
-/// Per-node radio counters maintained by the engine: what a live
-/// radio's naive energy baseline and its run summary are computed from.
+/// A live radio's frame counters, kept by the engine: what its naive
+/// energy baseline and its run summary are computed from.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeStats {
     /// Frames delivered to this node over the radio.
@@ -96,38 +97,42 @@ struct NodeSlot {
     clock: ClockModel,
     rng: StdRng,
     host: Option<HostAddr>,
-    wnic: Option<Wnic>,
-    wireless_iface: Option<IfaceId>,
-    /// Dense per-interface attachment table, indexed by `IfaceId`. Built
-    /// at wiring time; interface ids are tiny (0..=2 in practice), so the
-    /// per-hop routing lookup is one bounds-checked array load instead of
-    /// a `(NodeId, IfaceId)` hash probe. A wired interface holds the link
-    /// half it transmits on, so the half moves to whichever shard runs
+    /// A live radio's card and its frame counters; `None` for a radio
+    /// that always listens, and for a wired node.
+    live: Option<(Wnic, NodeStats)>,
+    /// Dense wired-interface table, indexed by `IfaceId`. Built at wiring
+    /// time; interface ids are tiny (0..=2 in practice), so the per-hop
+    /// routing lookup is one bounds-checked array load instead of a
+    /// `(NodeId, IfaceId)` hash probe. Each entry holds the link half the
+    /// interface transmits on, so the half moves to whichever shard runs
     /// the node.
-    attachments: Vec<Option<Attachment>>,
-    stats: NodeStats,
+    wired: Vec<Option<Wired>>,
 }
 
 impl NodeSlot {
-    /// Record `iface`'s attachment; panics if it is already attached.
-    fn attach(&mut self, iface: IfaceId, att: Attachment) {
+    /// The wired attachment of `iface`, if any.
+    fn wired(&mut self, iface: IfaceId) -> Option<&mut Wired> {
+        self.wired.get_mut(iface.0 as usize).and_then(Option::as_mut)
+    }
+
+    /// Attach a wired interface; panics if it is already attached.
+    fn attach(&mut self, iface: IfaceId, wired: Wired) {
         let i = iface.0 as usize;
-        if self.attachments.len() <= i {
-            self.attachments.resize(i + 1, None);
+        if self.wired.len() <= i {
+            self.wired.resize(i + 1, None);
         }
-        assert!(self.attachments[i].replace(att).is_none(), "iface attached twice");
+        assert!(self.wired[i].replace(wired).is_none(), "iface attached twice");
     }
 }
 
+/// One wired interface: the link half it transmits on, the endpoint at
+/// the far end, and that endpoint's shard (set when the world is
+/// finalized).
 #[derive(Debug, Clone)]
-enum Attachment {
-    /// The link half this interface transmits on, and the shard of the
-    /// node at its far end (set when the world is finalized).
-    Wired {
-        half: HalfLink,
-        peer_shard: u32,
-    },
-    Wireless,
+struct Wired {
+    half: HalfLink,
+    peer: Endpoint,
+    peer_shard: u32,
 }
 
 /// One radio cell: a shared wireless medium, the access point bridging it
@@ -164,7 +169,8 @@ struct ShardState {
     now: SimTime,
     queue: EventQueue<Ev>,
     nodes: Vec<NodeSlot>,
-    /// Radio cells owned by this shard, in creation order.
+    /// Radio cells owned by this shard, in creation order: every cell
+    /// while the world is staged, at most one once it is frozen.
     cells: Vec<Cell>,
     packet_seq: u64,
     send_buf: Vec<(IfaceId, Packet)>,
@@ -203,10 +209,9 @@ struct Topo {
     host_index: Vec<Option<NodeId>>,
     /// Node id → (shard, index within the shard's node vec).
     node_loc: Vec<(u32, u32)>,
-    /// Node id → the radio cell its wireless interface joined, if any.
-    node_cell: Vec<Option<u32>>,
-    /// Cell id → (shard, index within the shard's cell vec).
-    cell_loc: Vec<(u32, u32)>,
+    /// Node id → its radio, if it has one: the cell it joined and the
+    /// interface it joined on.
+    radio: Vec<Option<(u32, IfaceId)>>,
     /// Conservative lookahead: minimum delay of any cross-shard link.
     /// `SimDuration::MAX` when no link crosses shards (single shard).
     lookahead: SimDuration,
@@ -224,12 +229,17 @@ impl Topo {
     fn host_lookup(&self, h: HostAddr) -> Option<NodeId> {
         self.host_index.get(h.0 as usize).copied().flatten()
     }
+
+    /// A node's radio, which a cell member always has.
+    #[inline]
+    fn radio_of(&self, id: NodeId) -> (u32, IfaceId) {
+        self.radio[id.index()].expect("invariant: cell members always have a radio")
+    }
 }
 
 /// The simulation world.
 pub struct World {
     seed: u64,
-    now: SimTime,
     started: bool,
     /// Topology frozen (state redistributed into shards)? Set lazily at
     /// the first run; all `add_*`/`attach_*` calls must precede it.
@@ -255,15 +265,13 @@ impl World {
     pub fn new(seed: u64) -> World {
         World {
             seed,
-            now: SimTime::ZERO,
             started: false,
             finalized: false,
             threads: 1,
             topo: Topo {
                 host_index: Vec::new(),
                 node_loc: Vec::new(),
-                node_cell: Vec::new(),
-                cell_loc: Vec::new(),
+                radio: Vec::new(),
                 lookahead: SimDuration::MAX,
             },
             shards: vec![ShardState::new(0)],
@@ -304,7 +312,7 @@ impl World {
             let (sh, ix) = self.topo.loc(NodeId(i as u32));
             let s = &mut self.shards[sh];
             let slot = &mut s.nodes[ix];
-            if let Some(w) = slot.wnic.as_mut() {
+            if let Some((w, _)) = slot.live.as_mut() {
                 w.set_recorder(s.obs.clone(), slot.host.map_or(i as u32, |h| h.0));
             }
         }
@@ -316,9 +324,10 @@ impl World {
         self.shards.iter().map(|s| s.events_processed).sum()
     }
 
-    /// Current simulation time.
+    /// Current simulation time: every shard's clock reads it between
+    /// runs.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.shards[0].now
     }
 
     /// Add a node. Ids are assigned densely in insertion order.
@@ -338,16 +347,14 @@ impl World {
         }
         let stage = &mut self.shards[0];
         self.topo.node_loc.push((0, stage.nodes.len() as u32));
-        self.topo.node_cell.push(None);
+        self.topo.radio.push(None);
         stage.nodes.push(NodeSlot {
             node,
             clock: cfg.clock,
             rng: derive_rng(self.seed, streams::NODE_BASE + id.0 as u64),
             host: cfg.host,
-            wnic: cfg.live_radio.then(|| Wnic::new(CardSpec::WAVELAN_DSSS)),
-            wireless_iface: None,
-            attachments: Vec::new(),
-            stats: NodeStats::default(),
+            live: cfg.live_radio.then(|| (Wnic::new(CardSpec::WAVELAN_DSSS), NodeStats::default())),
+            wired: Vec::new(),
         });
         id
     }
@@ -371,7 +378,11 @@ impl World {
     pub fn add_link(&mut self, a: Endpoint, b: Endpoint, spec: LinkSpec) {
         assert!(!self.finalized, "topology is frozen once the world runs");
         for (from, to) in [(a, b), (b, a)] {
-            let wired = Attachment::Wired { half: HalfLink::new(spec, to), peer_shard: 0 };
+            assert!(
+                self.topo.radio[from.node.index()].is_none_or(|(_, i)| i != from.iface),
+                "iface attached twice"
+            );
+            let wired = Wired { half: HalfLink::new(spec), peer: to, peer_shard: 0 };
             self.slot_mut(from.node).attach(from.iface, wired);
         }
     }
@@ -383,9 +394,9 @@ impl World {
     /// automatically and must not be pinned.
     pub fn pin_to_cell(&mut self, node: NodeId, cell: usize) {
         assert!(!self.finalized, "topology is frozen once the world runs");
-        assert!(cell < self.topo.cell_loc.len(), "cell {cell} not installed");
+        assert!(cell < self.cell_count(), "cell {cell} not installed");
         assert!(
-            self.topo.node_cell[node.index()].is_none(),
+            self.topo.radio[node.index()].is_none(),
             "pin_to_cell is for wired nodes; radio nodes follow their cell"
         );
         self.pins.push((node, cell as u32));
@@ -403,9 +414,8 @@ impl World {
         ap: NodeId,
     ) -> usize {
         assert!(!self.finalized, "topology is frozen once the world runs");
-        let idx = self.topo.cell_loc.len();
         let stage = &mut self.shards[0];
-        self.topo.cell_loc.push((0, stage.cells.len() as u32));
+        let idx = stage.cells.len();
         stage.cells.push(Cell {
             medium: Medium::new(airtime, max_backlog),
             rng: derive_rng(self.seed, streams::AP_DELAY + idx as u64),
@@ -418,24 +428,24 @@ impl World {
 
     /// Number of radio cells installed.
     pub fn cell_count(&self) -> usize {
-        self.topo.cell_loc.len()
+        self.shards.iter().map(|s| s.cells.len()).sum()
     }
 
     /// The cell a node's radio is attached to, if any.
     pub fn cell_of(&self, id: NodeId) -> Option<u32> {
-        self.topo.node_cell[id.index()]
-    }
-
-    /// Shared access to a cell, wherever its shard put it.
-    #[inline]
-    fn cell(&self, cell: usize) -> &Cell {
-        let (sh, ix) = self.topo.cell_loc[cell];
-        &self.shards[sh as usize].cells[ix as usize]
+        self.topo.radio[id.index()].map(|(cell, _)| cell)
     }
 
     /// The radio members of a cell (including its AP), in attach order.
     pub fn cell_members(&self, cell: usize) -> &[NodeId] {
-        &self.cell(cell).members
+        // Until the world is frozen every cell sits in shard 0; once
+        // frozen, a world of two or more cells runs cell `c` alone on
+        // shard `c + 1`.
+        let c = match self.shards.len() {
+            1 => &self.shards[0].cells[cell],
+            _ => &self.shards[cell + 1].cells[0],
+        };
+        &c.members
     }
 
     /// Install a medium-level fault plan. Draws come from the dedicated
@@ -447,10 +457,11 @@ impl World {
         if !plan.affects_medium() {
             return;
         }
-        for k in 0..self.topo.cell_loc.len() {
-            let seed = self.seed;
-            let (sh, ix) = self.topo.cell_loc[k];
-            self.shards[sh as usize].cells[ix as usize].faults = Some(FaultInjector::new(
+        // Staged or frozen, walking the shards in order visits the cells
+        // in order.
+        let seed = self.seed;
+        for (k, cell) in self.shards.iter_mut().flat_map(|s| s.cells.iter_mut()).enumerate() {
+            cell.faults = Some(FaultInjector::new(
                 plan,
                 derive_rng(seed, fault_stream(fault_streams::MEDIUM) + 256 * k as u64),
             ));
@@ -475,24 +486,29 @@ impl World {
     /// order: broadcast delivery walks the member list in attach order.
     pub fn attach_wireless_cell(&mut self, node: NodeId, iface: IfaceId, cell: usize) {
         assert!(!self.finalized, "topology is frozen once the world runs");
-        assert!(cell < self.topo.cell_loc.len(), "cell {cell} not installed (call add_cell first)");
-        self.topo.node_cell[node.index()] = Some(cell as u32);
-        let slot = self.slot_mut(node);
-        slot.attach(iface, Attachment::Wireless);
-        slot.wireless_iface = Some(iface);
-        let (sh, ix) = self.topo.cell_loc[cell];
-        self.shards[sh as usize].cells[ix as usize].members.push(node);
+        assert!(cell < self.cell_count(), "cell {cell} not installed (call add_cell first)");
+        assert!(self.slot_mut(node).wired(iface).is_none(), "iface attached twice");
+        let radio = &mut self.topo.radio[node.index()];
+        assert!(radio.replace((cell as u32, iface)).is_none(), "node {node:?} has a radio already");
+        self.shards[0].cells[cell].members.push(node);
     }
 
-    /// Engine counters for a node.
+    /// A live radio's frame counters; all zero for any other node.
     pub fn stats(&self, id: NodeId) -> &NodeStats {
-        &self.slot(id).stats
+        static NOT_LIVE: NodeStats = NodeStats {
+            rx_frames: 0,
+            rx_airtime: SimDuration::ZERO,
+            missed_frames: 0,
+            missed_airtime: SimDuration::ZERO,
+            tx_airtime: SimDuration::ZERO,
+        };
+        self.slot(id).live.as_ref().map_or(&NOT_LIVE, |(_, stats)| stats)
     }
 
     /// Energy report for a live-radio node as of the current time.
     pub fn wnic_report(&mut self, id: NodeId) -> Option<EnergyReport> {
-        let now = self.now;
-        self.slot_mut(id).wnic.as_mut().map(|w| w.report_at(now))
+        let now = self.now();
+        self.slot_mut(id).live.as_mut().map(|(w, _)| w.report_at(now))
     }
 
     /// Take ownership of the captured trace, merged across shards in
@@ -544,7 +560,7 @@ impl World {
             return;
         }
         self.finalized = true;
-        let cell_count = self.topo.cell_loc.len();
+        let cell_count = self.cell_count();
         let multi = cell_count >= 2;
         let shard_total = if multi { cell_count + 1 } else { 1 };
 
@@ -552,10 +568,10 @@ impl World {
         // the wired backbone shard 0.
         let mut shard_of: Vec<u32> = self
             .topo
-            .node_cell
+            .radio
             .iter()
-            .map(|c| match c {
-                Some(c) if multi => c + 1,
+            .map(|r| match r {
+                Some((c, _)) if multi => c + 1,
                 _ => 0,
             })
             .collect();
@@ -569,20 +585,25 @@ impl World {
         let stage = self.shards.pop().expect("invariant: the staging shard exists until finalize");
         assert!(self.shards.is_empty() && stage.queue.is_empty(), "finalize before any events");
 
-        // One pass over the staged nodes moves each to its shard. A link
-        // half travels in its sender's attachment; it learns its
-        // receiver's shard here, and the minimum delay among
+        // Each shard's node vector is sized once, so every slot moves
+        // once. A link half travels in its sender's attachment; it learns
+        // its receiver's shard here, and the minimum delay among
         // shard-crossing halves is the lookahead.
         let mut lookahead = SimDuration::MAX;
         let mut shards: Vec<ShardState> = (0..shard_total as u32).map(ShardState::new).collect();
+        let mut counts = vec![0; shard_total];
+        for &sh in &shard_of {
+            counts[sh as usize] += 1;
+        }
+        for (s, n) in shards.iter_mut().zip(counts) {
+            s.nodes.reserve_exact(n);
+        }
         for (i, mut slot) in stage.nodes.into_iter().enumerate() {
             let sh = shard_of[i];
-            for att in slot.attachments.iter_mut().flatten() {
-                if let Attachment::Wired { half, peer_shard } = att {
-                    *peer_shard = shard_of[half.peer.node.index()];
-                    if *peer_shard != sh {
-                        lookahead = lookahead.min(half.spec.delay);
-                    }
+            for w in slot.wired.iter_mut().flatten() {
+                w.peer_shard = shard_of[w.peer.node.index()];
+                if w.peer_shard != sh {
+                    lookahead = lookahead.min(w.half.spec.delay);
                 }
             }
             let s = &mut shards[sh as usize];
@@ -590,9 +611,7 @@ impl World {
             s.nodes.push(slot);
         }
         for (c, cell) in stage.cells.into_iter().enumerate() {
-            let sh = if multi { c + 1 } else { 0 };
-            self.topo.cell_loc[c] = (sh as u32, shards[sh].cells.len() as u32);
-            shards[sh].cells.push(cell);
+            shards[if multi { c + 1 } else { 0 }].cells.push(cell);
         }
         if multi {
             assert!(
@@ -645,7 +664,6 @@ impl World {
         for s in &mut self.shards {
             s.now = t;
         }
-        self.now = t;
     }
 
     /// Run a handler on a node (out of band), then route its sends and
@@ -685,12 +703,12 @@ impl Exec<'_> {
         &mut self.s.nodes[ix]
     }
 
-    /// This shard's local index for a cell; the cell must live here.
+    /// This shard's cell. Radio traffic runs only on the shard of its
+    /// cell, and a frozen shard runs at most one.
     #[inline]
-    fn local_cell(&self, cell: u32) -> usize {
-        let (sh, ix) = self.topo.cell_loc[cell as usize];
-        debug_assert_eq!(sh, self.s.rank, "cell {cell} touched from the wrong shard");
-        ix as usize
+    fn local_cell(&mut self) -> &mut Cell {
+        debug_assert_eq!(self.s.cells.len(), 1, "radio traffic on a shard without one cell");
+        &mut self.s.cells[0]
     }
 
     /// Process every pending event strictly before `wend`, one at a time:
@@ -737,7 +755,7 @@ impl Exec<'_> {
                 node: id,
                 clock: &slot.clock,
                 rng: &mut slot.rng,
-                wnic: slot.wnic.as_mut(),
+                wnic: slot.live.as_mut().map(|(w, _)| w),
                 queue: &mut self.s.queue,
                 sends: &mut sends,
                 packet_seq: &mut self.s.packet_seq,
@@ -751,73 +769,74 @@ impl Exec<'_> {
         self.s.send_buf = sends;
     }
 
-    /// Route one outbound frame onto its attachment.
+    /// Route one outbound frame onto its radio or its wired link.
     fn route_send(&mut self, from: NodeId, iface: IfaceId, pkt: Packet) {
+        match self.topo.radio[from.index()] {
+            Some((_, radio)) if radio == iface => self.radio_send(from, pkt),
+            _ => self.wire_send(from, iface, pkt),
+        }
+    }
+
+    /// Serialize a frame onto the link half `iface` transmits on.
+    fn wire_send(&mut self, from: NodeId, iface: IfaceId, pkt: Packet) {
         let now = self.s.now;
-        let att = self
+        let w = self
             .local_slot(from)
-            .attachments
-            .get_mut(iface.0 as usize)
-            .and_then(Option::as_mut)
+            .wired(iface)
             .unwrap_or_else(|| panic!("node {from:?} iface {iface:?} not attached"));
-        match att {
-            Attachment::Wired { half, peer_shard } => {
-                match half.transmit(now, pkt.wire_size()) {
-                    WireOutcome::Sent { arrive } => {
-                        let (peer, peer_shard) = (half.peer, *peer_shard);
-                        let ev = Ev::WireArrive { node: peer.node, iface: peer.iface, pkt };
-                        if peer_shard == self.s.rank {
-                            self.s.queue.push(arrive, ev);
-                        } else {
-                            // Arrives ≥ one lookahead away — at or past the
-                            // epoch window's end — so applying it when the
-                            // epoch ends is causally safe.
-                            self.tx.send(peer_shard as usize, (arrive, ev));
-                        }
-                    }
-                    WireOutcome::Dropped => { /* counted on the link */ }
+        match w.half.transmit(now, pkt.wire_size()) {
+            WireOutcome::Sent { arrive } => {
+                let (peer, peer_shard) = (w.peer, w.peer_shard);
+                let ev = Ev::WireArrive { node: peer.node, iface: peer.iface, pkt };
+                if peer_shard == self.s.rank {
+                    self.s.queue.push(arrive, ev);
+                } else {
+                    // Arrives ≥ one lookahead away — at or past the epoch
+                    // window's end — so applying it when the epoch ends is
+                    // causally safe.
+                    self.tx.send(peer_shard as usize, (arrive, ev));
                 }
             }
-            Attachment::Wireless => {
-                let gci = self.topo.node_cell[from.index()]
-                    .expect("invariant: wireless attachment implies a cell");
-                let cix = self.local_cell(gci);
-                let cell = &mut self.s.cells[cix];
-                // Fault decisions are drawn per attempted frame, before the
-                // medium outcome, so the fault stream's position depends
-                // only on traffic order (within this cell).
-                let (reorder, dup) = match cell.faults.as_mut() {
-                    Some(f) => (f.reorder_delay(), f.duplicate()),
-                    None => (None, false),
-                };
-                match cell.medium.transmit(now, pkt.wire_size(), &mut cell.rng) {
-                    TxOutcome::Sent { finish, airtime } => {
-                        if dup {
-                            // A retransmitted copy burns its own airtime slot.
-                            if let TxOutcome::Sent { finish: f2, airtime: a2 } =
-                                cell.medium.transmit(now, pkt.wire_size(), &mut cell.rng)
-                            {
-                                self.s.queue.push(
-                                    f2,
-                                    Ev::RadioArrive { pkt: pkt.clone(), from, airtime: a2 },
-                                );
-                            }
-                        }
-                        let arrive = match reorder {
-                            Some(extra) => finish + extra,
-                            None => finish,
-                        };
-                        self.s.queue.push(arrive, Ev::RadioArrive { pkt, from, airtime });
-                    }
-                    TxOutcome::Dropped => {
-                        self.s.sniffer.record(SnifferRecord::of(
-                            now,
-                            &pkt,
-                            SimDuration::ZERO,
-                            Delivery::QueueDrop,
-                        ));
+            WireOutcome::Dropped => { /* counted on the link */ }
+        }
+    }
+
+    /// Put a frame on the air of the sender's cell.
+    fn radio_send(&mut self, from: NodeId, pkt: Packet) {
+        let now = self.s.now;
+        let cell = self.local_cell();
+        // Fault decisions are drawn per attempted frame, before the medium
+        // outcome, so the fault stream's position depends only on traffic
+        // order (within this cell).
+        let (reorder, dup) = match cell.faults.as_mut() {
+            Some(f) => (f.reorder_delay(), f.duplicate()),
+            None => (None, false),
+        };
+        match cell.medium.transmit(now, pkt.wire_size(), &mut cell.rng) {
+            TxOutcome::Sent { finish, airtime } => {
+                if dup {
+                    // A retransmitted copy burns its own airtime slot.
+                    if let TxOutcome::Sent { finish: f2, airtime: a2 } =
+                        cell.medium.transmit(now, pkt.wire_size(), &mut cell.rng)
+                    {
+                        self.s
+                            .queue
+                            .push(f2, Ev::RadioArrive { pkt: pkt.clone(), from, airtime: a2 });
                     }
                 }
+                let arrive = match reorder {
+                    Some(extra) => finish + extra,
+                    None => finish,
+                };
+                self.s.queue.push(arrive, Ev::RadioArrive { pkt, from, airtime });
+            }
+            TxOutcome::Dropped => {
+                self.s.sniffer.record(SnifferRecord::of(
+                    now,
+                    &pkt,
+                    SimDuration::ZERO,
+                    Delivery::QueueDrop,
+                ));
             }
         }
     }
@@ -828,15 +847,12 @@ impl Exec<'_> {
     /// bridges outward) lives on the cell's shard.
     fn radio_deliver(&mut self, pkt: Packet, from: NodeId, airtime: SimDuration) {
         let now = self.s.now;
-        let gci = self.topo.node_cell[from.index()]
-            .expect("invariant: radio frames originate from cell members");
-        let cix = self.local_cell(gci);
         // Injected faults (frame loss, the §4.3 lossy channel, plus
         // targeted SRP drops): the frame burned its airtime but nobody
         // decodes it.
         let is_schedule = pkt.is_broadcast() && pkt.dst.port == ports::SCHEDULE;
         let corrupted =
-            self.s.cells[cix].faults.as_mut().is_some_and(|f| f.should_drop(is_schedule));
+            self.local_cell().faults.as_mut().is_some_and(|f| f.should_drop(is_schedule));
         // Transmit-side energy (client uplink: TCP ACKs, stream feedback),
         // paid whether or not the frame was decoded.
         bill_transmit(self.local_slot(from), now, airtime);
@@ -850,17 +866,15 @@ impl Exec<'_> {
             // Broadcast fan-out is bounded by the cell's member list — a
             // schedule broadcast in one cell costs O(cell size), never
             // O(total clients across the city.)
-            let ap = self.s.cells[cix].ap;
-            let n = self.s.cells[cix].members.len();
+            let ap = self.local_cell().ap;
+            let n = self.local_cell().members.len();
             for mi in 0..n {
-                let id = self.s.cells[cix].members[mi];
+                let id = self.local_cell().members[mi];
                 if id == from || id == ap {
                     continue; // the AP originated or bridged it; don't echo back
                 }
-                let slot = self.local_slot(id);
-                let wiface =
-                    slot.wireless_iface.expect("invariant: cell members always have a radio iface");
-                if receive_if_listening(slot, now, airtime) {
+                let (_, wiface) = self.topo.radio_of(id);
+                if receive_if_listening(self.local_slot(id), now, airtime) {
                     let cloned = pkt.clone();
                     self.with_node(id, |n, ctx| n.on_packet(ctx, wiface, cloned));
                 }
@@ -871,13 +885,12 @@ impl Exec<'_> {
         // Unicast: find the owner of the destination host. Direct radio
         // delivery only within the transmitter's cell; anything else
         // (wired hosts, radios in other cells) bridges via the cell's AP.
-        let ap = self.s.cells[cix].ap;
+        let ap = self.local_cell().ap;
+        let (gci, _) = self.topo.radio_of(from);
         let target = self.topo.host_lookup(pkt.dst.host);
-        match target {
-            Some(id) if self.topo.node_cell[id.index()] == Some(gci) && id != ap => {
+        match target.map(|id| (id, self.topo.radio[id.index()])) {
+            Some((id, Some((cell, wiface)))) if cell == gci && id != ap => {
                 let slot = self.local_slot(id);
-                let wiface =
-                    slot.wireless_iface.expect("invariant: match arm checked wireless_iface");
                 if receive_if_listening(slot, now, airtime) {
                     self.s.sniffer.record(SnifferRecord::of(
                         now,
@@ -887,8 +900,10 @@ impl Exec<'_> {
                     ));
                     self.with_node(id, |n, ctx| n.on_packet(ctx, wiface, pkt));
                 } else {
-                    slot.stats.missed_frames += 1;
-                    slot.stats.missed_airtime += airtime;
+                    let (_, stats) =
+                        slot.live.as_mut().expect("invariant: only a live radio sleeps");
+                    stats.missed_frames += 1;
+                    stats.missed_airtime += airtime;
                     self.s.sniffer.record(SnifferRecord::of(
                         now,
                         &pkt,
@@ -901,10 +916,7 @@ impl Exec<'_> {
                 // Uplink toward a wired host, another cell, or unknown:
                 // bridge via this cell's AP.
                 if ap != from {
-                    let wiface = self
-                        .local_slot(ap)
-                        .wireless_iface
-                        .expect("invariant: the registered AP always has a radio iface");
+                    let (_, wiface) = self.topo.radio_of(ap);
                     self.s.sniffer.record(SnifferRecord::of(
                         now,
                         &pkt,
@@ -925,29 +937,25 @@ impl Exec<'_> {
     }
 }
 
-/// Bill a transmitter for a frame's airtime.
+/// Bill a live transmitter for a frame's airtime.
 #[inline]
 fn bill_transmit(slot: &mut NodeSlot, now: SimTime, airtime: SimDuration) {
-    slot.stats.tx_airtime += airtime;
-    if let Some(w) = slot.wnic.as_mut() {
+    if let Some((w, stats)) = slot.live.as_mut() {
+        stats.tx_airtime += airtime;
         w.on_transmit(now, airtime);
     }
 }
 
-/// If the node's radio is listening (wired-only nodes always are), bill
-/// it for receiving a frame and return `true`.
+/// If the node's radio is listening (one that is not live always is),
+/// bill a live one for receiving a frame, and return `true`.
 #[inline]
 fn receive_if_listening(slot: &mut NodeSlot, now: SimTime, airtime: SimDuration) -> bool {
-    let listening = match slot.wnic.as_mut() {
-        Some(w) => w.is_listening(now),
-        None => true,
-    };
+    let Some((w, stats)) = slot.live.as_mut() else { return true };
+    let listening = w.is_listening(now);
     if listening {
-        slot.stats.rx_frames += 1;
-        slot.stats.rx_airtime += airtime;
-        if let Some(w) = slot.wnic.as_mut() {
-            w.on_receive(now, airtime);
-        }
+        stats.rx_frames += 1;
+        stats.rx_airtime += airtime;
+        w.on_receive(now, airtime);
     }
     listening
 }
@@ -1178,7 +1186,8 @@ mod tests {
     }
 
     /// Two cells: client0+broadcasting AP in cell 0, client1+silent AP in
-    /// cell 1, APs wired together.
+    /// cell 1, APs wired together. The clients' radios are live, so the
+    /// world counts their frames.
     fn two_cell_world() -> (World, NodeId, NodeId) {
         let mut w = World::new(21);
         let h0 = HostAddr(10);
@@ -1186,12 +1195,12 @@ mod tests {
         let ap0 = w.add_node(Box::new(BcastAp), NodeConfig::infrastructure());
         let client0 = w.add_node(
             chatter(SockAddr::new(h0, 2), SockAddr::new(h1, 2), false),
-            NodeConfig { host: Some(h0), clock: ClockModel::perfect(), live_radio: false },
+            NodeConfig { host: Some(h0), clock: ClockModel::perfect(), live_radio: true },
         );
         let ap1 = w.add_node(Box::new(MiniAp), NodeConfig::infrastructure());
         let client1 = w.add_node(
             chatter(SockAddr::new(h1, 2), SockAddr::new(h0, 2), false),
-            NodeConfig { host: Some(h1), clock: ClockModel::perfect(), live_radio: false },
+            NodeConfig { host: Some(h1), clock: ClockModel::perfect(), live_radio: true },
         );
         w.add_link(
             Endpoint { node: ap0, iface: IfaceId(0) },
@@ -1219,6 +1228,7 @@ mod tests {
         // Cell 0's broadcast reaches its own client, never cell 1's.
         assert_eq!(w.node_mut::<Chatter>(client0).received.len(), 1);
         assert_eq!(w.node_mut::<Chatter>(client1).received.len(), 0);
+        assert_eq!(w.stats(client0).rx_frames, 1);
         assert_eq!(w.stats(client1).rx_frames, 0);
     }
 

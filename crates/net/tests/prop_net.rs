@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use powerburst_net::feedback::{REPORT_LEN, REPORT_LEN_BUFFERED};
 use powerburst_net::{
-    AirtimeModel, ApDelayParams, ApDelayProcess, Endpoint, HalfLink, IfaceId, LinkSpec, Medium,
-    NodeId, ReceiverReport, TxOutcome, WireOutcome,
+    AirtimeModel, ApDelayParams, ApDelayProcess, HalfLink, LinkSpec, Medium, ReceiverReport,
+    TxOutcome, WireOutcome,
 };
 use powerburst_sim::{derive_rng, SimDuration, SimTime};
 
@@ -57,10 +57,7 @@ proptest! {
     fn links_preserve_order(
         sends in prop::collection::vec((0u64..50_000, 40usize..1_500), 1..60),
     ) {
-        let mut l = HalfLink::new(
-            LinkSpec::FAST_ETHERNET,
-            Endpoint { node: NodeId(1), iface: IfaceId(0) },
-        );
+        let mut l = HalfLink::new(LinkSpec::FAST_ETHERNET);
         let mut t = SimTime::ZERO;
         let mut prev = SimTime::ZERO;
         for (gap, bytes) in sends {

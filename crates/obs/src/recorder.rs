@@ -11,13 +11,12 @@
 //! ## Lanes
 //!
 //! A sharded world (DESIGN.md §17) records from several worker threads at
-//! once. Counters and histograms are commutative atomics, so their totals
-//! are thread-order independent; the event channel and gauges are not.
-//! [`Recorder::lane`] derives a handle bound to one **lane**: a private
-//! event buffer plus a private value per gauge, written by exactly one
-//! shard. [`Recorder::export`] merges lanes deterministically — events
-//! concatenated in lane order then stably sorted by timestamp, each gauge
-//! summed over the lanes.
+//! once. [`Recorder::lane`] derives a handle bound to one **lane**, which
+//! holds everything one shard records: its own counters, gauges,
+//! histograms and event buffer, written by that shard alone.
+//! [`Recorder::export`] merges lanes deterministically — every number
+//! summed over the lanes, events concatenated in lane order then stably
+//! sorted by timestamp.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -65,12 +64,13 @@ impl HistCore {
     }
 }
 
-/// Per-lane state: everything whose outcome depends on *write order*
-/// rather than a commutative sum. Each lane has exactly one writer (one
-/// shard), so within a lane the legacy sequential semantics hold.
+/// Everything one lane records. Each lane has exactly one writer (one
+/// shard), so within a lane the sequential semantics hold.
 struct LaneCore {
-    /// This lane's value of each gauge.
+    /// This lane's value of each counter, gauge and histogram.
+    counters: [AtomicU64; Counter::COUNT],
     gauges: [AtomicI64; Gauge::COUNT],
+    hists: [HistCore; Hist::COUNT],
     events: Mutex<Vec<ObsEvent>>,
     events_dropped: AtomicU64,
 }
@@ -78,7 +78,9 @@ struct LaneCore {
 impl LaneCore {
     fn new(events_on: bool) -> Self {
         LaneCore {
+            counters: [const { AtomicU64::new(0) }; Counter::COUNT],
             gauges: [const { AtomicI64::new(0) }; Gauge::COUNT],
+            hists: std::array::from_fn(|_| HistCore::new()),
             events: Mutex::new(Vec::with_capacity(if events_on { EVENT_CAP } else { 0 })),
             events_dropped: AtomicU64::new(0),
         }
@@ -86,8 +88,6 @@ impl LaneCore {
 }
 
 struct ObsCore {
-    counters: [AtomicU64; Counter::COUNT],
-    hists: [HistCore; Hist::COUNT],
     events_on: bool,
     lanes: Vec<LaneCore>,
 }
@@ -100,7 +100,7 @@ struct ObsCore {
 #[derive(Clone, Default)]
 pub struct Recorder {
     core: Option<Arc<ObsCore>>,
-    /// Which lane this handle writes events and gauges to.
+    /// Which lane this handle writes to.
     lane: u32,
 }
 
@@ -124,8 +124,6 @@ impl Recorder {
         let lanes = cfg.lanes.max(1);
         Recorder {
             core: Some(Arc::new(ObsCore {
-                counters: [const { AtomicU64::new(0) }; Counter::COUNT],
-                hists: std::array::from_fn(|_| HistCore::new()),
                 events_on: cfg.events,
                 lanes: (0..lanes).map(|_| LaneCore::new(cfg.events)).collect(),
             })),
@@ -133,15 +131,21 @@ impl Recorder {
         }
     }
 
-    /// A handle over the same core, bound to lane `idx` (clamped to the
-    /// configured lane count). Shared-atomic paths (counters, histograms)
-    /// are unaffected; events and gauges go to the lane.
+    /// A handle over the same core, bound to lane `idx`.
+    ///
+    /// # Panics
+    /// If the recorder is enabled and has no lane `idx`.
     pub fn lane(&self, idx: usize) -> Recorder {
-        let max = match &self.core {
-            Some(core) => core.lanes.len() - 1,
-            None => 0,
-        };
-        Recorder { core: self.core.clone(), lane: idx.min(max) as u32 }
+        if let Some(core) = &self.core {
+            assert!(idx < core.lanes.len(), "lane {idx} of a {}-lane recorder", core.lanes.len());
+        }
+        Recorder { core: self.core.clone(), lane: idx as u32 }
+    }
+
+    /// This handle's lane of an enabled recorder.
+    #[inline]
+    fn lane_core(&self) -> Option<&LaneCore> {
+        self.core.as_ref().map(|core| &core.lanes[self.lane as usize])
     }
 
     /// Is this recorder collecting anything at all?
@@ -150,11 +154,11 @@ impl Recorder {
         self.core.is_some()
     }
 
-    /// Add `v` to a counter.
+    /// Add `v` to this handle's lane's value of a counter.
     #[inline]
     pub fn add(&self, c: Counter, v: u64) {
-        if let Some(core) = &self.core {
-            core.counters[c.idx()].fetch_add(v, Ordering::Relaxed);
+        if let Some(lane) = self.lane_core() {
+            lane.counters[c.idx()].fetch_add(v, Ordering::Relaxed);
         }
     }
 
@@ -168,8 +172,8 @@ impl Recorder {
     /// the lanes).
     #[inline]
     pub fn gauge_set(&self, g: Gauge, v: i64) {
-        if let Some(core) = &self.core {
-            core.lanes[self.lane as usize].gauges[g.idx()].store(v, Ordering::Relaxed);
+        if let Some(lane) = self.lane_core() {
+            lane.gauges[g.idx()].store(v, Ordering::Relaxed);
         }
     }
 
@@ -177,16 +181,16 @@ impl Recorder {
     /// gauge.
     #[inline]
     pub fn gauge_add(&self, g: Gauge, dv: i64) {
-        if let Some(core) = &self.core {
-            core.lanes[self.lane as usize].gauges[g.idx()].fetch_add(dv, Ordering::Relaxed);
+        if let Some(lane) = self.lane_core() {
+            lane.gauges[g.idx()].fetch_add(dv, Ordering::Relaxed);
         }
     }
 
-    /// Record a histogram sample.
+    /// Record a histogram sample on this handle's lane.
     #[inline]
     pub fn observe(&self, h: Hist, v: u64) {
-        if let Some(core) = &self.core {
-            let hc = &core.hists[h.idx()];
+        if let Some(lane) = self.lane_core() {
+            let hc = &lane.hists[h.idx()];
             hc.buckets[Hist::bucket(v)].fetch_add(1, Ordering::Relaxed);
             hc.count.fetch_add(1, Ordering::Relaxed);
             hc.sum.fetch_add(v, Ordering::Relaxed);
@@ -213,30 +217,30 @@ impl Recorder {
     /// Snapshot everything recorded so far into a plain-data report.
     /// Returns `None` for the disabled recorder.
     ///
-    /// Lane merge: events are concatenated in lane order, stably sorted by
-    /// timestamp and cut to [`EVENT_CAP`], for one lane as for many:
-    /// recording order is not always time order even within a lane (a
-    /// live radio logs its `waking → awake` transition, stamped with the
-    /// instant the wake completed, only when it next bills). Each gauge is
-    /// the sum of its lane values. The merge depends only on what each
-    /// single-writer lane recorded — never on cross-thread timing.
+    /// Lane merge: every counter, gauge and histogram figure is the sum of
+    /// its lane values. Events are concatenated in lane order, stably
+    /// sorted by timestamp and cut to [`EVENT_CAP`], for one lane as for
+    /// many: recording order is not always time order even within a lane
+    /// (a live radio logs its `waking → awake` transition, stamped with the
+    /// instant the wake completed, only when it next bills). The merge
+    /// depends only on what each single-writer lane recorded — never on
+    /// cross-thread timing.
     pub fn export(&self) -> Option<ObsReport> {
         let core = self.core.as_ref()?;
-        let counters =
-            Counter::ALL.iter().map(|c| core.counters[c.idx()].load(Ordering::Relaxed)).collect();
+        let sum = |f: &dyn Fn(&LaneCore) -> &AtomicU64| {
+            core.lanes.iter().map(|l| f(l).load(Ordering::Relaxed)).sum::<u64>()
+        };
+        let counters = Counter::ALL.iter().map(|c| sum(&|l| &l.counters[c.idx()])).collect();
         let gauges = Gauge::ALL
             .iter()
             .map(|g| core.lanes.iter().map(|l| l.gauges[g.idx()].load(Ordering::Relaxed)).sum())
             .collect();
         let hists = Hist::ALL
             .iter()
-            .map(|h| {
-                let hc = &core.hists[h.idx()];
-                HistSnapshot {
-                    count: hc.count.load(Ordering::Relaxed),
-                    sum: hc.sum.load(Ordering::Relaxed),
-                    buckets: hc.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
-                }
+            .map(|h| HistSnapshot {
+                count: sum(&|l| &l.hists[h.idx()].count),
+                sum: sum(&|l| &l.hists[h.idx()].sum),
+                buckets: (0..BUCKETS).map(|b| sum(&|l| &l.hists[h.idx()].buckets[b])).collect(),
             })
             .collect();
         let mut events: Vec<ObsEvent> = Vec::new();
@@ -323,10 +327,6 @@ mod tests {
         let r = Recorder::new(RecorderConfig { events: true, lanes: 3 });
         let l1 = r.lane(1);
         let l2 = r.lane(2);
-        // Counters stay shared.
-        r.incr(Counter::WnicWakes);
-        l1.incr(Counter::WnicWakes);
-        l2.incr(Counter::WnicWakes);
         // Events interleave by timestamp across lanes, ties in lane order.
         l2.event(5, EventKind::BurstStart { client: 2, budget_us: 0 });
         l1.event(3, EventKind::BurstStart { client: 1, budget_us: 0 });
@@ -337,7 +337,6 @@ mod tests {
         r.gauge_add(Gauge::ActiveSplices, 2);
         l2.gauge_add(Gauge::ActiveSplices, 1);
         let rep = r.export().unwrap();
-        assert_eq!(rep.counter(Counter::WnicWakes), 3);
         assert_eq!(rep.events.iter().map(|e| e.t_us).collect::<Vec<_>>(), vec![3, 5, 5]);
         let EventKind::BurstStart { client, .. } = rep.events[1].kind else { panic!() };
         assert_eq!(client, 0, "lane 0 sorts before lane 2 at the same timestamp");
@@ -346,14 +345,26 @@ mod tests {
     }
 
     #[test]
-    fn lane_index_clamps() {
-        let r = Recorder::new(RecorderConfig::default());
-        let clamped = r.lane(7); // only lane 0 exists
-        clamped.event(1, EventKind::BurstStart { client: 9, budget_us: 0 });
-        clamped.gauge_set(Gauge::BacklogBytes, 42);
+    fn counters_and_histograms_sum_over_lanes() {
+        let r = Recorder::new(RecorderConfig { events: false, lanes: 2 });
+        let l1 = r.lane(1);
+        r.incr(Counter::WnicWakes);
+        l1.add(Counter::WnicWakes, 2);
+        r.observe(Hist::SlotMarginUs, 3);
+        l1.observe(Hist::SlotMarginUs, 3);
+        l1.observe(Hist::SlotMarginUs, 1_000_000_000);
         let rep = r.export().unwrap();
-        assert_eq!(rep.events.len(), 1);
-        assert_eq!(rep.gauge(Gauge::BacklogBytes), 42);
+        assert_eq!(rep.counter(Counter::WnicWakes), 3);
+        let h = rep.hist(Hist::SlotMarginUs);
+        assert_eq!((h.count, h.sum), (3, 1_000_000_006));
+        assert_eq!(h.buckets[Hist::bucket(3)], 2);
+        assert_eq!(*h.buckets.last().unwrap(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane 1 of a 1-lane recorder")]
+    fn a_lane_past_the_lane_count_panics() {
+        Recorder::new(RecorderConfig::default()).lane(1);
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Constant-bit-rate UDP source and a counting sink.
 //!
-//! Not a paper workload per se, but the tool the proxy's bandwidth
-//! microbenchmark (§3.2.2, M1) and many tests use: a perfectly regular
-//! packet train whose airtime per size can be measured cleanly.
+//! Not a paper workload: a perfectly regular packet train. The
+//! benchmark's forwarding floor (`perfbench`, `net.forward_ns_per_pkt`)
+//! drives a switch with [`CbrSource`]; the proxy's bandwidth
+//! microbenchmark (§3.2.2, M1) sends its own probes
+//! (`scenario::calibrate`).
 
 use std::any::Any;
 

@@ -140,7 +140,6 @@ struct StreamState {
     shape: VbrShape,
     frame: u64,
     seq: u64,
-    bytes_sent: u64,
     /// Consecutive lossy receiver reports.
     lossy_reports: u32,
     downshifts: u32,
@@ -195,7 +194,6 @@ impl VideoServer {
                     shape: VbrShape::new(rng),
                     frame: 0,
                     seq: 0,
-                    bytes_sent: 0,
                     lossy_reports: 0,
                     downshifts: 0,
                     done: false,
@@ -205,11 +203,6 @@ impl VideoServer {
             by_flow,
             last_report: vec![(0, 0); n],
         }
-    }
-
-    /// Bytes sent so far on stream `i`.
-    pub fn bytes_sent(&self, i: usize) -> u64 {
-        self.streams[i].bytes_sent
     }
 
     /// Current fidelity of stream `i` (may be below the request after
@@ -253,7 +246,6 @@ impl VideoServer {
             let seq = self.streams[idx].seq;
             self.streams[idx].seq += 1;
             let payload = StreamPayload { flow, seq }.encode(body);
-            self.streams[idx].bytes_sent += payload.len() as u64;
             let pkt = Packet::udp(0, self.addr, client, payload);
             ctx.send_assigning(IfaceId(0), pkt);
             remaining -= body;

@@ -66,10 +66,6 @@ pub struct ByteServer {
     by_remote: FastHashMap<SockAddr, usize>,
     /// The response-body template every body is a view into.
     template: Bytes,
-    /// Total payload bytes served.
-    pub bytes_served: u64,
-    /// Connections accepted.
-    pub accepted: u64,
 }
 
 impl ByteServer {
@@ -80,8 +76,6 @@ impl ByteServer {
             conns: Vec::new(),
             by_remote: FastHashMap::default(),
             template: Bytes::new(),
-            bytes_served: 0,
-            accepted: 0,
         }
     }
 
@@ -100,7 +94,6 @@ impl ByteServer {
             closing: false,
         });
         self.by_remote.insert(remote, idx);
-        self.accepted += 1;
         Some(idx)
     }
 
@@ -114,7 +107,6 @@ impl ByteServer {
         while conn.reqbuf.len() >= 8 {
             let size = u64::from_be_bytes(conn.reqbuf[..8].try_into().expect("8"));
             conn.reqbuf.drain(..8);
-            self.bytes_served += size;
             conn.ep.send(now, body_view(&mut self.template, size as usize));
         }
         let mut remote_fin = false;

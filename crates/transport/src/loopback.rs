@@ -35,8 +35,6 @@ pub struct Loopback {
     /// Called with a running packet index; `true` drops the packet.
     drop_fn: DropFn,
     sent: u64,
-    /// Packets dropped by the predicate.
-    pub dropped: u64,
 }
 
 impl Loopback {
@@ -50,7 +48,6 @@ impl Loopback {
             queue: EventQueue::new(),
             drop_fn: Box::new(|_, _| false),
             sent: 0,
-            dropped: 0,
         }
     }
 
@@ -71,11 +68,9 @@ impl Loopback {
             for pkt in ep.packets_mut().drain(..) {
                 let idx = self.sent;
                 self.sent += 1;
-                if (self.drop_fn)(idx, &pkt) {
-                    self.dropped += 1;
-                    continue;
+                if !(self.drop_fn)(idx, &pkt) {
+                    self.queue.push(at, (dest, pkt));
                 }
-                self.queue.push(at, (dest, pkt));
             }
         }
     }

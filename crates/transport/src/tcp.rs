@@ -94,25 +94,13 @@ pub enum TcpState {
     Terminated,
 }
 
-/// Transfer counters.
+/// Loss-recovery counters.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TcpStats {
-    /// Payload bytes handed to the wire (including retransmissions).
-    pub bytes_sent: u64,
-    /// Payload bytes acknowledged by the peer.
-    pub bytes_acked: u64,
-    /// In-order payload bytes delivered to the application.
-    pub bytes_delivered: u64,
-    /// Data segments emitted.
-    pub segments_sent: u64,
     /// Segments retransmitted by RTO.
     pub rto_retransmits: u64,
     /// Segments retransmitted by fast retransmit.
     pub fast_retransmits: u64,
-    /// Duplicate ACKs observed.
-    pub dup_acks: u64,
-    /// Duplicate/overlapping data segments received.
-    pub dup_segments: u64,
 }
 
 /// The endpoint proper.
@@ -218,19 +206,9 @@ impl TcpEndpoint {
         &self.stats
     }
 
-    /// Current congestion window, bytes.
-    pub fn cwnd(&self) -> u64 {
-        self.reno.cwnd()
-    }
-
     /// Bytes the windows currently allow on the wire beyond the flight.
     pub fn window_available(&self) -> u64 {
         self.reno.cwnd().min(self.peer_window as u64).saturating_sub(self.sendbuf.flight())
-    }
-
-    /// Bytes in flight.
-    pub fn flight(&self) -> u64 {
-        self.sendbuf.flight()
     }
 
     /// Bytes queued but not yet on the wire.
@@ -385,12 +363,8 @@ impl TcpEndpoint {
             let offset = h.seq.saturating_sub(1); // SYN occupies wire seq 0
                                                   // Released data lands straight in `delivered` — no per-segment
                                                   // scratch Vec.
-            let advanced = self.reasm.insert(offset, pkt.payload.clone(), &mut self.delivered);
-            let out_of_order = advanced == 0;
-            if advanced == 0 {
-                self.stats.dup_segments += 1;
-            }
-            self.stats.bytes_delivered += advanced;
+            let out_of_order =
+                self.reasm.insert(offset, pkt.payload.clone(), &mut self.delivered) == 0;
             self.check_remote_fin();
             if out_of_order {
                 // Immediate (duplicate) ACK so the sender's fast
@@ -472,7 +446,6 @@ impl TcpEndpoint {
         let ack_stream = ack_wire.saturating_sub(1).min(self.sendbuf.stream_len());
         let newly = self.sendbuf.ack(ack_stream);
         if newly > 0 {
-            self.stats.bytes_acked += newly;
             self.dupacks = 0;
             self.reno.on_ack(newly);
             if let Some((probe_end, sent_at)) = self.probe {
@@ -488,7 +461,6 @@ impl TcpEndpoint {
             }
         } else if pure_ack && self.sendbuf.has_inflight() && ack_stream == self.sendbuf.una() {
             self.dupacks += 1;
-            self.stats.dup_acks += 1;
             if self.dupacks == self.cfg.dupack_threshold {
                 if let Some((off, seg)) = self.sendbuf.oldest_inflight() {
                     let flight = self.sendbuf.flight();
@@ -596,8 +568,6 @@ impl TcpEndpoint {
         let mut h = self.header(TcpFlags::ACK);
         h.seq = self.wire_seq(offset);
         h.ack = self.rcv_ack_wire();
-        self.stats.bytes_sent += data.len() as u64;
-        self.stats.segments_sent += 1;
         self.push_packet(h, data, mark);
     }
 

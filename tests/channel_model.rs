@@ -7,14 +7,11 @@
 //!    sampling cadences, and across `parallel_sweep` thread counts.
 //! 2. **Passivity** — the model is observational: attaching it to a run
 //!    whose policy ignores channel states (the paper's fixed policy)
-//!    changes *nothing* — same sim event count, same rendered results.
+//!    changes *nothing* — the same whole result.
 //! 3. **End-to-end determinism** — full channel-aware scenarios render
 //!    bit-identically whether jobs run inline on the caller's thread or
 //!    across worker threads.
 
-use std::fmt::Write as _;
-
-use powerburst::golden::render_postmortem;
 use powerburst::net::{ChannelModel, ChannelQuality};
 use powerburst::prelude::*;
 use powerburst::scenario::{collect, postmortem};
@@ -27,15 +24,9 @@ fn channel_cfg(seed: u64, policy: PolicyKind) -> ScenarioConfig {
     ScenarioConfig::new(seed, policy, clients).with_duration(SimDuration::from_secs(20))
 }
 
+/// The whole result, floats printed exactly.
 fn render(r: &ScenarioResult) -> String {
-    let mut s = String::new();
-    let _ = writeln!(s, "sim_events = {}", r.sim_events);
-    let _ = writeln!(s, "schedules = {}", r.proxy.schedules_sent);
-    let _ = writeln!(s, "invariant_violations = {}", r.invariants.total());
-    for c in &r.clients {
-        s.push_str(&render_postmortem(&format!("client-{} {}", c.host.0, c.label), &c.post));
-    }
-    s
+    format!("{r:?}")
 }
 
 /// Walk a model for `epochs` 100 ms epochs, recording one state vector per
