@@ -78,17 +78,13 @@ impl SnifferRecord {
 }
 
 /// The capture buffer. Cheap to append; analysis happens after the run.
+/// It starts empty and grows with the capture.
 #[derive(Debug, Default)]
 pub struct Sniffer {
     records: Vec<SnifferRecord>,
 }
 
 impl Sniffer {
-    /// A new sniffer with some headroom preallocated.
-    pub fn new() -> Sniffer {
-        Sniffer { records: Vec::with_capacity(4096) }
-    }
-
     /// Append a record.
     #[inline]
     pub fn record(&mut self, rec: SnifferRecord) {
@@ -128,7 +124,7 @@ mod tests {
 
     #[test]
     fn records_capture_fields() {
-        let mut s = Sniffer::new();
+        let mut s = Sniffer::default();
         s.record(SnifferRecord::of(
             SimTime::from_ms(3),
             &pkt(),
@@ -157,7 +153,7 @@ mod tests {
 
     #[test]
     fn take_empties_buffer() {
-        let mut s = Sniffer::new();
+        let mut s = Sniffer::default();
         s.record(SnifferRecord::of(SimTime::ZERO, &pkt(), SimDuration::ZERO, Delivery::Delivered));
         let v = s.take();
         assert_eq!(v.len(), 1);

@@ -192,7 +192,7 @@ impl ShardState {
             cells: Vec::new(),
             packet_seq: (rank as u64) << PACKET_SHARD_SHIFT,
             send_buf: Vec::new(),
-            sniffer: Sniffer::new(),
+            sniffer: Sniffer::default(),
             events_processed: 0,
             obs: Recorder::disabled(),
         }
@@ -547,11 +547,13 @@ impl World {
     }
 
     /// Freeze the topology: decide every node's shard, point each link
-    /// half at its receiver's shard, derive the conservative lookahead,
-    /// redistribute the staging state, and pre-size every shard's event
-    /// queue and scratch buffers from its own node count, so the steady-state
-    /// hot path never reallocates (a capacity hint that cannot change any
-    /// simulated outcome). Idempotent; runs lazily before the first event.
+    /// half at its receiver's shard, derive the conservative lookahead and
+    /// redistribute the staging state. Only the shards' node vectors are
+    /// sized from the topology; every other per-shard table (event queue,
+    /// send buffer, capture, outboxes) starts empty and grows to its
+    /// high-water mark during warm-up, then keeps its capacity, so the
+    /// steady-state hot path does not reallocate. Idempotent; runs lazily
+    /// before the first event.
     /// Worlds with fewer than two radio cells stay one shard — the
     /// redistribution is then a no-op re-wiring and the event loop is the
     /// exact sequential loop of the pre-shard engine.
@@ -620,16 +622,6 @@ impl World {
             );
         }
         self.topo.lookahead = lookahead;
-        for s in &mut shards {
-            // Empirically a node keeps a few dozen events in flight at
-            // peak (timers, frames on the wire, schedule fan-outs). Sized
-            // here, not in `ShardState::new`: the staging shard never
-            // holds an event.
-            s.queue.reserve(s.nodes.len().saturating_mul(64).max(1024));
-            // `send_buf` is empty between dispatches, so this is an
-            // absolute capacity floor for one handler's burst of sends.
-            s.send_buf.reserve(32);
-        }
         self.mail = Outboxes::new(shard_total);
         self.shards = shards;
     }
@@ -797,7 +789,10 @@ impl Exec<'_> {
                     self.tx.send(peer_shard as usize, (arrive, ev));
                 }
             }
-            WireOutcome::Dropped => { /* counted on the link */ }
+            // The frame is lost here, and nothing counts it: a receiver
+            // sees it only as a gap (`city-live`'s video loss is this drop
+            // at the video server's uplink, read as player loss).
+            WireOutcome::Dropped => {}
         }
     }
 

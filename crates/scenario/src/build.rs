@@ -293,55 +293,27 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     world.set_faults(cfg.faults);
 
     // --- clients --------------------------------------------------------------------------
-    // Video clients send buffer-extended (32-byte) receiver reports only
-    // under the buffer-aware policy, the one policy that reads them: the
-    // legacy 24-byte reports keep every other run's trace byte-identical.
-    let buffer_reports = matches!(cfg.policy, PolicyKind::BufferAware { .. });
+    // Each client's daemon, its app inside, is built cell by cell, so a
+    // cell's client state sits together on the heap (round-robin placement
+    // puts a cell's clients `cells` ids apart). The nodes are then added in
+    // id order, which fixes node ids, attach order and the clock draws. A
+    // one-cell world builds in id order throughout.
+    let mut daemons: Vec<Option<Box<PowerClient>>> = (0..n).map(|_| None).collect();
+    for &i in shards.iter().flat_map(|s| &s.clients) {
+        daemons[i] = Some(Box::new(client_daemon(cfg, i)));
+    }
     let mut clock_rng = derive_rng(cfg.seed, streams::CLOCK);
     let mut skew_rng = derive_rng(cfg.seed, fault_stream(fault_streams::CLOCK));
+    let live_radio = cfg.radio == RadioMode::Live;
     let mut client_ids = Vec::with_capacity(n);
-    for (i, spec) in cfg.clients.iter().enumerate() {
-        let host = hosts::client(i);
-        let app: Box<dyn App> = match &spec.kind {
-            ClientKind::Video { fidelity } => {
-                let mut app = VideoClientApp::new(
-                    SockAddr::new(host, ports::MEDIA),
-                    SockAddr::new(hosts::VIDEO_SERVER, ports::MEDIA),
-                    i as u64,
-                );
-                if buffer_reports {
-                    // Playout drains at the nominal stream rate.
-                    app = app.with_buffer_reports(fidelity.effective_bps() as u64);
-                }
-                Box::new(app)
-            }
-            ClientKind::Web { script } => {
-                let mut rng = derive_rng(cfg.seed, streams::TRAFFIC_BASE + 100 + i as u64);
-                let pages = generate_script(script, &mut rng);
-                Box::new(WebClientApp::new(
-                    host,
-                    SockAddr::new(hosts::BYTE_SERVER, ports::HTTP),
-                    pages,
-                ))
-            }
-            ClientKind::Ftp { size } => Box::new(FtpClientApp::new(
-                SockAddr::new(host, 9_000),
-                SockAddr::new(hosts::BYTE_SERVER, ports::HTTP),
-                *size,
-            )),
-        };
+    for (i, daemon) in daemons.into_iter().enumerate() {
+        let daemon = daemon.expect("invariant: the cells partition the clients");
         let mut clock = ClockModel::sample(&mut clock_rng, CLOCK_OFFSET_US, cfg.clock_drift_ppm);
         // Fault plan: pile an extra frequency error on top, so the
         // client↔proxy skew ramps linearly over the run.
         clock.drift_ppm += clock_skew_ramp(&cfg.faults, &mut skew_rng);
-        // A Monitor-mode radio never sleeps and `postmortem` runs the
-        // client policy, so the daemon there only hosts the app.
-        let (daemon, live_radio) = match cfg.radio {
-            RadioMode::Monitor => (PowerClient::monitor(app), false),
-            RadioMode::Live => (PowerClient::live(host, spec.policy_params(), app), true),
-        };
         let node =
-            world.add_node(Box::new(daemon), NodeConfig { host: Some(host), clock, live_radio });
+            world.add_node(daemon, NodeConfig { host: Some(hosts::client(i)), clock, live_radio });
         world.attach_wireless_cell(node, IfaceId(0), cfg.cell_of(i));
         client_ids.push(node);
     }
@@ -371,6 +343,45 @@ pub fn assemble(cfg: &ScenarioConfig) -> Assembled {
     let obs = world.install_recorder(cfg.obs.metrics, cfg.obs.events);
 
     Assembled { world, clients: client_ids, video_server, shards, coordinator, obs }
+}
+
+/// Client `i`'s daemon hosting its app. A Monitor-mode radio never sleeps
+/// and `postmortem` runs the client policy, so the daemon there only
+/// hosts the app.
+fn client_daemon(cfg: &ScenarioConfig, i: usize) -> PowerClient {
+    let spec = &cfg.clients[i];
+    let host = hosts::client(i);
+    let app: Box<dyn App> = match &spec.kind {
+        ClientKind::Video { fidelity } => {
+            let mut app = VideoClientApp::new(
+                SockAddr::new(host, ports::MEDIA),
+                SockAddr::new(hosts::VIDEO_SERVER, ports::MEDIA),
+                i as u64,
+            );
+            // Buffer-extended (32-byte) receiver reports only under the
+            // buffer-aware policy, the one policy that reads them: the
+            // legacy 24-byte reports keep every other run's trace
+            // byte-identical. Playout drains at the nominal stream rate.
+            if matches!(cfg.policy, PolicyKind::BufferAware { .. }) {
+                app = app.with_buffer_reports(fidelity.effective_bps() as u64);
+            }
+            Box::new(app)
+        }
+        ClientKind::Web { script } => {
+            let mut rng = derive_rng(cfg.seed, streams::TRAFFIC_BASE + 100 + i as u64);
+            let pages = generate_script(script, &mut rng);
+            Box::new(WebClientApp::new(host, SockAddr::new(hosts::BYTE_SERVER, ports::HTTP), pages))
+        }
+        ClientKind::Ftp { size } => Box::new(FtpClientApp::new(
+            SockAddr::new(host, 9_000),
+            SockAddr::new(hosts::BYTE_SERVER, ports::HTTP),
+            *size,
+        )),
+    };
+    match cfg.radio {
+        RadioMode::Monitor => PowerClient::monitor(app),
+        RadioMode::Live => PowerClient::live(host, spec.policy_params(), app),
+    }
 }
 
 /// Run a scenario to completion and collect results.

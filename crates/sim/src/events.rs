@@ -127,16 +127,6 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Reserve room for at least `additional` more live events, so wiring
-    /// code can pre-size the queue from the topology before the run.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-        self.pos.reserve(additional);
-        self.gen.reserve(additional);
-        self.items.reserve(additional);
-        self.free.reserve(additional);
-    }
-
     /// Store `entry` at `hole`, first moving every larger ancestor one
     /// level down into the hole.
     fn sift_up(&mut self, mut hole: usize, entry: HeapEntry) {

@@ -80,3 +80,45 @@ fn sweep_is_deterministic_across_thread_counts() {
     let threaded = parallel_sweep(configs, 4, |c| render(&run_scenario(c)));
     assert_eq!(inline, threaded, "thread count changed a run's rendered summary");
 }
+
+/// A known defect, pinned. Ten web clients under the full fault plan
+/// (`tcp-faulted`'s web configuration; the CLI run is `run --clients 0
+/// --web 10 --secs 119 --seed 6707254688740252472 --fault-loss 0.05
+/// --fault-dup 0.01 --fault-reorder 0.02 --fault-sched-drop 0.02
+/// --fault-jitter-ms 10 --fault-jitter-prob 0.2 --fault-skew-ppm 40
+/// --fail-on-invariants`, which exits 1) log exactly one violation:
+/// client 109's TCP burst outlasts its slot plus grace. Fixing the
+/// burst's airtime estimate or the grace flips this test on purpose; it
+/// should then assert a clean log.
+#[test]
+fn web_burst_overruns_its_slot_under_the_full_fault_plan() {
+    let web = ClientSpec::new(ClientKind::Web { script: WebScriptConfig::default() });
+    let mut cfg = ScenarioConfig::new(
+        6_707_254_688_740_252_472,
+        PolicyKind::DynamicFixed { interval: SimDuration::from_ms(100) },
+        vec![web; 10],
+    )
+    .with_duration(SimDuration::from_secs(119))
+    .with_obs(ObsConfig::full());
+    cfg.faults = FaultPlan {
+        loss_prob: 0.05,
+        dup_prob: 0.01,
+        reorder_prob: 0.02,
+        reorder_max: SimDuration::from_ms(5),
+        sched_drop_prob: 0.02,
+        ap_jitter_prob: 0.2,
+        ap_jitter_max: SimDuration::from_ms(10),
+        clock_skew_ppm: 40.0,
+    };
+    let r = run_scenario(&cfg);
+    let log = &r.invariants;
+    assert_eq!(log.total(), 1, "{:?}", log.violations());
+    let v = &log.violations()[0];
+    assert_eq!(v.kind, InvariantKind::SlotOverrun);
+    assert_eq!(v.t, SimTime::from_us(70_594_842));
+    assert_eq!(v.client, Some(HostAddr(109)));
+    assert_eq!(
+        v.detail,
+        "estimated airtime 9.680ms exceeds slot 5.156ms (+4.042ms grace), 8 frames"
+    );
+}

@@ -46,8 +46,9 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Same ceiling as the sequential gate: sharding must not cost steady-state
 /// allocations. Epoch control flow is allocation-free by construction
-/// (atomics + pre-sized mailboxes); what remains is the same bounded
-/// per-interval work the sequential budget already absorbs.
+/// (atomics, and mailboxes that start empty and keep their capacity once
+/// warm); what remains is the same bounded per-interval work the
+/// sequential budget already absorbs.
 const BUDGET_ALLOCS_PER_EVENT: f64 = 0.10;
 
 #[test]
